@@ -3,11 +3,18 @@
 A "case" selects a measurement family: case I is the Bell-projector family,
 cases II, III and IV are the asymmetric family at the preset mixing weights
 x = 0.3, 0.725 and 0.8. Case "custom" sweeps a caller-supplied POVM builder.
+
+Sweeps run the whole lambda grid as stacked arrays (``povm`` array builders,
+``swap.swap_stack``, ``measures.report_stack``). Single-lambda work
+(thresholds, classification, extrema, verification) runs the scalar
+16-dimensional pipeline, ``run_swap`` plus ``measures.report``, which also
+re-checks the last grid point of every sweep.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,10 +22,31 @@ import numpy as np
 from scipy.optimize import bisect
 
 from . import measures
-from .errors import BadParamError, EntswapError, NoBracketError, NonMonotoneWarning
-from .povm import Povm, asymmetric_povm, werner_bell_povm
+from .errors import (
+    BadParamError,
+    EntswapError,
+    InvalidPovmError,
+    NoBracketError,
+    NonMonotoneWarning,
+)
+from .povm import (
+    Povm,
+    asymmetric_effects,
+    asymmetric_povm,
+    is_povm,
+    validate,
+    werner_bell_effects,
+    werner_bell_povm,
+)
 from .states import DensityMatrix
-from .swap import PAIRS, case1_closed_forms, case2_closed_forms, run_swap
+from .swap import (
+    DEGENERATE_PROBABILITY,
+    PAIRS,
+    case1_closed_forms,
+    case2_closed_forms,
+    run_swap,
+    swap_stack,
+)
 
 CASES = ("I", "II", "III", "IV", "custom")
 CASE_PRESETS = {"II": 0.3, "III": 0.725, "IV": 0.8}
@@ -67,6 +95,20 @@ def _builder_for(
     raise BadParamError(f"case must be one of {CASES}, got {case!r}")
 
 
+def _check_grid_size(count: int) -> None:
+    if count < 2:
+        raise BadParamError(f"grid needs at least 2 points, got {count}")
+
+
+@contextmanager
+def _at_lambda(lam: float, where: str = ""):
+    """Prefix any EntswapError raised inside with the grid point."""
+    try:
+        yield
+    except EntswapError as exc:
+        raise type(exc)(f"lambda={lam:.12g}: {where}{exc}") from exc
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid specification for one family sweep."""
@@ -87,8 +129,7 @@ class SweepConfig:
             raise BadParamError(
                 f"need 0 <= start <= stop <= 1, got [{self.lambda_start}, {self.lambda_stop}]"
             )
-        if self.count < 2:
-            raise BadParamError(f"grid needs at least 2 points, got {self.count}")
+        _check_grid_size(self.count)
         if self.tol <= 0:
             raise BadParamError(f"tolerance must be positive, got {self.tol}")
         if self.pipeline not in ("numeric", "analytic", "both"):
@@ -118,18 +159,6 @@ class SweepRecord:
     Lambda3: float
 
 
-def _record(cfg: SweepConfig, x, lam, outcome, pair, probability, rep) -> SweepRecord:
-    return SweepRecord(
-        case=cfg.case,
-        x=x,
-        lam=float(lam),
-        outcome=outcome,
-        pair=pair,
-        probability=float(probability),
-        **rep.values(),
-    )
-
-
 def _closed_forms(case: str, x: float | None, lam: float):
     if case == "I":
         return case1_closed_forms(lam)
@@ -145,49 +174,114 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     order (1,4), (1,2), (3,4). Degenerate outcomes contribute no rows. With
     pipeline "analytic" the closed forms replace the numeric engine; with
     "both" the numeric rows are emitted after checking them against the
-    closed forms at VERIFY_TOL.
+    closed forms at VERIFY_TOL. The numeric rows of the last grid point are
+    checked against the scalar pipeline at VERIFY_TOL.
     """
     x = _resolve_x(cfg.case, cfg.x)
     builder = _builder_for(cfg.case, cfg.x, cfg.povm_builder)
+    if cfg.pipeline != "analytic":
+        return _sweep_grid(cfg, x, builder)
     records: list[SweepRecord] = []
-    for lam in cfg.grid():
-        try:
-            records.extend(_sweep_point(cfg, x, builder, float(lam)))
-        except EntswapError as exc:
-            raise type(exc)(f"lambda={lam:.12g}: {exc}") from exc
+    for lam in cfg.grid().tolist():
+        with _at_lambda(lam):
+            forms = _closed_forms(cfg.case, x, lam)
+            reports = {pair: forms.report(pair, cfg.tol) for pair in PAIRS}
+        for outcome in (1, 2, 3, 4):
+            for pair in PAIRS:
+                records.append(
+                    SweepRecord(cfg.case, x, lam, outcome, pair, 0.25, **reports[pair].values())
+                )
     return records
 
 
-def _sweep_point(cfg, x, builder, lam) -> list[SweepRecord]:
-    rows: list[SweepRecord] = []
-    if cfg.pipeline == "analytic":
-        forms = _closed_forms(cfg.case, x, lam)
-        reports = {pair: forms.report(pair, cfg.tol) for pair in PAIRS}
-        for outcome in (1, 2, 3, 4):
-            for pair in PAIRS:
-                rows.append(_record(cfg, x, lam, outcome, pair, 0.25, reports[pair]))
-        return rows
-
-    forms = _closed_forms(cfg.case, x, lam) if cfg.pipeline == "both" else None
-    for outcome in run_swap(builder(lam)):
-        if outcome.degenerate:
-            continue
-        for pair in PAIRS:
-            rep = measures.report(outcome.pair_state(pair), cfg.tol)
-            if forms is not None:
-                expected = forms.report(pair, cfg.tol)
-                deviation = max(
-                    abs(rep.values()[k] - expected.values()[k]) for k in rep.values()
-                )
-                if deviation > VERIFY_TOL:
-                    raise EntswapError(
-                        f"closed form deviates by {deviation:.3e} "
-                        f"(outcome {outcome.outcome_index}, pair {pair})"
+def _grid_effects(cfg: SweepConfig, x, builder, lams: np.ndarray) -> np.ndarray:
+    """Effects at every grid point, shape (n, k, 4, 4), validated."""
+    if cfg.case == "I":
+        effects = werner_bell_effects(lams)
+    elif cfg.case in CASE_PRESETS:
+        effects = asymmetric_effects(x, lams)
+    else:
+        stacks = []
+        for lam in lams.tolist():
+            with _at_lambda(lam):
+                povm = builder(lam)
+                if stacks and len(povm.effects) != len(stacks[0]):
+                    raise InvalidPovmError(
+                        f"builder returned {len(povm.effects)} effects here "
+                        f"but {len(stacks[0])} at lambda={lams[0]:.12g}"
                     )
-            rows.append(
-                _record(cfg, x, lam, outcome.outcome_index, pair, outcome.probability, rep)
-            )
-    return rows
+            stacks.append(povm.effects)
+        effects = np.array(stacks)
+    # validate() on a point the stacked check rejects gives the messages.
+    for i in np.flatnonzero(~is_povm(effects)):
+        problems = validate(Povm(tuple(effects[i])))
+        if problems:
+            raise InvalidPovmError(f"lambda={lams[i]:.12g}: " + "; ".join(problems))
+    return effects
+
+
+def _sweep_grid(cfg: SweepConfig, x, builder) -> list[SweepRecord]:
+    """The numeric sweep as stacked arrays over (lambda, outcome, pair)."""
+    lams = cfg.grid()
+    effects = _grid_effects(cfg, x, builder, lams)
+    probabilities, states = swap_stack(effects)
+    kept = probabilities >= DEGENERATE_PROBABILITY
+    values = np.zeros(states.shape[:-2] + (len(measures.QUANTITIES),))
+    ok = np.ones(states.shape[:-2], dtype=bool)
+    values[kept], ok[kept] = measures.report_stack(states[kept], cfg.tol)
+    # report() on a state the stacked checks reject raises its error, or
+    # overrules them and gives the values.
+    for i, j, p in np.argwhere(~ok):
+        with _at_lambda(lams[i], f"outcome {j + 1}, pair {PAIRS[p]}: "):
+            values[i, j, p] = list(measures.report(states[i, j, p], cfg.tol).values().values())
+    if cfg.pipeline == "both":
+        _check_closed_forms(cfg, x, lams, kept, values)
+    _check_scalar(builder, float(lams[-1]), probabilities[-1], values[-1], cfg.tol)
+
+    lams, probabilities, values = lams.tolist(), probabilities.tolist(), values.tolist()
+    records: list[SweepRecord] = []
+    for i, j in np.argwhere(kept).tolist():
+        records.extend(
+            SweepRecord(cfg.case, x, lams[i], j + 1, pair, probabilities[i][j], *columns)
+            for pair, columns in zip(PAIRS, values[i][j])
+        )
+    return records
+
+
+def _check_closed_forms(cfg: SweepConfig, x, lams, kept, values) -> None:
+    for lam, kept_at, values_at in zip(lams.tolist(), kept, values):
+        with _at_lambda(lam):
+            forms = _closed_forms(cfg.case, x, lam)
+            expected = [list(forms.report(pair, cfg.tol).values().values()) for pair in PAIRS]
+            deviation = np.abs(values_at - expected).max(axis=-1) * kept_at[:, None]
+            j, p = np.unravel_index(np.argmax(deviation), deviation.shape)
+            if deviation[j, p] > VERIFY_TOL:
+                raise EntswapError(
+                    f"closed form deviates by {deviation[j, p]:.3e} "
+                    f"(outcome {j + 1}, pair {PAIRS[p]})"
+                )
+
+
+def _check_scalar(builder, lam: float, probabilities, values, tol: float) -> None:
+    """Compare one grid point of a sweep with ``run_swap`` and ``report``.
+
+    The first non-degenerate outcome's probability and all six quantities
+    of its three pair states must agree within VERIFY_TOL.
+    """
+    with _at_lambda(lam):
+        outcome = next(o for o in run_swap(builder(lam)) if not o.degenerate)
+        j = outcome.outcome_index - 1
+        checks = [("probability", probabilities[j], outcome.probability)]
+        for pair, batched in zip(PAIRS, values[j]):
+            scalar = measures.report(outcome.pair_state(pair), tol).values()
+            checks += [(f"pair {pair} {name}", batched[q], scalar[name])
+                       for q, name in enumerate(measures.QUANTITIES)]
+        for name, batched, scalar in checks:
+            if not abs(batched - scalar) <= VERIFY_TOL:
+                raise EntswapError(
+                    f"batched sweep deviates from the scalar pipeline at outcome "
+                    f"{j + 1}: {name} is {float(batched)!r}, scalar {scalar!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -289,6 +383,7 @@ def classify_table(
     if grid is None:
         grid = np.linspace(0.0, 1.0, 101)
     grid = np.asarray(grid, dtype=float)
+    _check_grid_size(grid.size)
     lams = grid[grid > 0.0]
     builder = _builder_for(case, x)
     signed: dict[tuple[str, str], list[float]] = {
@@ -408,6 +503,7 @@ def verify(
     if grid is None:
         grid = np.linspace(0.0, 1.0, 101)
     grid = np.asarray(grid, dtype=float)
+    _check_grid_size(grid.size)
     x = _resolve_x(case, x)
     builder = _builder_for(case, x)
     worst = (-1.0, 0.0, 0, "", "")

@@ -1,5 +1,9 @@
 """Dense complex linear algebra for small multi-qubit operators (dim <= 16).
 
+``hermitian_eig``, ``hermitian_eigvals``, ``psd_sqrt`` and
+``partial_transpose`` also take a stack of matrices, shape (..., d, d), and
+treat each matrix independently in one numpy call.
+
 Bit convention used everywhere in this package: qubit 1 is the most
 significant bit, so the basis index of |b1 b2 b3 b4> is
 b1*8 + b2*4 + b3*2 + b4. Qubit indices are 1-based.
@@ -37,18 +41,22 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """Return (m + m†)/2, rejecting asymmetry beyond HERMITIAN_ATOL."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise BadDimError(f"expected a square matrix, got shape {m.shape}")
-    residual = float(np.abs(m - m.conj().T).max())
+    residual = float(np.abs(m - _adjoint(m)).max())
     if residual >= HERMITIAN_ATOL:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {residual:.3e} "
             f"(allowed {HERMITIAN_ATOL:.0e})"
         )
-    return (m + m.conj().T) / 2
+    return (m + _adjoint(m)) / 2
 
 
 def hermitian_eig(m: np.ndarray) -> HermitianEig:
@@ -60,6 +68,11 @@ def hermitian_eig(m: np.ndarray) -> HermitianEig:
     sym = _symmetrized(m)
     values, vectors = np.linalg.eigh(sym)
     return HermitianEig(eigenvalues=values, eigenvectors=vectors)
+
+
+def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, symmetrized as in ``hermitian_eig``."""
+    return np.linalg.eigvalsh(_symmetrized(m))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -74,8 +87,8 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
         raise NotPsdError(f"eigenvalue {low:.3e} below the PSD floor -{EIG_CLAMP:.0e}")
     roots = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
     v = eig.eigenvectors
-    out = (v * roots) @ v.conj().T
-    return (out + out.conj().T) / 2
+    out = (v * roots[..., None, :]) @ _adjoint(v)
+    return (out + _adjoint(out)) / 2
 
 
 def partial_trace(m: np.ndarray, qubits_total: int, keep: Iterable[int]) -> np.ndarray:
@@ -115,16 +128,15 @@ def partial_trace(m: np.ndarray, qubits_total: int, keep: Iterable[int]) -> np.n
 def partial_transpose(m: np.ndarray, subsystem: str) -> np.ndarray:
     """Transpose one qubit of a two-qubit operator (``"first"`` or ``"second"``)."""
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise BadDimError(f"partial transpose is defined for 4x4 matrices, got {m.shape}")
     if subsystem not in ("first", "second"):
         raise BadIndexError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-    tensor = m.reshape(2, 2, 2, 2)
-    axes = (2, 1, 0, 3) if subsystem == "first" else (0, 3, 2, 1)
-    return tensor.transpose(axes).reshape(4, 4)
+    tensor = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
+    swapped = tensor.swapaxes(-4, -2) if subsystem == "first" else tensor.swapaxes(-3, -1)
+    return swapped.reshape(m.shape)
 
 
 def trace_norm(m: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    sym = _symmetrized(m)
-    return float(np.abs(np.linalg.eigvalsh(sym)).sum())
+    return float(np.abs(hermitian_eigvals(m)).sum())

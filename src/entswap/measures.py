@@ -12,7 +12,8 @@ T_ij = Tr[rho (sigma_i x sigma_j)] and the partial transpose:
 
 The *_signed variants return the expression before the max{0, .} clamp; the
 sign change marks the classification boundary and is what root finders
-should bisect on.
+should bisect on. ``report_stack`` evaluates ``report`` on a whole stack of
+states with one eigensolver call per spectrum.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAStateError
-from .linalg import hermitian_eig, kron, partial_transpose
-from .states import check_density_matrix
+from .linalg import hermitian_eig, hermitian_eigvals, kron, partial_transpose
+from .states import check_density_matrix, is_density_matrix
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT3 = np.sqrt(3.0)
@@ -36,6 +37,13 @@ PAULI = (
 
 # Pre-built two-qubit Pauli products sigma_i x sigma_j.
 _PAULI_PAIRS = [[kron(si, sj) for sj in PAULI] for si in PAULI]
+_PAULI_STACK = np.array(_PAULI_PAIRS)
+
+# Columns of ``CorrelationReport.values()``, in order.
+QUANTITIES = ("negativity", "steering2", "steering3", "nonlocality", "M", "Lambda3")
+
+# Largest imaginary part tolerated in a correlation-matrix entry.
+_IMAG_RESIDUE = 1e-10
 
 
 def _as_state(rho) -> np.ndarray:
@@ -59,7 +67,7 @@ def correlation_spectrum(rho) -> CorrelationSpectrum:
         [[np.trace(m @ _PAULI_PAIRS[i][j]) for j in range(3)] for i in range(3)]
     )
     residue = float(np.abs(raw.imag).max())
-    if residue > 1e-10:
+    if residue > _IMAG_RESIDUE:
         raise NotAStateError(f"correlation matrix has imaginary residue {residue:.3e}")
     T = raw.real
     eig = hermitian_eig(T.T @ T)
@@ -183,3 +191,34 @@ def report(rho, tol: float = 1e-9) -> CorrelationReport:
     return CorrelationReport.from_quantities(
         negativity(rho), spectrum.M, spectrum.Lambda3, tol=tol
     )
+
+
+def _clamped(v: np.ndarray) -> np.ndarray:
+    # max(0, v) elementwise; unlike np.maximum it turns -0.0 into 0.0.
+    return np.where(v > 0.0, v, 0.0)
+
+
+def report_stack(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """``report`` on every state of a (..., 4, 4) stack at once.
+
+    Returns ``values``, shape (..., 6), holding the columns of
+    ``CorrelationReport.values()`` in QUANTITIES order, and ``ok``, shape
+    (...), False where a check that ``report`` makes fails: the density-matrix
+    invariants, the imaginary residue of T, or the hierarchy
+    nonlocal => steerable => entangled at ``tol``. ``report`` on a state
+    that is not ok raises the error or gives its values.
+    """
+    m = np.asarray(states, dtype=complex)
+    ok = is_density_matrix(m)
+    raw = np.einsum("...ab,ijba->...ij", m, _PAULI_STACK)
+    ok &= np.abs(raw.imag).max(axis=(-2, -1)) <= _IMAG_RESIDUE
+    T = raw.real
+    t = _clamped(hermitian_eigvals(T.swapaxes(-1, -2) @ T)[..., ::-1])
+    m_value = t[..., 0] + t[..., 1]
+    lambda3 = m_value + t[..., 2]
+    neg = _clamped(-2.0 * np.linalg.eigvalsh(partial_transpose(m, "second")).min(axis=-1))
+    n = _clamped((np.sqrt(m_value) - 1.0) / (_SQRT2 - 1.0))
+    s3 = _clamped((np.sqrt(lambda3) - 1.0) / (_SQRT3 - 1.0))
+    entangled, steerable, nonlocal_ = neg > tol, s3 > tol, n > tol
+    ok &= ~((nonlocal_ & ~steerable) | (steerable & ~entangled))
+    return np.stack([neg, n, s3, n, m_value, lambda3], axis=-1), ok

@@ -2,11 +2,14 @@
 
 A POVM is an ordered list of PSD effects summing to the identity. Both
 builders here produce four two-qubit effects of unit trace, so in the
-swapping protocol every outcome occurs with probability 1/4.
+swapping protocol every outcome occurs with probability 1/4. Each family
+also has an array builder that returns the effects over a whole vector of
+sharpness values at once, checked by the stacked ``is_povm``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +60,11 @@ def validate(p: Povm) -> list[str]:
     index (1-based), the failed check, and the measured residual.
     """
     out: list[str] = []
-    for i, effect in enumerate(p.effects, start=1):
+    finite = np.isfinite(p.effects).all(axis=(-2, -1))
+    for i, (effect, effect_finite) in enumerate(zip(p.effects, finite), start=1):
+        if not effect_finite:
+            out.append(f"effect {i}: non-finite entry")
+            continue
         herm = float(np.abs(effect - effect.conj().T).max())
         if herm > POVM_ATOL:
             out.append(f"effect {i}: not Hermitian, residual {herm:.3e}")
@@ -74,6 +81,39 @@ def validate(p: Povm) -> list[str]:
     return out
 
 
+def is_povm(effects: np.ndarray) -> np.ndarray:
+    """The checks of ``validate`` on a stack of effect lists at once.
+
+    ``effects`` has shape (..., k, 4, 4); the result is a boolean array of
+    the leading shape, True where the k effects are finite, Hermitian, have
+    eigenvalues in [0, 1] and sum to the identity, all within POVM_ATOL.
+    """
+    e = np.asarray(effects, dtype=complex)
+    finite = np.isfinite(e).all(axis=(-3, -2, -1))
+    # Non-finite entries would make the eigensolver fail; they are already
+    # rejected by ``finite``.
+    e = np.where(finite[..., None, None, None], e, 0.0)
+    adjoint = e.conj().swapaxes(-1, -2)
+    herm = np.abs(e - adjoint).max(axis=(-3, -2, -1))
+    eigs = np.linalg.eigvalsh((e + adjoint) / 2)
+    residual = np.abs(e.sum(axis=-3) - np.eye(4)).max(axis=(-2, -1))
+    return (
+        finite
+        & (herm <= POVM_ATOL)
+        & (eigs.min(axis=(-2, -1)) >= -POVM_ATOL)
+        & (eigs.max(axis=(-2, -1)) <= 1.0 + POVM_ATOL)
+        & (residual <= POVM_ATOL)
+    )
+
+
+def _sharpness_vector(lams) -> np.ndarray:
+    lams = np.asarray(lams, dtype=float)
+    outside = ~((0.0 <= lams) & (lams <= 1.0))
+    if outside.any():
+        raise BadParamError(f"sharpness must be in [0, 1], got {lams[outside][0]}")
+    return lams
+
+
 def werner_bell_povm(lam: float) -> Povm:
     """Four Bell projectors smeared with white noise of strength 1 - lam.
 
@@ -87,6 +127,27 @@ def werner_bell_povm(lam: float) -> Povm:
         v = bell_state(k)
         effects.append(lam * np.outer(v, v.conj()) + (1.0 - lam) / 4.0 * np.eye(4))
     return Povm(tuple(effects), label=f"werner-bell(lam={lam:g})")
+
+
+_BELL_PROJECTORS = np.array([np.outer(bell_state(k), bell_state(k).conj()) for k in (1, 2, 3, 4)])
+
+
+def werner_bell_effects(lams) -> np.ndarray:
+    """Effects of ``werner_bell_povm`` for every sharpness in ``lams``, shape (n, 4, 4, 4)."""
+    lam = _sharpness_vector(lams)[:, None, None, None]
+    return lam * _BELL_PROJECTORS + (1.0 - lam) / 4.0 * np.eye(4)
+
+
+def _asymmetric_weights(x, lam):
+    """(y1, y2, w1, w2, a, b) of the asymmetric family; elementwise on arrays."""
+    root = np.sqrt(1.0 - lam)
+    y1 = (2.0 + 2.0 * root - lam) / 4.0
+    y2 = lam / 4.0
+    w1 = y1 * (1.0 - x) / (y1 + y2)
+    w2 = y2 * (1.0 - x) / (y1 + y2)
+    a = np.sqrt(1.0 - root) / np.sqrt(2.0)
+    b = np.sqrt(1.0 + root) / np.sqrt(2.0)
+    return y1, y2, w1, w2, a, b
 
 
 @dataclass(frozen=True)
@@ -121,13 +182,7 @@ class AsymmetricPovmParams:
             raise BadParamError(f"x must be in [0, 1], got {x}")
         if not 0.0 <= lam <= 1.0:
             raise BadParamError(f"sharpness must be in [0, 1], got {lam}")
-        root = np.sqrt(1.0 - lam)
-        y1 = (2.0 + 2.0 * root - lam) / 4.0
-        y2 = lam / 4.0
-        w1 = y1 * (1.0 - x) / (y1 + y2)
-        w2 = y2 * (1.0 - x) / (y1 + y2)
-        a = np.sqrt(1.0 - root) / np.sqrt(2.0)
-        b = np.sqrt(1.0 + root) / np.sqrt(2.0)
+        y1, y2, w1, w2, a, b = _asymmetric_weights(x, lam)
         e = np.sqrt(w2)
         f = a * a * np.sqrt(w1) + b * b * np.sqrt(x)
         g = b * b * np.sqrt(w1) + a * a * np.sqrt(x)
@@ -166,6 +221,35 @@ def asymmetric_povm(x: float, lam: float) -> Povm:
     return Povm(tuple(effects), label=f"asymmetric(x={x:g}, lam={lam:g})")
 
 
+_PRODUCT_PROJECTORS = np.array([np.outer(product_basis(k), product_basis(k)) for k in (1, 2, 3, 4)])
+_MAIN, _PARTNER, _PRODUCT = (np.array(column) - 1 for column in zip(*_EFFECT_RECIPE.values()))
+
+
+def asymmetric_effects(x: float, lams) -> np.ndarray:
+    """Effects of ``asymmetric_povm(x, lam)`` for every lam in ``lams``, shape (n, 4, 4, 4)."""
+    if not 0.0 <= x <= 1.0:
+        raise BadParamError(f"x must be in [0, 1], got {x}")
+    lam = _sharpness_vector(lams)
+    _, _, w1, w2, a, b = _asymmetric_weights(x, lam)
+    zero = np.zeros_like(lam)
+    # Rows are the members of the lam-basis, as in ``lambda_basis``.
+    basis = np.stack(
+        [
+            np.stack([a, zero, zero, -b], axis=-1),
+            np.stack([b, zero, zero, a], axis=-1),
+            np.stack([zero, a, -b, zero], axis=-1),
+            np.stack([zero, b, a, zero], axis=-1),
+        ],
+        axis=1,
+    ).astype(complex)
+    projectors = basis[..., :, None] * basis[..., None, :]
+    return (
+        x * projectors[:, _MAIN]
+        + w1[:, None, None, None] * projectors[:, _PARTNER]
+        + w2[:, None, None, None] * _PRODUCT_PROJECTORS[_PRODUCT]
+    )
+
+
 def effect_entanglement(p: Povm, i: int) -> float:
     """Negativity of effect i normalized to unit trace (1-based index)."""
     from .measures import negativity
@@ -190,6 +274,11 @@ def povm_to_dict(p: Povm) -> dict:
             for effect in p.effects
         ],
     }
+
+
+def _is_finite_number(v) -> bool:
+    # JSON booleans parse to bool, which is an int subclass.
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def povm_from_dict(data: dict) -> Povm:
@@ -218,10 +307,11 @@ def povm_from_dict(data: dict) -> Povm:
                 if (
                     not isinstance(entry, list)
                     or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)
+                    or not all(_is_finite_number(v) for v in entry)
                 ):
                     raise InvalidPovmError(
-                        f"effect {i}, row {r}, column {c}: expected an [re, im] pair"
+                        f"effect {i}, row {r}, column {c}: "
+                        "expected an [re, im] pair of finite numbers"
                     )
                 matrix[r, c] = complex(entry[0], entry[1])
         effects.append(matrix)

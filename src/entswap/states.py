@@ -43,6 +43,21 @@ def check_density_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
     return m
 
 
+def is_density_matrix(stack: np.ndarray) -> np.ndarray:
+    """The checks of ``check_density_matrix`` on a (..., d, d) stack at once.
+
+    Returns a boolean array of the stack's leading shape, True where the
+    matrix is Hermitian and of unit trace within STATE_ATOL and has no
+    eigenvalue below -STATE_ATOL.
+    """
+    m = np.asarray(stack, dtype=complex)
+    adjoint = m.conj().swapaxes(-1, -2)
+    herm = np.abs(m - adjoint).max(axis=(-2, -1))
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    low = np.linalg.eigvalsh((m + adjoint) / 2).min(axis=-1)
+    return (herm <= STATE_ATOL) & (np.abs(tr - 1.0) <= STATE_ATOL) & (low >= -STATE_ATOL)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace PSD Hermitian matrix tagged with its qubit count.

@@ -4,7 +4,8 @@ Two Bell pairs (1,2) and (3,4) start in the same maximally entangled state.
 A four-outcome POVM is measured on the middle pair (2,3) and the state is
 updated with the square-root (Lueders) rule, conditioning on the outcome.
 ``run_swap`` returns, per outcome, the probability and the conditional
-two-qubit states of the pairs (1,4), (1,2) and (3,4).
+two-qubit states of the pairs (1,4), (1,2) and (3,4); ``swap_stack`` computes
+the same for a whole stack of effects at once, without 16x16 matrices.
 
 The module also carries the closed forms for the two built-in measurement
 families. They are exact and serve as independent oracles for the full
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParamError, DegenerateEffectError, InvalidPovmError
+from .errors import BadIndexError, BadParamError, DegenerateEffectError, InvalidPovmError
 from .linalg import kron, partial_trace, psd_sqrt
 from .measures import CorrelationReport
 from .povm import AsymmetricPovmParams, Povm, validate
@@ -97,6 +98,43 @@ def run_swap(p: Povm) -> list[SwapOutcome]:
     return outcomes
 
 
+# Qubits kept by each pair state, in PAIRS order, as axes of the amplitude
+# tensor of swap_stack, whose axes are the qubits (2, 3, 1, 4).
+_PAIR_AXES = ((2, 3), (2, 0), (1, 3))
+
+
+def swap_stack(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``run_swap`` for a stack of valid effects, shape (..., 4, 4).
+
+    Returns the outcome probabilities, shape (...), and the conditional
+    states of the pairs in PAIRS order, shape (..., 3, 4, 4). States of
+    degenerate outcomes (probability below DEGENERATE_PROBABILITY) are zero.
+    The effects are not validated here; check them with ``povm.is_povm``.
+
+    Both pairs start in (|00> + |11>)/sqrt2, so after K = I x sqrt(E) x I
+    the four-qubit state is pure with amplitudes
+    psi[a, b, c, d] = sqrt(E)[(b, c), (a, d)] / 2. Each pair state is
+    M M-dagger / probability, where M is psi with the pair's qubits as rows.
+    """
+    s = psd_sqrt(effects)
+    lead = s.shape[:-2]
+    psi = s.reshape(*lead, 2, 2, 2, 2) / 2.0  # axes: qubits 2, 3, 1, 4
+    batch = tuple(range(len(lead)))
+    raw = []
+    for rows in _PAIR_AXES:
+        columns = tuple(q for q in range(4) if q not in rows)
+        m = psi.transpose(*batch, *(len(lead) + q for q in rows + columns))
+        m = m.reshape(*lead, 4, 4)
+        raw.append(m @ m.conj().swapaxes(-1, -2))
+    raw = np.stack(raw, axis=-3)
+    probability = np.trace(raw[..., 0, :, :], axis1=-2, axis2=-1).real
+    kept = (probability >= DEGENERATE_PROBABILITY)[..., None, None, None]
+    states = np.divide(
+        raw, probability[..., None, None, None], out=np.zeros_like(raw), where=kept
+    )
+    return probability, states
+
+
 def rho14_spectral(p: Povm, i: int) -> DensityMatrix:
     """Conditional (1,4) state without running the pipeline.
 
@@ -105,7 +143,7 @@ def rho14_spectral(p: Povm, i: int) -> DensityMatrix:
     trace. ``run_swap`` reproduces this to machine precision.
     """
     if not 1 <= i <= len(p.effects):
-        raise DegenerateEffectError(f"effect index must be 1..{len(p.effects)}, got {i}")
+        raise BadIndexError(f"effect index must be 1..{len(p.effects)}, got {i}")
     effect = p.effects[i - 1]
     trace = float(np.trace(effect).real)
     if trace <= DEGENERATE_PROBABILITY:

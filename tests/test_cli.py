@@ -166,3 +166,22 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "--case", "I", "--grid", "5")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_analyze_non_finite_povm_exits_three(tmp_path, capsys):
+    payload = povm_to_dict(werner_bell_povm(0.5))
+    payload["effects"][2][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))  # writes the NaN token
+    code, out, err = run_cli(capsys, "analyze", "--povm", str(path))
+    assert code == 3 and out == ""
+    assert "effect 3, row 0, column 0" in err
+
+
+@pytest.mark.parametrize("command", ["thresholds", "verify"])
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_grid_below_two_points_exits_one(command, grid, capsys):
+    args = [command, "--case", "I", "--grid", grid]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert f"grid needs at least 2 points, got {grid}" in err

@@ -167,3 +167,56 @@ def test_random_povms_validate_clean():
     gen = rng(10)
     for _ in range(10):
         assert validate(random_povm(gen)) == []
+
+
+def test_validate_flags_non_finite_entries():
+    nan_effect = I4.copy()
+    nan_effect[1, 2] = complex(float("nan"), 0.0)
+    problems = validate(Povm((nan_effect, 0 * I4)))
+    assert problems and problems[0] == "effect 1: non-finite entry"
+    inf_effect = I4 / 2
+    inf_effect[0, 0] = float("inf")
+    assert any(p.startswith("effect 1: non-finite") for p in validate(Povm((inf_effect, I4 / 2))))
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), True, False])
+def test_json_rejects_non_finite_and_boolean_entries(entry):
+    payload = json.loads(json.dumps(povm_to_dict(werner_bell_povm(0.5))))
+    payload["effects"][0][1][2] = [0.0, entry]
+    with pytest.raises(InvalidPovmError, match="row 1, column 2"):
+        povm_from_dict(payload)
+
+
+def test_array_builders_match_scalar_builders():
+    from entswap.povm import asymmetric_effects, werner_bell_effects
+
+    lams = np.concatenate([LAMBDA_GRID, [1e-12, 0.123456789, 1 - 1e-12]])
+    stacked = werner_bell_effects(lams)
+    assert stacked.shape == (lams.size, 4, 4, 4)
+    for lam, effects in zip(lams, stacked):
+        assert np.abs(effects - np.array(werner_bell_povm(lam).effects)).max() < 1e-14
+    for x in (*X_PRESETS, 0.0, 0.05, 0.95, 1.0):
+        for lam, effects in zip(lams, asymmetric_effects(x, lams)):
+            assert np.abs(effects - np.array(asymmetric_povm(x, lam).effects)).max() < 1e-14
+    with pytest.raises(BadParamError, match="got -0.1"):
+        werner_bell_effects([0.5, -0.1])
+    with pytest.raises(BadParamError, match="x must be"):
+        asymmetric_effects(1.5, lams)
+
+
+def test_is_povm_agrees_with_validate():
+    from entswap.povm import is_povm
+
+    gen = rng(11)
+    candidates = [random_povm(gen).effects for _ in range(6)]
+    nan_effect = I4 / 4
+    nan_effect[3, 0] = float("nan")
+    candidates += [
+        tuple(1.001 * e for e in candidates[0]),
+        (I4 / 2, I4 / 2 + 1e-6 * np.triu(np.ones((4, 4)), 1), -0 * I4, 0 * I4),
+        (1.5 * I4, -0.5 * I4, 0 * I4, 0 * I4),
+        (nan_effect, I4 / 4, I4 / 4, I4 / 4),
+    ]
+    flags = is_povm(np.array(candidates))
+    assert flags.tolist() == [validate(Povm(c)) == [] for c in candidates]
+    assert flags.tolist() == [True] * 6 + [False] * 4

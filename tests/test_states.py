@@ -123,3 +123,23 @@ def test_initial_four_qubit_marginals():
 def test_pure_density_matrix_bad_length():
     with pytest.raises(NotAStateError):
         pure_density_matrix(np.ones(3) / np.sqrt(3))
+
+
+def test_is_density_matrix_agrees_with_check():
+    from entswap.errors import NotAStateError
+    from entswap.states import check_density_matrix, is_density_matrix
+    from helpers import random_density_matrix, rng
+
+    gen = rng(12)
+    good = random_density_matrix(gen)
+    skew = good.copy()
+    skew[0, 1] += 1e-6
+    stack = np.array([good, 1.01 * good, np.diag([1.1, -0.1, 0, 0]), skew, np.eye(4) / 4])
+    expected = []
+    for m in stack:
+        try:
+            check_density_matrix(m, 2)
+            expected.append(True)
+        except NotAStateError:
+            expected.append(False)
+    assert is_density_matrix(stack).tolist() == expected == [True, False, False, False, True]

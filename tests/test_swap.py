@@ -201,3 +201,30 @@ def test_case2_trace_identity_via_params():
         for lam in LAMBDA_GRID:
             p = case2_closed_forms(x, lam).params
             assert abs(p.e**2 + p.f**2 + p.g**2 + 2 * p.h**2 - 1.0) < 1e-12
+
+
+def test_rho14_spectral_index_out_of_range():
+    from entswap import BadIndexError
+
+    for i in (0, 5):
+        with pytest.raises(BadIndexError, match="effect index"):
+            rho14_spectral(werner_bell_povm(0.5), i)
+
+
+def test_swap_stack_matches_run_swap():
+    from entswap.swap import swap_stack
+
+    gen = rng(13)
+    povms = [random_povm(gen, outcomes=5) for _ in range(3)]
+    povms.append(Povm((np.zeros((4, 4), dtype=complex), I4, 0 * I4, 0 * I4, 0 * I4)))
+    probabilities, states = swap_stack(np.array([p.effects for p in povms]))
+    assert states.shape == (4, 5, 3, 4, 4)
+    for p, probs, pair_states in zip(povms, probabilities, states):
+        for outcome in run_swap(p):
+            j = outcome.outcome_index - 1
+            assert abs(probs[j] - outcome.probability) < 1e-14
+            if outcome.degenerate:
+                assert not pair_states[j].any()
+                continue
+            for q, pair in enumerate(PAIRS):
+                assert np.abs(pair_states[j, q] - np.asarray(outcome.pair_state(pair))).max() < 1e-14
