@@ -4,11 +4,13 @@ A "case" selects a measurement family: case I is the Bell-projector family,
 cases II, III and IV are the asymmetric family at the preset mixing weights
 x = 0.3, 0.725 and 0.8. Case "custom" sweeps a caller-supplied POVM builder.
 
-Sweeps run the whole lambda grid as stacked arrays (``povm`` array builders,
-``swap.swap_stack``, ``measures.report_stack``). Single-lambda work
-(thresholds, classification, extrema, verification) runs the scalar
-16-dimensional pipeline, ``run_swap`` plus ``measures.report``, which also
-re-checks the last grid point of every sweep.
+Every scan of a lambda grid (sweeps, verification, and the grid scans of
+classification and extremum search) runs the whole grid as stacked arrays
+through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
+``measures.report_stack``). Pointwise work (threshold bisection, the
+golden-section refinement, and the re-check of the last point of every grid
+scan) runs the scalar 16-dimensional pipeline, ``run_swap`` plus
+``measures.report``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ VERIFY_TOL = 1e-9
 
 _SIGNED = {
     "negativity": measures.negativity_signed,
-    "steering2": measures.steering2_signed,
+    "steering2": measures.nonlocality_signed,
     "steering3": measures.steering3_signed,
     "nonlocality": measures.nonlocality_signed,
 }
@@ -98,6 +100,13 @@ def _builder_for(
 def _check_grid_size(count: int) -> None:
     if count < 2:
         raise BadParamError(f"grid needs at least 2 points, got {count}")
+
+
+def _grid_points(grid) -> np.ndarray:
+    """A scan's lambda grid as floats, 101 points on [0, 1] by default."""
+    grid = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float)
+    _check_grid_size(grid.size)
+    return grid
 
 
 @contextmanager
@@ -159,14 +168,6 @@ class SweepRecord:
     Lambda3: float
 
 
-def _closed_forms(case: str, x: float | None, lam: float):
-    if case == "I":
-        return case1_closed_forms(lam)
-    if case in CASE_PRESETS:
-        return case2_closed_forms(_resolve_x(case, x), lam)
-    raise BadParamError(f"no closed forms for case {case!r}")
-
-
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate every grid point, outcome and pair, in deterministic order.
 
@@ -178,27 +179,38 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     checked against the scalar pipeline at VERIFY_TOL.
     """
     x = _resolve_x(cfg.case, cfg.x)
-    builder = _builder_for(cfg.case, cfg.x, cfg.povm_builder)
-    if cfg.pipeline != "analytic":
-        return _sweep_grid(cfg, x, builder)
-    records: list[SweepRecord] = []
-    for lam in cfg.grid().tolist():
-        with _at_lambda(lam):
-            forms = _closed_forms(cfg.case, x, lam)
-            reports = {pair: forms.report(pair, cfg.tol) for pair in PAIRS}
-        for outcome in (1, 2, 3, 4):
-            for pair in PAIRS:
-                records.append(
-                    SweepRecord(cfg.case, x, lam, outcome, pair, 0.25, **reports[pair].values())
-                )
-    return records
+    lams = cfg.grid()
+    if cfg.pipeline == "analytic":
+        # The built-in families give every outcome probability 1/4.
+        values = np.repeat(_closed_form_values(cfg.case, x, lams, cfg.tol)[:, None], 4, axis=1)
+        probabilities = np.full(values.shape[:2], 0.25)
+        kept = np.ones(values.shape[:2], dtype=bool)
+    else:
+        builder = _builder_for(cfg.case, cfg.x, cfg.povm_builder)
+        probabilities, values, kept = _grid_values(cfg.case, x, builder, lams, cfg.tol)
+    if cfg.pipeline == "both":
+        deviation, lam, outcome, pair, quantity = _worst_deviation(
+            lams, probabilities, values, kept, _closed_form_values(cfg.case, x, lams, cfg.tol)
+        )
+        if deviation > VERIFY_TOL:
+            raise EntswapError(
+                f"lambda={lam:.12g}: closed form deviates by {deviation:.3e} "
+                f"(outcome {outcome}, pair {pair or '-'}, {quantity})"
+            )
+
+    lams, probabilities, values = lams.tolist(), probabilities.tolist(), values.tolist()
+    return [
+        SweepRecord(cfg.case, x, lams[i], j + 1, pair, probabilities[i][j], *columns)
+        for i, j in np.argwhere(kept).tolist()
+        for pair, columns in zip(PAIRS, values[i][j])
+    ]
 
 
-def _grid_effects(cfg: SweepConfig, x, builder, lams: np.ndarray) -> np.ndarray:
+def _grid_effects(case: str, x, builder, lams: np.ndarray) -> np.ndarray:
     """Effects at every grid point, shape (n, k, 4, 4), validated."""
-    if cfg.case == "I":
+    if case == "I":
         effects = werner_bell_effects(lams)
-    elif cfg.case in CASE_PRESETS:
+    elif case in CASE_PRESETS:
         effects = asymmetric_effects(x, lams)
     else:
         stacks = []
@@ -220,50 +232,63 @@ def _grid_effects(cfg: SweepConfig, x, builder, lams: np.ndarray) -> np.ndarray:
     return effects
 
 
-def _sweep_grid(cfg: SweepConfig, x, builder) -> list[SweepRecord]:
-    """The numeric sweep as stacked arrays over (lambda, outcome, pair)."""
-    lams = cfg.grid()
-    effects = _grid_effects(cfg, x, builder, lams)
+def _grid_values(case: str, x, builder, lams: np.ndarray, tol: float):
+    """Evaluate a family on a lambda grid as stacked arrays.
+
+    Returns the outcome probabilities, shape (n, k), the QUANTITIES columns
+    of every pair state in PAIRS order, shape (n, k, 3, 6), and the mask of
+    non-degenerate outcomes, shape (n, k); degenerate outcomes have zero
+    quantities. The last grid point is checked against the scalar pipeline.
+    """
+    effects = _grid_effects(case, x, builder, lams)
     probabilities, states = swap_stack(effects)
     kept = probabilities >= DEGENERATE_PROBABILITY
     values = np.zeros(states.shape[:-2] + (len(measures.QUANTITIES),))
     ok = np.ones(states.shape[:-2], dtype=bool)
-    values[kept], ok[kept] = measures.report_stack(states[kept], cfg.tol)
+    values[kept], ok[kept] = measures.report_stack(states[kept], tol)
     # report() on a state the stacked checks reject raises its error, or
     # overrules them and gives the values.
     for i, j, p in np.argwhere(~ok):
         with _at_lambda(lams[i], f"outcome {j + 1}, pair {PAIRS[p]}: "):
-            values[i, j, p] = list(measures.report(states[i, j, p], cfg.tol).values().values())
-    if cfg.pipeline == "both":
-        _check_closed_forms(cfg, x, lams, kept, values)
-    _check_scalar(builder, float(lams[-1]), probabilities[-1], values[-1], cfg.tol)
-
-    lams, probabilities, values = lams.tolist(), probabilities.tolist(), values.tolist()
-    records: list[SweepRecord] = []
-    for i, j in np.argwhere(kept).tolist():
-        records.extend(
-            SweepRecord(cfg.case, x, lams[i], j + 1, pair, probabilities[i][j], *columns)
-            for pair, columns in zip(PAIRS, values[i][j])
-        )
-    return records
+            values[i, j, p] = list(measures.report(states[i, j, p], tol).values().values())
+    _check_scalar(builder, float(lams[-1]), probabilities[-1], values[-1], tol)
+    return probabilities, values, kept
 
 
-def _check_closed_forms(cfg: SweepConfig, x, lams, kept, values) -> None:
-    for lam, kept_at, values_at in zip(lams.tolist(), kept, values):
+def _closed_form_values(case: str, x, lams: np.ndarray, tol: float) -> np.ndarray:
+    """The QUANTITIES columns of every pair from the closed forms, shape (n, 3, 6)."""
+    rows = []
+    for lam in lams.tolist():
         with _at_lambda(lam):
-            forms = _closed_forms(cfg.case, x, lam)
-            expected = [list(forms.report(pair, cfg.tol).values().values()) for pair in PAIRS]
-            deviation = np.abs(values_at - expected).max(axis=-1) * kept_at[:, None]
-            j, p = np.unravel_index(np.argmax(deviation), deviation.shape)
-            if deviation[j, p] > VERIFY_TOL:
-                raise EntswapError(
-                    f"closed form deviates by {deviation[j, p]:.3e} "
-                    f"(outcome {j + 1}, pair {PAIRS[p]})"
-                )
+            forms = case1_closed_forms(lam) if case == "I" else case2_closed_forms(x, lam)
+            rows.append([list(forms.report(pair, tol).values().values()) for pair in PAIRS])
+    return np.array(rows)
+
+
+def _worst_deviation(lams, probabilities, values, kept, expected):
+    """The largest deviation of a grid evaluation from the closed forms.
+
+    Every outcome probability is compared with the family value 1/4, and
+    every quantity of a kept outcome with ``expected`` from
+    ``_closed_form_values``. Returns (deviation, lambda, outcome, pair,
+    quantity) of the first maximum in the order lambda, outcome,
+    probability, then pair and quantity; the pair of a probability is "".
+    """
+    quantities = np.where(kept[..., None, None], np.abs(values - expected[:, None]), 0.0)
+    deviation = np.concatenate(
+        [np.abs(probabilities - 0.25)[..., None], quantities.reshape(*kept.shape, -1)], axis=-1
+    )
+    i, j, c = np.unravel_index(np.argmax(deviation), deviation.shape)
+    if c == 0:
+        pair, quantity = "", "probability"
+    else:
+        p, q = divmod(int(c) - 1, len(measures.QUANTITIES))
+        pair, quantity = PAIRS[p], measures.QUANTITIES[q]
+    return float(deviation[i, j, c]), float(lams[i]), int(j) + 1, pair, quantity
 
 
 def _check_scalar(builder, lam: float, probabilities, values, tol: float) -> None:
-    """Compare one grid point of a sweep with ``run_swap`` and ``report``.
+    """Compare one point of a grid scan with ``run_swap`` and ``report``.
 
     The first non-degenerate outcome's probability and all six quantities
     of its three pair states must agree within VERIFY_TOL.
@@ -279,7 +304,7 @@ def _check_scalar(builder, lam: float, probabilities, values, tol: float) -> Non
         for name, batched, scalar in checks:
             if not abs(batched - scalar) <= VERIFY_TOL:
                 raise EntswapError(
-                    f"batched sweep deviates from the scalar pipeline at outcome "
+                    f"batched engine deviates from the scalar pipeline at outcome "
                     f"{j + 1}: {name} is {float(batched)!r}, scalar {scalar!r}"
                 )
 
@@ -376,36 +401,26 @@ def classify_table(
 ) -> dict[tuple[str, str], MeasureRange]:
     """Positivity pattern of every (pair, measure) over the sharpness grid.
 
-    Grid points are classified with the signed quantifiers at tolerance
-    ``tol``; interval endpoints are then bisected to ``root_tol`` in lambda.
+    The grid points with lambda > 0 are classified by whether the
+    quantifiers of the first outcome exceed ``tol``; interval endpoints are
+    then bisected to ``root_tol`` in lambda on the signed quantifiers.
     Patterns that are not a single interval raise.
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)
-    grid = np.asarray(grid, dtype=float)
-    _check_grid_size(grid.size)
+    if tol <= 0:
+        raise BadParamError(f"tolerance must be positive, got {tol}")
+    grid = _grid_points(grid)
     lams = grid[grid > 0.0]
-    builder = _builder_for(case, x)
-    signed: dict[tuple[str, str], list[float]] = {
-        (pair, measure): [] for pair in PAIRS for measure in MEASURES
-    }
-    for lam in lams:
-        first = run_swap(builder(float(lam)))[0]
-        for pair in PAIRS:
-            state = first.pair_state(pair)
-            spectrum = measures.correlation_spectrum(state)
-            chsh = measures.nonlocality_from_pair_sum(spectrum.M)
-            signed[(pair, "negativity")].append(measures.negativity_signed(state))
-            signed[(pair, "steering2")].append(chsh)
-            signed[(pair, "steering3")].append(
-                measures.steering3_from_total(spectrum.Lambda3)
-            )
-            signed[(pair, "nonlocality")].append(chsh)
+    if lams.size == 0:
+        raise BadParamError("classification needs a grid point with lambda > 0")
+    x = _resolve_x(case, x)
+    _, values, _ = _grid_values(case, x, _builder_for(case, x), lams, tol)
 
     out: dict[tuple[str, str], MeasureRange] = {}
-    for key, values in signed.items():
+    for key in [(pair, measure) for pair in PAIRS for measure in MEASURES]:
         pair, measure = key
-        positive = np.asarray(values) > tol
+        # Outcome 1; with tol > 0 a clamped value exceeds tol exactly where
+        # the signed one does.
+        positive = values[:, 0, PAIRS.index(pair), measures.QUANTITIES.index(measure)] > tol
         if not positive.any():
             out[key] = MeasureRange("never")
         elif positive.all():
@@ -457,19 +472,19 @@ def find_extremum(
     neighboring grid points, to 1e-6 in lambda. A boundary argmax is
     returned as-is.
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)
-    grid = np.asarray(grid, dtype=float)
+    grid = _grid_points(grid)
     if pair not in PAIRS:
         raise BadParamError(f"pair must be one of {PAIRS}, got {pair!r}")
     if measure not in MEASURES:
         raise BadParamError(f"measure must be one of {MEASURES}, got {measure!r}")
+    x = _resolve_x(case, x)
     builder = _builder_for(case, x)
-    f = lambda lam: _CLAMPED[measure](run_swap(builder(float(lam)))[0].pair_state(pair))
-    values = [f(lam) for lam in grid]
+    _, values, _ = _grid_values(case, x, builder, grid, 1e-9)
+    values = values[:, 0, PAIRS.index(pair), measures.QUANTITIES.index(measure)]
     peak = int(np.argmax(values))
     if peak in (0, len(grid) - 1):
         return float(grid[peak]), float(values[peak])
+    f = lambda lam: _CLAMPED[measure](run_swap(builder(float(lam)))[0].pair_state(pair))
     lam_star = _golden_max(f, float(grid[peak - 1]), float(grid[peak + 1]), xtol=1e-6)
     return lam_star, f(lam_star)
 
@@ -492,45 +507,22 @@ class VerificationReport:
 def verify(
     case: str, x: float | None = None, grid: np.ndarray | None = None
 ) -> VerificationReport:
-    """Compare closed forms against the numeric pipeline on a grid.
+    """Compare closed forms against the numeric engine on a grid.
 
-    Every quantifier of every pair and outcome is compared, as is the
-    outcome probability against the family value 1/4. The report passes iff
-    the worst absolute deviation stays below VERIFY_TOL.
+    The grid runs on the batched engine, whose last point is re-checked by
+    the scalar pipeline. Every quantifier of every pair and outcome is
+    compared, as is the outcome probability against the family value 1/4.
+    The report passes iff the worst absolute deviation stays below
+    VERIFY_TOL.
     """
     if case not in ("I", "II", "III", "IV"):
         raise BadParamError(f"verification needs a preset case, got {case!r}")
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)
-    grid = np.asarray(grid, dtype=float)
-    _check_grid_size(grid.size)
+    grid = _grid_points(grid)
     x = _resolve_x(case, x)
-    builder = _builder_for(case, x)
-    worst = (-1.0, 0.0, 0, "", "")
-    for lam in grid:
-        lam = float(lam)
-        forms = _closed_forms(case, x, lam)
-        expected = {pair: forms.report(pair).values() for pair in PAIRS}
-        for outcome in run_swap(builder(lam)):
-            deviations = {"probability": abs(outcome.probability - 0.25)}
-            for pair in PAIRS:
-                actual = measures.report(outcome.pair_state(pair)).values()
-                for name, value in actual.items():
-                    deviations[f"{pair}:{name}"] = abs(value - expected[pair][name])
-            for name, dev in deviations.items():
-                if dev > worst[0]:
-                    pair, _, quantity = name.partition(":")
-                    if not quantity:
-                        pair, quantity = "", name
-                    worst = (dev, lam, outcome.outcome_index, pair, quantity)
-    return VerificationReport(
-        case=case,
-        x=x,
-        points=len(grid),
-        max_deviation=worst[0],
-        worst_lam=worst[1],
-        worst_outcome=worst[2],
-        worst_pair=worst[3],
-        worst_quantity=worst[4],
-        passed=worst[0] < VERIFY_TOL,
+    tol = 1e-9  # report()'s default classification tolerance
+    worst = _worst_deviation(
+        grid,
+        *_grid_values(case, x, _builder_for(case, x), grid, tol),
+        _closed_form_values(case, x, grid, tol),
     )
+    return VerificationReport(case, x, len(grid), *worst, passed=worst[0] < VERIFY_TOL)

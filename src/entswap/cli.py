@@ -92,6 +92,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
+    analysis._check_grid_size(args.grid)
     grid = np.linspace(0.0, 1.0, args.grid)
     table = analysis.classify_table(args.case, args.x, grid, root_tol=args.tol)
     x = analysis._resolve_x(args.case, args.x)
@@ -200,6 +201,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cases = [args.case] if args.case else ["I", "II", "III", "IV"]
+    analysis._check_grid_size(args.grid)
     grid = np.linspace(0.0, 1.0, args.grid)
     lines = []
     all_passed = True

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotAStateError
 from .linalg import hermitian_eig, hermitian_eigvals, kron, partial_transpose
-from .states import check_density_matrix, is_density_matrix
+from .states import DensityMatrix, check_density_matrix, is_density_matrix
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT3 = np.sqrt(3.0)
@@ -36,8 +36,7 @@ PAULI = (
 )
 
 # Pre-built two-qubit Pauli products sigma_i x sigma_j.
-_PAULI_PAIRS = [[kron(si, sj) for sj in PAULI] for si in PAULI]
-_PAULI_STACK = np.array(_PAULI_PAIRS)
+_PAULI_STACK = np.array([[kron(si, sj) for sj in PAULI] for si in PAULI])
 
 # Columns of ``CorrelationReport.values()``, in order.
 QUANTITIES = ("negativity", "steering2", "steering3", "nonlocality", "M", "Lambda3")
@@ -47,7 +46,15 @@ _IMAG_RESIDUE = 1e-10
 
 
 def _as_state(rho) -> np.ndarray:
+    # A two-qubit DensityMatrix was checked when it was built.
+    if isinstance(rho, DensityMatrix) and rho.qubits == 2:
+        return rho.matrix
     return check_density_matrix(np.asarray(rho, dtype=complex), qubits=2)
+
+
+def _correlation_matrix(m: np.ndarray) -> np.ndarray:
+    """Tr[rho (sigma_i x sigma_j)] for a (..., 4, 4) stack, still complex."""
+    return np.einsum("...ab,ijba->...ij", m, _PAULI_STACK)
 
 
 @dataclass(frozen=True)
@@ -62,10 +69,7 @@ class CorrelationSpectrum:
 
 def correlation_spectrum(rho) -> CorrelationSpectrum:
     """Correlation matrix and the derived pair-sum / total eigenvalue data."""
-    m = _as_state(rho)
-    raw = np.array(
-        [[np.trace(m @ _PAULI_PAIRS[i][j]) for j in range(3)] for i in range(3)]
-    )
+    raw = _correlation_matrix(_as_state(rho))
     residue = float(np.abs(raw.imag).max())
     if residue > _IMAG_RESIDUE:
         raise NotAStateError(f"correlation matrix has imaginary residue {residue:.3e}")
@@ -89,10 +93,6 @@ def nonlocality_signed(rho) -> float:
     return nonlocality_from_pair_sum(correlation_spectrum(rho).M)
 
 
-def steering2_signed(rho) -> float:
-    return nonlocality_signed(rho)
-
-
 def steering3_signed(rho) -> float:
     return steering3_from_total(correlation_spectrum(rho).Lambda3)
 
@@ -111,7 +111,7 @@ def bell_nonlocality(rho) -> float:
 
 def steering2(rho) -> float:
     """Two-setting steering quantifier; coincides with ``bell_nonlocality``."""
-    return max(0.0, steering2_signed(rho))
+    return bell_nonlocality(rho)
 
 
 def steering3(rho) -> float:
@@ -210,7 +210,7 @@ def report_stack(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """
     m = np.asarray(states, dtype=complex)
     ok = is_density_matrix(m)
-    raw = np.einsum("...ab,ijba->...ij", m, _PAULI_STACK)
+    raw = _correlation_matrix(m)
     ok &= np.abs(raw.imag).max(axis=(-2, -1)) <= _IMAG_RESIDUE
     T = raw.real
     t = _clamped(hermitian_eigvals(T.swapaxes(-1, -2) @ T)[..., ::-1])

@@ -23,14 +23,16 @@ _SQRT2 = np.sqrt(2.0)
 def check_density_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
     """Validate a density matrix, returning it as a complex ndarray.
 
-    Raises NotAStateError if the matrix is not Hermitian within STATE_ATOL,
-    its trace is not 1 within STATE_ATOL, or any eigenvalue is below
-    -STATE_ATOL.
+    Raises NotAStateError if the matrix has a non-finite entry, is not
+    Hermitian within STATE_ATOL, its trace is not 1 within STATE_ATOL, or any
+    eigenvalue is below -STATE_ATOL.
     """
     m = np.asarray(matrix, dtype=complex)
     dim = 2**qubits
     if m.shape != (dim, dim):
         raise NotAStateError(f"expected a {dim}x{dim} matrix for {qubits} qubits, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotAStateError("non-finite entry")
     herm = float(np.abs(m - m.conj().T).max())
     if herm > STATE_ATOL:
         raise NotAStateError(f"not Hermitian: residual {herm:.3e}")

@@ -5,6 +5,7 @@ from scipy.optimize import bisect
 from entswap import (
     BadParamError,
     CorrelationReport,
+    EntswapError,
     NoBracketError,
     NonMonotoneWarning,
     SweepConfig,
@@ -266,3 +267,60 @@ def test_verify_locates_injected_fault(monkeypatch):
 def test_verify_rejects_custom_case():
     with pytest.raises(BadParamError):
         verify("custom")
+
+
+def test_find_extremum_rejects_short_grid():
+    with pytest.raises(BadParamError, match="grid needs at least 2 points, got 0"):
+        find_extremum("II", None, "14", "negativity", grid=np.array([]))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"grid": [0.0, 0.0]}, "needs a grid point with lambda > 0"),
+        ({"tol": 0.0}, "tolerance must be positive"),
+        ({"x": 0.3}, "case I has no x parameter"),
+    ],
+)
+def test_classify_rejects_bad_input(kwargs, message):
+    with pytest.raises(BadParamError, match=message):
+        classify_table("I", **kwargs)
+
+
+def test_verify_checks_the_batched_quantities(monkeypatch):
+    real = analysis.measures.report_stack
+
+    def perturbed(states, tol):
+        values, ok = real(states, tol)
+        # Stack row 2 * 4 + 1 is lambda = 0.5, outcome 2, an interior point
+        # that the last-point scalar cross-check does not see.
+        values[2 * 4 + 1, 2, 4] += 1e-6  # pair 34, M
+        return values, ok
+
+    monkeypatch.setattr(analysis.measures, "report_stack", perturbed)
+    rep = verify("II", grid=np.linspace(0.0, 1.0, 5))
+    assert not rep.passed
+    assert (rep.worst_lam, rep.worst_outcome, rep.worst_pair, rep.worst_quantity) == (
+        0.5, 2, "34", "M"
+    )
+    assert abs(rep.max_deviation - 1e-6) < 1e-12
+    with pytest.raises(
+        EntswapError, match=r"^lambda=0\.5: closed form deviates by 1\.000e-06 \(outcome 2, pair 34, M\)"
+    ):
+        sweep(SweepConfig(case="II", count=5, pipeline="both"))
+
+
+def test_verify_checks_the_batched_probabilities(monkeypatch):
+    real = analysis.swap_stack
+
+    def perturbed(effects):
+        probabilities, states = real(effects)
+        probabilities[1, 3] += 1e-6  # lambda = 0.25, outcome 4
+        return probabilities, states
+
+    monkeypatch.setattr(analysis, "swap_stack", perturbed)
+    rep = verify("I", grid=np.linspace(0.0, 1.0, 5))
+    assert not rep.passed
+    assert (rep.worst_lam, rep.worst_outcome, rep.worst_pair, rep.worst_quantity) == (
+        0.25, 4, "", "probability"
+    )

@@ -179,7 +179,7 @@ def test_analyze_non_finite_povm_exits_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["thresholds", "verify"])
-@pytest.mark.parametrize("grid", ["0", "1"])
+@pytest.mark.parametrize("grid", ["0", "1", "-3"])
 def test_grid_below_two_points_exits_one(command, grid, capsys):
     args = [command, "--case", "I", "--grid", grid]
     code, out, err = run_cli(capsys, *args)

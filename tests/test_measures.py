@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from entswap import (
+    DensityMatrix,
     NotAStateError,
     bell_nonlocality,
     bell_state,
     correlation_spectrum,
+    initial_four_qubit,
     kron,
     negativity,
     partial_transpose,
@@ -16,6 +18,7 @@ from entswap import (
     werner_state,
 )
 from entswap.measures import negativity_signed
+from entswap.states import check_density_matrix
 from helpers import random_density_matrix, random_unitary, rng
 
 SQRT2 = np.sqrt(2.0)
@@ -145,3 +148,21 @@ def test_measures_reject_non_states(bad):
         correlation_spectrum(bad)
     with pytest.raises(NotAStateError):
         negativity(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [lambda m: check_density_matrix(m, 2), lambda m: DensityMatrix(2, m), negativity, report],
+    ids=["check_density_matrix", "DensityMatrix", "negativity", "report"],
+)
+def test_non_finite_state_is_rejected(call, bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(NotAStateError, match="non-finite entry"):
+        call(m)
+
+
+def test_report_checks_the_qubit_count_of_a_density_matrix():
+    with pytest.raises(NotAStateError, match="expected a 4x4 matrix"):
+        report(initial_four_qubit())
