@@ -210,6 +210,8 @@ def report_stack(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """
     m = np.asarray(states, dtype=complex)
     ok = is_density_matrix(m)
+    # Zeroing the states that are not ok keeps non-finite ones from the eigensolvers.
+    m = np.where(ok[..., None, None], m, 0.0)
     raw = _correlation_matrix(m)
     ok &= np.abs(raw.imag).max(axis=(-2, -1)) <= _IMAG_RESIDUE
     T = raw.real

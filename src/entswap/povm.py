@@ -2,9 +2,9 @@
 
 A POVM is an ordered list of PSD effects summing to the identity. Both
 builders here produce four two-qubit effects of unit trace, so in the
-swapping protocol every outcome occurs with probability 1/4. Each family
-also has an array builder that returns the effects over a whole vector of
-sharpness values at once, checked by the stacked ``is_povm``.
+swapping protocol every outcome occurs with probability 1/4. The scalar
+builders are one-point views of the array builders, and ``validate`` and
+``is_povm`` read the same stacked ``_residuals``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadIndexError, BadParamError, InvalidPovmError
-from .states import bell_state, lambda_basis, product_basis
+from .states import bell_state, product_basis
 
 # Per-effect eigenvalue window and completeness tolerance.
 POVM_ATOL = 1e-10
@@ -53,31 +53,44 @@ class Povm:
         return validate(self)
 
 
+def _residuals(effects) -> tuple[np.ndarray, ...]:
+    """Per effect of a (..., k, 4, 4) stack: finite or not, the Hermitian residual, the
+    extreme eigenvalues and whether all pass; per list: the completeness residual."""
+    e = np.asarray(effects, dtype=complex)
+    finite = np.isfinite(e).all(axis=(-2, -1))
+    # The eigensolver fails on non-finite entries, so those effects are
+    # zeroed; halving before adding keeps the Hermitian part of huge entries finite.
+    zeroed = np.where(finite[..., None, None], e, 0.0)
+    herm = np.abs(zeroed - zeroed.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    half = zeroed / 2
+    eigs = np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))
+    low, high = eigs[..., 0], eigs[..., -1]
+    ok = finite & (herm <= POVM_ATOL) & (low >= -POVM_ATOL) & (high <= 1.0 + POVM_ATOL)
+    # The raw sum is NaN for a NaN entry, which gets no completeness message.
+    completeness = np.abs(e.sum(axis=-3) - np.eye(4)).max(axis=(-2, -1))
+    return finite, herm, low, high, ok, completeness
+
+
 def validate(p: Povm) -> list[str]:
     """Check the POVM invariants, returning a list of violation messages.
 
     An empty list means the POVM is valid. Each message names the effect
     index (1-based), the failed check, and the measured residual.
     """
+    finite, herm, low, high, ok, completeness = _residuals(p.effects)
     out: list[str] = []
-    finite = np.isfinite(p.effects).all(axis=(-2, -1))
-    for i, (effect, effect_finite) in enumerate(zip(p.effects, finite), start=1):
-        if not effect_finite:
-            out.append(f"effect {i}: non-finite entry")
-            continue
-        herm = float(np.abs(effect - effect.conj().T).max())
-        if herm > POVM_ATOL:
-            out.append(f"effect {i}: not Hermitian, residual {herm:.3e}")
-            continue
-        eigs = np.linalg.eigvalsh((effect + effect.conj().T) / 2)
-        if eigs.min() < -POVM_ATOL:
-            out.append(f"effect {i}: negative eigenvalue {eigs.min():.3e}")
-        if eigs.max() > 1.0 + POVM_ATOL:
-            out.append(f"effect {i}: eigenvalue {eigs.max():.12g} exceeds 1")
-    total = sum(p.effects)
-    residual = float(np.abs(total - np.eye(4)).max())
-    if residual > POVM_ATOL:
-        out.append(f"completeness: effects sum deviates from identity by {residual:.3e}")
+    for i in np.flatnonzero(~ok):
+        if not finite[i]:
+            out.append(f"effect {i + 1}: non-finite entry")
+        elif herm[i] > POVM_ATOL:
+            out.append(f"effect {i + 1}: not Hermitian, residual {herm[i]:.3e}")
+        else:
+            if low[i] < -POVM_ATOL:
+                out.append(f"effect {i + 1}: negative eigenvalue {low[i]:.3e}")
+            if high[i] > 1.0 + POVM_ATOL:
+                out.append(f"effect {i + 1}: eigenvalue {high[i]:.12g} exceeds 1")
+    if completeness > POVM_ATOL:
+        out.append(f"completeness: effects sum deviates from identity by {completeness:.3e}")
     return out
 
 
@@ -85,25 +98,17 @@ def is_povm(effects: np.ndarray) -> np.ndarray:
     """The checks of ``validate`` on a stack of effect lists at once.
 
     ``effects`` has shape (..., k, 4, 4); the result is a boolean array of
-    the leading shape, True where the k effects are finite, Hermitian, have
-    eigenvalues in [0, 1] and sum to the identity, all within POVM_ATOL.
+    the leading shape, True where ``validate`` gives no message: the k
+    effects are finite, Hermitian, have eigenvalues in [0, 1] and sum to the
+    identity, all within POVM_ATOL.
     """
-    e = np.asarray(effects, dtype=complex)
-    finite = np.isfinite(e).all(axis=(-3, -2, -1))
-    # Non-finite entries would make the eigensolver fail; they are already
-    # rejected by ``finite``.
-    e = np.where(finite[..., None, None, None], e, 0.0)
-    adjoint = e.conj().swapaxes(-1, -2)
-    herm = np.abs(e - adjoint).max(axis=(-3, -2, -1))
-    eigs = np.linalg.eigvalsh((e + adjoint) / 2)
-    residual = np.abs(e.sum(axis=-3) - np.eye(4)).max(axis=(-2, -1))
-    return (
-        finite
-        & (herm <= POVM_ATOL)
-        & (eigs.min(axis=(-2, -1)) >= -POVM_ATOL)
-        & (eigs.max(axis=(-2, -1)) <= 1.0 + POVM_ATOL)
-        & (residual <= POVM_ATOL)
-    )
+    *_, ok, completeness = _residuals(effects)
+    return ok.all(axis=-1) & (completeness <= POVM_ATOL)
+
+
+def _check_unit(name: str, value) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise BadParamError(f"{name} must be in [0, 1], got {value}")
 
 
 def _sharpness_vector(lams) -> np.ndarray:
@@ -114,21 +119,6 @@ def _sharpness_vector(lams) -> np.ndarray:
     return lams
 
 
-def werner_bell_povm(lam: float) -> Povm:
-    """Four Bell projectors smeared with white noise of strength 1 - lam.
-
-    Effect i is lam |b_i><b_i| + (1-lam)/4 * I. The measurement is projective
-    at lam = 1 and trivial at lam = 0.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise BadParamError(f"sharpness must be in [0, 1], got {lam}")
-    effects = []
-    for k in (1, 2, 3, 4):
-        v = bell_state(k)
-        effects.append(lam * np.outer(v, v.conj()) + (1.0 - lam) / 4.0 * np.eye(4))
-    return Povm(tuple(effects), label=f"werner-bell(lam={lam:g})")
-
-
 _BELL_PROJECTORS = np.array([np.outer(bell_state(k), bell_state(k).conj()) for k in (1, 2, 3, 4)])
 
 
@@ -136,6 +126,17 @@ def werner_bell_effects(lams) -> np.ndarray:
     """Effects of ``werner_bell_povm`` for every sharpness in ``lams``, shape (n, 4, 4, 4)."""
     lam = _sharpness_vector(lams)[:, None, None, None]
     return lam * _BELL_PROJECTORS + (1.0 - lam) / 4.0 * np.eye(4)
+
+
+def werner_bell_povm(lam: float) -> Povm:
+    """Four Bell projectors smeared with white noise of strength 1 - lam.
+
+    Effect i is lam |b_i><b_i| + (1-lam)/4 * I. The measurement is projective
+    at lam = 1 and trivial at lam = 0. This is the one-point view of
+    ``werner_bell_effects``.
+    """
+    _check_unit("sharpness", lam)
+    return Povm(tuple(werner_bell_effects([lam])[0]), label=f"werner-bell(lam={lam:g})")
 
 
 def _asymmetric_weights(x, lam):
@@ -178,10 +179,8 @@ class AsymmetricPovmParams:
 
     def __post_init__(self) -> None:
         x, lam = self.x, self.lam
-        if not 0.0 <= x <= 1.0:
-            raise BadParamError(f"x must be in [0, 1], got {x}")
-        if not 0.0 <= lam <= 1.0:
-            raise BadParamError(f"sharpness must be in [0, 1], got {lam}")
+        _check_unit("x", x)
+        _check_unit("sharpness", lam)
         y1, y2, w1, w2, a, b = _asymmetric_weights(x, lam)
         e = np.sqrt(w2)
         f = a * a * np.sqrt(w1) + b * b * np.sqrt(x)
@@ -197,9 +196,30 @@ class AsymmetricPovmParams:
             object.__setattr__(self, name, float(value))
 
 
-# Each effect mixes one lam-basis member (weight x), its partner in the same
-# two-dimensional block (weight w1), and one product vector (weight w2).
-_EFFECT_RECIPE = {1: (1, 2, 3), 2: (2, 1, 4), 3: (3, 4, 1), 4: (4, 3, 2)}
+# Effect j mixes lam-basis member _MAIN[j] (weight x), its partner _PARTNER[j]
+# in the same two-dimensional block (weight w1), and product vector
+# _PRODUCT[j] (weight w2); indices are 0-based.
+_MAIN, _PARTNER, _PRODUCT = np.array([(0, 1, 2), (1, 0, 3), (2, 3, 0), (3, 2, 1)]).T
+_PRODUCT_PROJECTORS = np.array([np.outer(product_basis(k), product_basis(k)) for k in (1, 2, 3, 4)])
+
+
+def asymmetric_effects(x: float, lams) -> np.ndarray:
+    """Effects of ``asymmetric_povm(x, lam)`` for every lam in ``lams``, shape (n, 4, 4, 4)."""
+    _check_unit("x", x)
+    lam = _sharpness_vector(lams)
+    _, _, w1, w2, a, b = _asymmetric_weights(x, lam)
+    # Rows are the members of the lam-basis, as in ``states.lambda_basis``.
+    basis = np.zeros(lam.shape + (4, 4), dtype=complex)
+    basis[:, 0, [0, 3]] = np.stack([a, -b], axis=-1)  # a|00> - b|11>
+    basis[:, 1, [0, 3]] = np.stack([b, a], axis=-1)  # b|00> + a|11>
+    basis[:, 2, [1, 2]] = np.stack([a, -b], axis=-1)  # a|01> - b|10>
+    basis[:, 3, [1, 2]] = np.stack([b, a], axis=-1)  # b|01> + a|10>
+    projectors = basis[..., :, None] * basis[..., None, :]
+    return (
+        x * projectors[:, _MAIN]
+        + w1[:, None, None, None] * projectors[:, _PARTNER]
+        + w2[:, None, None, None] * _PRODUCT_PROJECTORS[_PRODUCT]
+    )
 
 
 def asymmetric_povm(x: float, lam: float) -> Povm:
@@ -207,47 +227,12 @@ def asymmetric_povm(x: float, lam: float) -> Povm:
 
     The three components of every effect are mutually orthogonal, so each
     effect has eigenvalues {x, w1, w2, 0}, and the four effects sum to the
-    identity for every (x, lam).
+    identity for every (x, lam). This is the one-point view of
+    ``asymmetric_effects``.
     """
-    params = AsymmetricPovmParams(x, lam)
-    effects = []
-    for main, partner, prod in _EFFECT_RECIPE.values():
-        pieces = (
-            (x, lambda_basis(lam, main)),
-            (params.w1, lambda_basis(lam, partner)),
-            (params.w2, product_basis(prod)),
-        )
-        effects.append(sum(w * np.outer(v, v.conj()) for w, v in pieces))
-    return Povm(tuple(effects), label=f"asymmetric(x={x:g}, lam={lam:g})")
-
-
-_PRODUCT_PROJECTORS = np.array([np.outer(product_basis(k), product_basis(k)) for k in (1, 2, 3, 4)])
-_MAIN, _PARTNER, _PRODUCT = (np.array(column) - 1 for column in zip(*_EFFECT_RECIPE.values()))
-
-
-def asymmetric_effects(x: float, lams) -> np.ndarray:
-    """Effects of ``asymmetric_povm(x, lam)`` for every lam in ``lams``, shape (n, 4, 4, 4)."""
-    if not 0.0 <= x <= 1.0:
-        raise BadParamError(f"x must be in [0, 1], got {x}")
-    lam = _sharpness_vector(lams)
-    _, _, w1, w2, a, b = _asymmetric_weights(x, lam)
-    zero = np.zeros_like(lam)
-    # Rows are the members of the lam-basis, as in ``lambda_basis``.
-    basis = np.stack(
-        [
-            np.stack([a, zero, zero, -b], axis=-1),
-            np.stack([b, zero, zero, a], axis=-1),
-            np.stack([zero, a, -b, zero], axis=-1),
-            np.stack([zero, b, a, zero], axis=-1),
-        ],
-        axis=1,
-    ).astype(complex)
-    projectors = basis[..., :, None] * basis[..., None, :]
-    return (
-        x * projectors[:, _MAIN]
-        + w1[:, None, None, None] * projectors[:, _PARTNER]
-        + w2[:, None, None, None] * _PRODUCT_PROJECTORS[_PRODUCT]
-    )
+    _check_unit("x", x)
+    _check_unit("sharpness", lam)
+    return Povm(tuple(asymmetric_effects(x, [lam])[0]), label=f"asymmetric(x={x:g}, lam={lam:g})")
 
 
 def effect_entanglement(p: Povm, i: int) -> float:

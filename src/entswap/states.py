@@ -20,6 +20,20 @@ STATE_ATOL = 1e-10
 _SQRT2 = np.sqrt(2.0)
 
 
+def _residuals(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per matrix of a complex (..., d, d) stack: finite or not, the Hermitian
+    residual, the trace and the smallest eigenvalue."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    # The eigensolver fails on non-finite entries, so those matrices are
+    # zeroed; halving before adding keeps the Hermitian part of huge entries finite.
+    m = np.where(finite[..., None, None], m, 0.0)
+    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = m.diagonal(0, -2, -1).sum(axis=-1)
+    half = m / 2
+    low = np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2)).min(axis=-1)
+    return finite, herm, tr, low
+
+
 def check_density_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
     """Validate a density matrix, returning it as a complex ndarray.
 
@@ -31,15 +45,13 @@ def check_density_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
     dim = 2**qubits
     if m.shape != (dim, dim):
         raise NotAStateError(f"expected a {dim}x{dim} matrix for {qubits} qubits, got {m.shape}")
-    if not np.isfinite(m).all():
+    finite, herm, tr, low = _residuals(m)
+    if not finite:
         raise NotAStateError("non-finite entry")
-    herm = float(np.abs(m - m.conj().T).max())
     if herm > STATE_ATOL:
         raise NotAStateError(f"not Hermitian: residual {herm:.3e}")
-    tr = complex(np.trace(m))
     if abs(tr - 1.0) > STATE_ATOL:
-        raise NotAStateError(f"trace is {tr:.12g}, expected 1")
-    low = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+        raise NotAStateError(f"trace is {complex(tr):.12g}, expected 1")
     if low < -STATE_ATOL:
         raise NotAStateError(f"negative eigenvalue {low:.3e}")
     return m
@@ -49,15 +61,11 @@ def is_density_matrix(stack: np.ndarray) -> np.ndarray:
     """The checks of ``check_density_matrix`` on a (..., d, d) stack at once.
 
     Returns a boolean array of the stack's leading shape, True where the
-    matrix is Hermitian and of unit trace within STATE_ATOL and has no
-    eigenvalue below -STATE_ATOL.
+    matrix is finite, Hermitian and of unit trace within STATE_ATOL and has
+    no eigenvalue below -STATE_ATOL.
     """
-    m = np.asarray(stack, dtype=complex)
-    adjoint = m.conj().swapaxes(-1, -2)
-    herm = np.abs(m - adjoint).max(axis=(-2, -1))
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    low = np.linalg.eigvalsh((m + adjoint) / 2).min(axis=-1)
-    return (herm <= STATE_ATOL) & (np.abs(tr - 1.0) <= STATE_ATOL) & (low >= -STATE_ATOL)
+    finite, herm, tr, low = _residuals(np.asarray(stack, dtype=complex))
+    return finite & (herm <= STATE_ATOL) & (np.abs(tr - 1.0) <= STATE_ATOL) & (low >= -STATE_ATOL)
 
 
 @dataclass(frozen=True)

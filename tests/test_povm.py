@@ -14,8 +14,10 @@ from entswap import (
     asymmetric_povm,
     bell_state,
     effect_entanglement,
+    lambda_basis,
     povm_from_dict,
     povm_to_dict,
+    product_basis,
     werner_bell_povm,
 )
 from entswap.povm import validate
@@ -187,6 +189,26 @@ def test_json_rejects_non_finite_and_boolean_entries(entry):
         povm_from_dict(payload)
 
 
+def _reference_werner_bell(lam):
+    """The Werner-Bell effects from outer products of the Bell vectors."""
+    vectors = map(bell_state, (1, 2, 3, 4))
+    return np.array([lam * np.outer(v, v.conj()) + (1 - lam) / 4 * np.eye(4) for v in vectors])
+
+
+def _reference_asymmetric(x, lam):
+    """The asymmetric effects summed from outer products of the basis vectors."""
+    params = AsymmetricPovmParams(x, lam)
+    effects = []
+    for main, partner, prod in ((1, 2, 3), (2, 1, 4), (3, 4, 1), (4, 3, 2)):
+        pieces = (
+            (x, lambda_basis(lam, main)),
+            (params.w1, lambda_basis(lam, partner)),
+            (params.w2, product_basis(prod)),
+        )
+        effects.append(sum(w * np.outer(v, v.conj()) for w, v in pieces))
+    return np.array(effects)
+
+
 def test_array_builders_match_scalar_builders():
     from entswap.povm import asymmetric_effects, werner_bell_effects
 
@@ -194,14 +216,31 @@ def test_array_builders_match_scalar_builders():
     stacked = werner_bell_effects(lams)
     assert stacked.shape == (lams.size, 4, 4, 4)
     for lam, effects in zip(lams, stacked):
-        assert np.abs(effects - np.array(werner_bell_povm(lam).effects)).max() < 1e-14
+        reference = _reference_werner_bell(lam)
+        assert np.array_equal(effects, reference)
+        assert np.array_equal(np.array(werner_bell_povm(lam).effects), reference)
     for x in (*X_PRESETS, 0.0, 0.05, 0.95, 1.0):
         for lam, effects in zip(lams, asymmetric_effects(x, lams)):
-            assert np.abs(effects - np.array(asymmetric_povm(x, lam).effects)).max() < 1e-14
+            reference = _reference_asymmetric(x, lam)
+            assert np.array_equal(effects, reference)
+            assert np.array_equal(np.array(asymmetric_povm(x, lam).effects), reference)
+    assert werner_bell_povm(0.25).label == "werner-bell(lam=0.25)"
+    assert asymmetric_povm(0.3, 0.25).label == "asymmetric(x=0.3, lam=0.25)"
     with pytest.raises(BadParamError, match="got -0.1"):
         werner_bell_effects([0.5, -0.1])
     with pytest.raises(BadParamError, match="x must be"):
         asymmetric_effects(1.5, lams)
+    for build, message in (
+        (lambda: asymmetric_povm(1.5, 0.5), "x must be in [0, 1], got 1.5"),
+        (lambda: asymmetric_povm(1.5, 1.5), "x must be in [0, 1], got 1.5"),
+        (lambda: asymmetric_povm(0.3, 1.5), "sharpness must be in [0, 1], got 1.5"),
+        (lambda: werner_bell_povm(1.5), "sharpness must be in [0, 1], got 1.5"),
+        (lambda: asymmetric_povm(0.3, float("nan")), "sharpness must be in [0, 1], got nan"),
+        (lambda: werner_bell_povm(float("nan")), "sharpness must be in [0, 1], got nan"),
+    ):
+        with pytest.raises(BadParamError) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_is_povm_agrees_with_validate():
@@ -216,7 +255,63 @@ def test_is_povm_agrees_with_validate():
         (I4 / 2, I4 / 2 + 1e-6 * np.triu(np.ones((4, 4)), 1), -0 * I4, 0 * I4),
         (1.5 * I4, -0.5 * I4, 0 * I4, 0 * I4),
         (nan_effect, I4 / 4, I4 / 4, I4 / 4),
+        # Hermitian, but (E + E^dagger)/2 overflows if summed before halving.
+        (np.diag([1.7e308, 1.7e308, 0, 0]), I4, 0 * I4, 0 * I4),
     ]
     flags = is_povm(np.array(candidates))
     assert flags.tolist() == [validate(Povm(c)) == [] for c in candidates]
-    assert flags.tolist() == [True] * 6 + [False] * 4
+    assert flags.tolist() == [True] * 6 + [False] * 5
+
+
+def test_validate_messages_and_is_povm_flags():
+    from entswap.povm import is_povm
+
+    nan_effect = I4 / 5
+    nan_effect[1, 2] = float("nan")
+    skew = np.diag([1.5, 0.5, 0.5, 0.5]).astype(complex)
+    skew[0, 1] = 0.1
+    cases = [
+        ((nan_effect, 0 * I4), ["effect 1: non-finite entry"]),
+        (
+            (skew, np.diag([-0.5, 0.5, 0.5, 0.5])),
+            [
+                "effect 1: not Hermitian, residual 1.000e-01",
+                "effect 2: negative eigenvalue -5.000e-01",
+                "completeness: effects sum deviates from identity by 1.000e-01",
+            ],
+        ),
+        (
+            (I4, -0.25 * I4),
+            [
+                "effect 2: negative eigenvalue -2.500e-01",
+                "completeness: effects sum deviates from identity by 2.500e-01",
+            ],
+        ),
+        (
+            (np.diag([4 / 3, 0.5, 0.5, 0.5]), np.diag([-1 / 3, 0.5, 0.5, 0.5])),
+            [
+                "effect 1: eigenvalue 1.33333333333 exceeds 1",
+                "effect 2: negative eigenvalue -3.333e-01",
+            ],
+        ),
+        ((I4 / 2, I4 / 4), ["completeness: effects sum deviates from identity by 2.500e-01"]),
+        ((I4 / 5,) * 5, []),
+        (
+            (I4 / 5, I4 / 5, 2 * I4, I4 / 5, I4 / 5),
+            [
+                "effect 3: eigenvalue 2 exceeds 1",
+                "completeness: effects sum deviates from identity by 1.800e+00",
+            ],
+        ),
+        (
+            (I4 / 5, -I4 / 5, I4 / 5, nan_effect, 1.5 * I4),
+            [
+                "effect 2: negative eigenvalue -2.000e-01",
+                "effect 4: non-finite entry",
+                "effect 5: eigenvalue 1.5 exceeds 1",
+            ],
+        ),
+    ]
+    for effects, messages in cases:
+        assert validate(Povm(effects)) == messages
+        assert is_povm(np.array([effects])).tolist() == [messages == []]

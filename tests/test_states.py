@@ -17,6 +17,7 @@ from entswap import (
     pure_density_matrix,
     werner_state,
 )
+from entswap.measures import report_stack
 
 SQRT2 = np.sqrt(2.0)
 
@@ -134,7 +135,16 @@ def test_is_density_matrix_agrees_with_check():
     good = random_density_matrix(gen)
     skew = good.copy()
     skew[0, 1] += 1e-6
-    stack = np.array([good, 1.01 * good, np.diag([1.1, -0.1, 0, 0]), skew, np.eye(4) / 4])
+    nan_state = good.copy()
+    nan_state[2, 1] = float("nan")
+    inf_state = good.copy()
+    inf_state[3, 3] = float("inf")
+    # Unit trace, but (m + m^dagger)/2 overflows if summed before halving.
+    huge = np.diag([1.7e308, -1.7e308, 1.0, 0.0])
+    stack = np.array(
+        [good, 1.01 * good, np.diag([1.1, -0.1, 0, 0]), skew, np.eye(4) / 4]
+        + [nan_state, inf_state, huge]
+    )
     expected = []
     for m in stack:
         try:
@@ -142,4 +152,34 @@ def test_is_density_matrix_agrees_with_check():
             expected.append(True)
         except NotAStateError:
             expected.append(False)
-    assert is_density_matrix(stack).tolist() == expected == [True, False, False, False, True]
+    assert is_density_matrix(stack).tolist() == expected
+    assert expected == [True, False, False, False, True, False, False, False]
+    _, ok = report_stack(stack)
+    assert ok[0] and ok[4] and not ok[5:].any()
+
+
+def test_check_density_matrix_messages():
+    from entswap.states import check_density_matrix, is_density_matrix
+
+    good = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    nan_state = good.copy()
+    nan_state[0, 3] = float("nan")
+    skew = good.copy()
+    skew[0, 1] += 1e-6
+    cases = [
+        (nan_state, "non-finite entry"),
+        (skew, "not Hermitian: residual 1.000e-06"),
+        (1.01 * np.eye(4) / 4, "trace is 1.01+0j, expected 1"),
+        (np.diag([1.1, -0.1, 0, 0]), "negative eigenvalue -1.000e-01"),
+    ]
+    for matrix, message in cases:
+        with pytest.raises(NotAStateError) as info:
+            check_density_matrix(matrix, 2)
+        assert str(info.value) == message
+    with pytest.raises(NotAStateError) as info:
+        check_density_matrix(np.eye(2) / 2, 2)
+    assert str(info.value) == "expected a 4x4 matrix for 2 qubits, got (2, 2)"
+    assert np.array_equal(check_density_matrix(good, 2), good)
+    # The non-finite case of the stacked check is in the test above.
+    stack = np.array([good] + [matrix for matrix, _ in cases[1:]])
+    assert is_density_matrix(stack).tolist() == [True, False, False, False]
