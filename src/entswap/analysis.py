@@ -7,10 +7,13 @@ x = 0.3, 0.725 and 0.8. Case "custom" sweeps a caller-supplied POVM builder.
 Every scan of a lambda grid (sweeps, verification, and the grid scans of
 classification and extremum search) runs the whole grid as stacked arrays
 through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
-``measures.report_stack``). Pointwise work (threshold bisection, the
-golden-section refinement, and the re-check of the last point of every grid
-scan) runs the scalar 16-dimensional pipeline, ``run_swap`` plus
-``measures.report``.
+``measures.report_stack``). Threshold bisection runs on the same engine,
+one stacked call per step over every open bracket (``_bisect_signed`` with
+``bisect``, an in-repo copy of ``scipy.optimize.bisect``). The scalar
+16-dimensional pipeline, ``run_swap`` plus ``measures``, stays the oracle:
+it re-checks the last point of every grid scan and both ends of every
+bisected root's final bracket, and it runs the golden-section refinement of
+``find_extremum``.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import bisect
 
 from . import measures
 from .errors import (
@@ -30,6 +32,7 @@ from .errors import (
     InvalidPovmError,
     NoBracketError,
     NonMonotoneWarning,
+    check_tolerance,
 )
 from .povm import (
     Povm,
@@ -139,8 +142,7 @@ class SweepConfig:
                 f"need 0 <= start <= stop <= 1, got [{self.lambda_start}, {self.lambda_stop}]"
             )
         _check_grid_size(self.count)
-        if self.tol <= 0:
-            raise BadParamError(f"tolerance must be positive, got {self.tol}")
+        check_tolerance(self.tol)
         if self.pipeline not in ("numeric", "analytic", "both"):
             raise BadParamError(f"unknown pipeline {self.pipeline!r}")
         if self.case == "custom" and self.pipeline != "numeric":
@@ -232,15 +234,19 @@ def _grid_effects(case: str, x, builder, lams: np.ndarray) -> np.ndarray:
     return effects
 
 
-def _grid_values(case: str, x, builder, lams: np.ndarray, tol: float):
+def _grid_values(
+    case: str, x, builder, lams: np.ndarray, tol: float, outcomes: int | None = None
+):
     """Evaluate a family on a lambda grid as stacked arrays.
 
     Returns the outcome probabilities, shape (n, k), the QUANTITIES columns
     of every pair state in PAIRS order, shape (n, k, 3, 6), and the mask of
     non-degenerate outcomes, shape (n, k); degenerate outcomes have zero
-    quantities. The last grid point is checked against the scalar pipeline.
+    quantities. With ``outcomes`` set, only the first that many outcomes
+    are evaluated (k = outcomes). The last grid point is checked against
+    the scalar pipeline.
     """
-    effects = _grid_effects(case, x, builder, lams)
+    effects = _grid_effects(case, x, builder, lams)[:, :outcomes]
     probabilities, states = swap_stack(effects)
     kept = probabilities >= DEGENERATE_PROBABILITY
     values = np.zeros(states.shape[:-2] + (len(measures.QUANTITIES),))
@@ -290,11 +296,13 @@ def _worst_deviation(lams, probabilities, values, kept, expected):
 def _check_scalar(builder, lam: float, probabilities, values, tol: float) -> None:
     """Compare one point of a grid scan with ``run_swap`` and ``report``.
 
-    The first non-degenerate outcome's probability and all six quantities
-    of its three pair states must agree within VERIFY_TOL.
+    The first non-degenerate outcome among those in ``probabilities``: its
+    probability and all six quantities of its three pair states must agree
+    within VERIFY_TOL.
     """
     with _at_lambda(lam):
-        outcome = next(o for o in run_swap(builder(lam)) if not o.degenerate)
+        scalar_outcomes = run_swap(builder(lam))[: len(probabilities)]
+        outcome = next(o for o in scalar_outcomes if not o.degenerate)
         j = outcome.outcome_index - 1
         checks = [("probability", probabilities[j], outcome.probability)]
         for pair, batched in zip(PAIRS, values[j]):
@@ -325,6 +333,140 @@ def _signed_pair_value(builder, lam: float, pair: str, measure: str) -> float:
     return _SIGNED[measure](state)
 
 
+# scipy.optimize.bisect's default relative tolerance, 4 machine epsilons.
+_RTOL = 4 * np.finfo(float).eps
+# Steps a bisection may take before it gives up.
+_MAXITER = 200
+
+
+class Bisection(NamedTuple):
+    """Roots of ``bisect`` with each one's final bracket [a, b], where a is
+    on the side of the first end, and the function values at a and b."""
+
+    root: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    fa: np.ndarray
+    fb: np.ndarray
+
+
+def bisect(f, a, b, fa, fb, xtol: float) -> Bisection:
+    """``scipy.optimize.bisect`` step for step, on several brackets at once.
+
+    ``fa`` and ``fb`` are the function values at the ends ``a`` and ``b``;
+    ``f(x, rows)`` gives the function values of the brackets with indices
+    ``rows`` at the points ``x``, one point per bracket. Each bracket
+    returns an end where f is exactly 0 (a first), or else repeats: halve
+    dm, set xm = a + dm, move a to xm when f(xm) * f(a) >= 0 with f(a) the
+    value at the first end, and stop with xm when f(xm) == 0 or
+    |dm| < xtol + 4 eps |xm|. Brackets whose ends have the same sign, NaN
+    values and brackets still open after _MAXITER steps raise.
+    """
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
+    fa, fb = (_not_nan(np.array(v, dtype=float, ndmin=1), x) for v, x in ((fa, a), (fb, b)))
+    for i in np.flatnonzero(fa * fb > 0):
+        raise NoBracketError(f"f has the same sign at {a[i]!r} and {b[i]!r}")
+    f_start, dm = fa.copy(), b - a
+    root = np.where(fa == 0, a, b)
+    open_ = (fa != 0) & (fb != 0)
+    for _ in range(_MAXITER):
+        rows = np.flatnonzero(open_)
+        if rows.size == 0:
+            break
+        dm[rows] *= 0.5
+        xm = a[rows] + dm[rows]
+        fm = _not_nan(np.asarray(f(xm, rows), dtype=float), xm)
+        move = fm * f_start[rows] >= 0
+        a[rows[move]], fa[rows[move]] = xm[move], fm[move]
+        b[rows[~move]], fb[rows[~move]] = xm[~move], fm[~move]
+        done = (fm == 0) | (np.abs(dm[rows]) < xtol + _RTOL * np.abs(xm))
+        root[rows[done]] = xm[done]
+        open_[rows[done]] = False
+    for i in np.flatnonzero(open_):
+        raise EntswapError(
+            f"bisection did not converge in {_MAXITER} iterations, bracket [{a[i]!r}, {b[i]!r}]"
+        )
+    return Bisection(root, a, b, fa, fb)
+
+
+def _not_nan(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    for i in np.flatnonzero(np.isnan(values)):
+        raise EntswapError(f"the function value at x={x[i]!r} is NaN")
+    return values
+
+
+def _signed_values(case: str, x, builder, lams, pairs, columns) -> np.ndarray:
+    """Signed quantities of outcome 1 at each lambda, on the batched engine.
+
+    Row i reads pair PAIRS[pairs[i]] and measure MEASURES[columns[i]]. A
+    degenerate outcome or a state the stacked checks reject goes to
+    ``_signed_pair_value``, which raises its error or gives the value.
+    """
+    effects = _grid_effects(case, x, builder, lams)
+    probabilities, states = swap_stack(effects[:, :1])
+    rows = np.arange(lams.size)
+    neg, n, s3, _, _, ok = measures._signed_stack(states[rows, 0, pairs])
+    values = np.stack([neg, n, s3, n])[columns, rows]
+    ok &= probabilities[:, 0] >= DEGENERATE_PROBABILITY
+    for i in np.flatnonzero(~ok):
+        lam, pair, measure = float(lams[i]), PAIRS[pairs[i]], MEASURES[columns[i]]
+        with _at_lambda(lam):
+            values[i] = _signed_pair_value(builder, lam, pair, measure)
+    return values
+
+
+def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float]:
+    """Bisect, on the batched engine, the sign change of each query's signed
+    measure of outcome 1; a query is (pair, measure, lo, hi).
+
+    The 10 monotonicity probes of every bracket, the first and last of which
+    are its ends, are one stacked engine call, as is every bisection step
+    over the open brackets. A bracket whose ends classify identically
+    raises, in query order; a non-monotone one warns. At both ends of each
+    root's final bracket the scalar pipeline must agree with the engine
+    within VERIFY_TOL.
+    """
+    builder = _builder_for(case, x)
+    pairs = np.array([PAIRS.index(q[0]) for q in queries])
+    columns = np.array([MEASURES.index(q[1]) for q in queries])
+    lo = np.array([q[2] for q in queries], dtype=float)
+    hi = np.array([q[3] for q in queries], dtype=float)
+
+    probes = np.linspace(lo, hi, 10, axis=-1)
+    probe = _signed_values(
+        case, x, builder, probes.ravel(), np.repeat(pairs, 10), np.repeat(columns, 10)
+    ).reshape(probes.shape)
+    for (pair, measure, _, _), (f_lo, f_hi) in zip(queries, probe[:, [0, -1]]):
+        if (f_lo > 0.0) == (f_hi > 0.0):
+            raise NoBracketError(
+                f"{measure} of pair {pair} classifies identically at both ends "
+                f"({f_lo:.3e} and {f_hi:.3e})"
+            )
+    steps = np.diff(probe, axis=-1)
+    monotone = np.all(steps >= -1e-12, axis=-1) | np.all(steps <= 1e-12, axis=-1)
+    for (pair, measure, a, b), ok in zip(queries, monotone):
+        if not ok:
+            warnings.warn(
+                f"{measure} of pair {pair} is not monotone on [{a:g}, {b:g}]",
+                NonMonotoneWarning,
+                stacklevel=3,
+            )
+
+    f = lambda lams, rows: _signed_values(case, x, builder, lams, pairs[rows], columns[rows])
+    result = bisect(f, lo, hi, probe[:, 0], probe[:, -1], tol)
+    for i, (pair, measure, _, _) in enumerate(queries):
+        for lam, engine in ((result.a[i], result.fa[i]), (result.b[i], result.fb[i])):
+            with _at_lambda(lam):
+                scalar = _signed_pair_value(builder, float(lam), pair, measure)
+                if not abs(engine - scalar) <= VERIFY_TOL:
+                    raise EntswapError(
+                        "batched engine deviates from the scalar pipeline at outcome 1: "
+                        f"pair {pair} {measure} is {float(engine)!r}, scalar {scalar!r}"
+                    )
+    return result.root.tolist()
+
+
 def find_threshold(
     case: str,
     x: float | None,
@@ -337,9 +479,11 @@ def find_threshold(
 
     The bisection runs on the signed (unclamped) quantifier of the first
     outcome's conditional state, so the root is a genuine sign change rather
-    than the edge of a clamped-to-zero plateau. Monotonicity over the
-    bracket is the caller's responsibility; a 10-point sub-grid check emits
-    NonMonotoneWarning when it looks violated.
+    than the edge of a clamped-to-zero plateau. It takes the steps of
+    ``scipy.optimize.bisect`` at xtol ``tol`` and evaluates on the batched
+    engine; the scalar pipeline checks the final bracket's ends.
+    Monotonicity over the bracket is the caller's responsibility; a 10-point
+    sub-grid check emits NonMonotoneWarning when it looks violated.
     """
     if pair not in PAIRS:
         raise BadParamError(f"pair must be one of {PAIRS}, got {pair!r}")
@@ -348,23 +492,9 @@ def find_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 <= lo < hi <= 1.0:
         raise BadParamError(f"bracket must satisfy 0 <= lo < hi <= 1, got {bracket}")
-    builder = _builder_for(case, x)
-    f = lambda lam: _signed_pair_value(builder, lam, pair, measure)
-    f_lo, f_hi = f(lo), f(hi)
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise NoBracketError(
-            f"{measure} of pair {pair} classifies identically at both ends "
-            f"({f_lo:.3e} and {f_hi:.3e})"
-        )
-    probe = [f(v) for v in np.linspace(lo, hi, 10)]
-    steps = np.diff(probe)
-    if not (np.all(steps >= -1e-12) or np.all(steps <= 1e-12)):
-        warnings.warn(
-            f"{measure} of pair {pair} is not monotone on [{lo:g}, {hi:g}]",
-            NonMonotoneWarning,
-            stacklevel=2,
-        )
-    root = float(bisect(f, lo, hi, xtol=tol, maxiter=200))
+    check_tolerance(tol)
+    x = _resolve_x(case, x)
+    [root] = _bisect_signed(case, x, [(pair, measure, lo, hi)], tol)
     return ThresholdResult(
         measure=measure, pair=pair, bracket=(lo, hi), root=root, achieved_tol=tol
     )
@@ -406,25 +536,28 @@ def classify_table(
     then bisected to ``root_tol`` in lambda on the signed quantifiers.
     Patterns that are not a single interval raise.
     """
-    if tol <= 0:
-        raise BadParamError(f"tolerance must be positive, got {tol}")
+    check_tolerance(tol)
+    check_tolerance(root_tol)
     grid = _grid_points(grid)
     lams = grid[grid > 0.0]
     if lams.size == 0:
         raise BadParamError("classification needs a grid point with lambda > 0")
     x = _resolve_x(case, x)
-    _, values, _ = _grid_values(case, x, _builder_for(case, x), lams, tol)
+    _, values, _ = _grid_values(case, x, _builder_for(case, x), lams, tol, outcomes=1)
 
-    out: dict[tuple[str, str], MeasureRange] = {}
+    kinds: dict[tuple[str, str], str] = {}
+    queries: list[tuple] = []  # (pair, measure, lo, hi) of each interval end to bisect
+    shared: dict[tuple, int] = {}  # (pair, signed function, lo, hi) -> query
+    rows: dict[tuple[str, str], int] = {}  # key -> its query
     for key in [(pair, measure) for pair in PAIRS for measure in MEASURES]:
         pair, measure = key
         # Outcome 1; with tol > 0 a clamped value exceeds tol exactly where
         # the signed one does.
         positive = values[:, 0, PAIRS.index(pair), measures.QUANTITIES.index(measure)] > tol
         if not positive.any():
-            out[key] = MeasureRange("never")
+            kinds[key] = "never"
         elif positive.all():
-            out[key] = MeasureRange("all")
+            kinds[key] = "all"
         else:
             flips = np.flatnonzero(np.diff(positive.astype(int)))
             if flips.size != 1:
@@ -433,11 +566,17 @@ def classify_table(
                     "grid points that do not form a single interval"
                 )
             i = int(flips[0])
-            bracket = (float(lams[i]), float(lams[i + 1]))
-            root = find_threshold(case, x, pair, measure, bracket, tol=root_tol).root
-            kind = "above" if positive[-1] else "below"
-            out[key] = MeasureRange(kind, threshold=root)
-    return out
+            lo, hi = float(lams[i]), float(lams[i + 1])
+            kinds[key] = "above" if positive[-1] else "below"
+            # Measures with one signed function (steering2, nonlocality) share a root.
+            rows[key] = shared.setdefault((pair, _SIGNED[measure], lo, hi), len(queries))
+            if rows[key] == len(queries):
+                queries.append((pair, measure, lo, hi))
+    roots = _bisect_signed(case, x, queries, root_tol) if queries else []
+    return {
+        key: MeasureRange(kind, threshold=roots[rows[key]] if key in rows else None)
+        for key, kind in kinds.items()
+    }
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:

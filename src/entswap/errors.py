@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a tolerance."""
+
+import math
 
 
 class EntswapError(ValueError):
@@ -43,3 +45,13 @@ class NoBracketError(EntswapError):
 
 class NonMonotoneWarning(UserWarning):
     """Measure is not monotone on the bisection bracket; root may not be unique."""
+
+
+def check_tolerance(tol: float) -> None:
+    """Raise BadParamError unless ``tol`` is finite and above 0.
+
+    A NaN tolerance makes every ``> tol`` test false and an infinite one makes
+    them all false too, so both would give vacuous answers, not errors.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise BadParamError(f"tolerance must be positive and finite, got {tol}")

@@ -12,8 +12,10 @@ T_ij = Tr[rho (sigma_i x sigma_j)] and the partial transpose:
 
 The *_signed variants return the expression before the max{0, .} clamp; the
 sign change marks the classification boundary and is what root finders
-should bisect on. ``report_stack`` evaluates ``report`` on a whole stack of
-states with one eigensolver call per spectrum.
+should bisect on. ``_signed_stack`` computes the signed quantifiers, M and
+Lambda3 of a whole stack of states with one eigensolver call per spectrum;
+``report_stack`` (``report`` on a stack) and the threshold bisection of
+``analysis`` read it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAStateError
+from .errors import NotAStateError, check_tolerance
 from .linalg import hermitian_eig, hermitian_eigvals, kron, partial_transpose
 from .states import DensityMatrix, check_density_matrix, is_density_matrix
 
@@ -148,8 +150,7 @@ class CorrelationReport:
     def from_quantities(
         cls, negativity: float, m_value: float, lambda3: float, tol: float = 1e-9
     ) -> "CorrelationReport":
-        if tol <= 0:
-            raise ValueError(f"classification tolerance must be positive, got {tol}")
+        check_tolerance(tol)
         n = float(max(0.0, nonlocality_from_pair_sum(m_value)))
         s3 = float(max(0.0, steering3_from_total(lambda3)))
         neg = float(max(0.0, negativity))
@@ -198,15 +199,13 @@ def _clamped(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0)
 
 
-def report_stack(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """``report`` on every state of a (..., 4, 4) stack at once.
+def _signed_stack(states) -> tuple[np.ndarray, ...]:
+    """Signed negativity, nonlocality and steering3, with M and Lambda3, of
+    every state of a (..., 4, 4) stack.
 
-    Returns ``values``, shape (..., 6), holding the columns of
-    ``CorrelationReport.values()`` in QUANTITIES order, and ``ok``, shape
-    (...), False where a check that ``report`` makes fails: the density-matrix
-    invariants, the imaginary residue of T, or the hierarchy
-    nonlocal => steerable => entangled at ``tol``. ``report`` on a state
-    that is not ok raises the error or gives its values.
+    Returns the five arrays, shape (...), and ``ok``, False where the
+    density-matrix invariants or the imaginary-residue check of T fail; the
+    values of a state that is not ok are those of the zero matrix.
     """
     m = np.asarray(states, dtype=complex)
     ok = is_density_matrix(m)
@@ -218,9 +217,25 @@ def report_stack(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     t = _clamped(hermitian_eigvals(T.swapaxes(-1, -2) @ T)[..., ::-1])
     m_value = t[..., 0] + t[..., 1]
     lambda3 = m_value + t[..., 2]
-    neg = _clamped(-2.0 * np.linalg.eigvalsh(partial_transpose(m, "second")).min(axis=-1))
-    n = _clamped((np.sqrt(m_value) - 1.0) / (_SQRT2 - 1.0))
-    s3 = _clamped((np.sqrt(lambda3) - 1.0) / (_SQRT3 - 1.0))
+    neg = -2.0 * np.linalg.eigvalsh(partial_transpose(m, "second")).min(axis=-1)
+    n = (np.sqrt(m_value) - 1.0) / (_SQRT2 - 1.0)
+    s3 = (np.sqrt(lambda3) - 1.0) / (_SQRT3 - 1.0)
+    return neg, n, s3, m_value, lambda3, ok
+
+
+def report_stack(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """``report`` on every state of a (..., 4, 4) stack at once.
+
+    Returns ``values``, shape (..., 6), holding the columns of
+    ``CorrelationReport.values()`` in QUANTITIES order, and ``ok``, shape
+    (...), False where a check that ``report`` makes fails: the density-matrix
+    invariants, the imaginary residue of T, or the hierarchy
+    nonlocal => steerable => entangled at ``tol``. ``report`` on a state
+    that is not ok raises the error or gives its values.
+    """
+    check_tolerance(tol)
+    neg, n, s3, m_value, lambda3, ok = _signed_stack(states)
+    neg, n, s3 = _clamped(neg), _clamped(n), _clamped(s3)
     entangled, steerable, nonlocal_ = neg > tol, s3 > tol, n > tol
     ok &= ~((nonlocal_ & ~steerable) | (steerable & ~entangled))
     return np.stack([neg, n, s3, n, m_value, lambda3], axis=-1), ok

@@ -324,3 +324,16 @@ def test_verify_checks_the_batched_probabilities(monkeypatch):
     assert (rep.worst_lam, rep.worst_outcome, rep.worst_pair, rep.worst_quantity) == (
         0.25, 4, "", "probability"
     )
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tolerances_are_rejected(tol):
+    calls = [
+        lambda: SweepConfig(case="I", tol=tol),
+        lambda: classify_table("I", tol=tol),
+        lambda: classify_table("I", root_tol=tol),
+        lambda: find_threshold("I", None, "14", "negativity", (0.0, 1.0), tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(BadParamError, match="tolerance must be positive and finite"):
+            call()

@@ -185,3 +185,39 @@ def test_grid_below_two_points_exits_one(command, grid, capsys):
     code, out, err = run_cli(capsys, *args)
     assert code == 1 and out == ""
     assert f"grid needs at least 2 points, got {grid}" in err
+
+
+@pytest.mark.parametrize(
+    "command, tol",
+    [
+        ("analyze", "nan"),
+        ("analyze", "0"),
+        ("analyze", "-1"),
+        ("sweep", "nan"),
+        ("sweep", "inf"),
+        ("thresholds", "0"),
+        ("thresholds", "-1"),
+        ("thresholds", "nan"),
+    ],
+)
+def test_bad_tolerance_exits_one(command, tol, tmp_path, capsys):
+    if command == "analyze":
+        # Pair (1,4) of outcome 1 has negativity 0.25 here.
+        path = tmp_path / "werner.json"
+        path.write_text(json.dumps(povm_to_dict(werner_bell_povm(0.5))))
+        args = ["analyze", "--povm", str(path)]
+    else:
+        args = [command, "--case", "I", "--grid", "5"]
+    code, out, err = run_cli(capsys, *args, "--tol", tol)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: tolerance must be positive and finite, got {float(tol)}"]
+
+
+def test_linalg_error_exits_one(monkeypatch, capsys):
+    def fails(args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("entswap.cli._cmd_sweep", fails)
+    code, out, err = run_cli(capsys, "sweep", "--case", "I")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: Eigenvalues did not converge"]

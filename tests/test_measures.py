@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from entswap import (
+    BadParamError,
+    CorrelationReport,
     DensityMatrix,
     NotAStateError,
     bell_nonlocality,
@@ -17,7 +19,7 @@ from entswap import (
     trace_norm,
     werner_state,
 )
-from entswap.measures import negativity_signed
+from entswap.measures import negativity_signed, report_stack
 from entswap.states import check_density_matrix
 from helpers import random_density_matrix, random_unitary, rng
 
@@ -166,3 +168,16 @@ def test_non_finite_state_is_rejected(call, bad):
 def test_report_checks_the_qubit_count_of_a_density_matrix():
     with pytest.raises(NotAStateError, match="expected a 4x4 matrix"):
         report(initial_four_qubit())
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tolerances_are_rejected(tol):
+    state = werner_state(0.5, 1)
+    calls = [
+        lambda: report(state, tol),
+        lambda: report_stack(np.array([BELL]), tol),
+        lambda: CorrelationReport.from_quantities(0.25, 0.5, 0.75, tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(BadParamError, match="tolerance must be positive and finite"):
+            call()
