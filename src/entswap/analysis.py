@@ -7,9 +7,11 @@ x = 0.3, 0.725 and 0.8. Case "custom" sweeps a caller-supplied POVM builder.
 Every scan of a lambda grid (sweeps, verification, and the grid scans of
 classification and extremum search) runs the whole grid as stacked arrays
 through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
-``measures.report_stack``). Threshold bisection runs on the same engine,
-one stacked call per step over every open bracket (``_bisect_signed`` with
-``bisect``, an in-repo copy of ``scipy.optimize.bisect``). The scalar
+``measures.report_stack``). Threshold bisection runs on the same engine
+(``_bisect_signed`` with ``bisect``, an in-repo copy of
+``scipy.optimize.bisect``): one stacked call covers the next four bisection
+steps of every open bracket, by evaluating all 15 midpoints they can reach
+and then taking scipy's steps through them. The scalar
 16-dimensional pipeline, ``run_swap`` plus ``measures``, stays the oracle:
 it re-checks the last point of every grid scan and both ends of every
 bisected root's final bracket, and it runs the golden-section refinement of
@@ -337,6 +339,10 @@ def _signed_pair_value(builder, lam: float, pair: str, measure: str) -> float:
 _RTOL = 4 * np.finfo(float).eps
 # Steps a bisection may take before it gives up.
 _MAXITER = 200
+# Bisection steps each call to f covers: it evaluates every midpoint the next
+# _LEVELS steps can reach, 2**_LEVELS - 1 per open bracket. _MAXITER is a
+# multiple of it, so the last allowed step ends a call.
+_LEVELS = 4
 
 
 class Bisection(NamedTuple):
@@ -355,12 +361,20 @@ def bisect(f, a, b, fa, fb, xtol: float) -> Bisection:
 
     ``fa`` and ``fb`` are the function values at the ends ``a`` and ``b``;
     ``f(x, rows)`` gives the function values of the brackets with indices
-    ``rows`` at the points ``x``, one point per bracket. Each bracket
-    returns an end where f is exactly 0 (a first), or else repeats: halve
-    dm, set xm = a + dm, move a to xm when f(xm) * f(a) >= 0 with f(a) the
-    value at the first end, and stop with xm when f(xm) == 0 or
-    |dm| < xtol + 4 eps |xm|. Brackets whose ends have the same sign, NaN
-    values and brackets still open after _MAXITER steps raise.
+    ``rows`` at the points ``x``. Each bracket returns an end where f is
+    exactly 0 (a first), or else repeats: halve dm, set xm = a + dm, move a
+    to xm when f(xm) * f(a) >= 0 with f(a) the value at the first end, and
+    stop with xm when f(xm) == 0 or |dm| < xtol + 4 eps |xm|.
+
+    One call to f covers the next _LEVELS steps of every open bracket. It
+    takes the bracket's subtree of midpoints in heap order: node i, at
+    a_i + dm (dm halved once per level), has the children 2i + 1, which
+    keeps a_i, and 2i + 2, which moves a to the node's midpoint; ``rows``
+    repeats each bracket's index once per node. The rule above then walks
+    down the subtree, and the nodes it does not reach are discarded, so the
+    roots, final brackets and values are those of one step per call.
+    Brackets whose ends have the same sign, a NaN at a point the walk
+    reaches, and brackets still open after _MAXITER steps raise.
     """
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)
@@ -370,19 +384,32 @@ def bisect(f, a, b, fa, fb, xtol: float) -> Bisection:
     f_start, dm = fa.copy(), b - a
     root = np.where(fa == 0, a, b)
     open_ = (fa != 0) & (fb != 0)
-    for _ in range(_MAXITER):
+    for _ in range(_MAXITER // _LEVELS):
         rows = np.flatnonzero(open_)
         if rows.size == 0:
             break
-        dm[rows] *= 0.5
-        xm = a[rows] + dm[rows]
-        fm = _not_nan(np.asarray(f(xm, rows), dtype=float), xm)
-        move = fm * f_start[rows] >= 0
-        a[rows[move]], fa[rows[move]] = xm[move], fm[move]
-        b[rows[~move]], fb[rows[~move]] = xm[~move], fm[~move]
-        done = (fm == 0) | (np.abs(dm[rows]) < xtol + _RTOL * np.abs(xm))
-        root[rows[done]] = xm[done]
-        open_[rows[done]] = False
+        # The midpoints of each level, from the a of every node on it.
+        starts, xm, dms = a[rows, None], [], []
+        for _ in range(_LEVELS):
+            dm[rows] *= 0.5
+            dms.append(dm[rows])
+            xm.append(starts + dm[rows, None])
+            starts = np.stack([starts, xm[-1]], axis=-1).reshape(rows.size, -1)
+        xm = np.concatenate(xm, axis=1)
+        fm = np.asarray(f(xm.ravel(), np.repeat(rows, xm.shape[1])), dtype=float)
+        fm = fm.reshape(xm.shape)
+        node, live = np.zeros(rows.size, dtype=int), np.arange(rows.size)
+        for dm_level in dms:
+            r, x = rows[live], xm[live, node[live]]
+            v = _not_nan(fm[live, node[live]], x)
+            move = v * f_start[r] >= 0
+            a[r[move]], fa[r[move]] = x[move], v[move]
+            b[r[~move]], fb[r[~move]] = x[~move], v[~move]
+            done = (v == 0) | (np.abs(dm_level[live]) < xtol + _RTOL * np.abs(x))
+            root[r[done]] = x[done]
+            open_[r[done]] = False
+            node[live] = 2 * node[live] + 1 + move
+            live = live[~done]
     for i in np.flatnonzero(open_):
         raise EntswapError(
             f"bisection did not converge in {_MAXITER} iterations, bracket [{a[i]!r}, {b[i]!r}]"
@@ -417,35 +444,34 @@ def _signed_values(case: str, x, builder, lams, pairs, columns) -> np.ndarray:
 
 
 def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float]:
-    """Bisect, on the batched engine, the sign change of each query's signed
-    measure of outcome 1; a query is (pair, measure, lo, hi).
+    """Bisect, on the batched engine, where each query's signed measure of
+    outcome 1 crosses its offset; a query is (pair, measure, lo, hi, offset).
 
     The 10 monotonicity probes of every bracket, the first and last of which
-    are its ends, are one stacked engine call, as is every bisection step
-    over the open brackets. A bracket whose ends classify identically
-    raises, in query order; a non-monotone one warns. At both ends of each
-    root's final bracket the scalar pipeline must agree with the engine
-    within VERIFY_TOL.
+    are its ends, are one stacked engine call, as is each call of ``bisect``
+    over the open brackets. A bracket whose ends lie on the same side of the
+    offset raises, in query order; a non-monotone one warns. At both ends of
+    each root's final bracket the scalar pipeline must give the engine's
+    signed value within VERIFY_TOL.
     """
     builder = _builder_for(case, x)
     pairs = np.array([PAIRS.index(q[0]) for q in queries])
     columns = np.array([MEASURES.index(q[1]) for q in queries])
-    lo = np.array([q[2] for q in queries], dtype=float)
-    hi = np.array([q[3] for q in queries], dtype=float)
+    lo, hi, offsets = (np.array([q[k] for q in queries], dtype=float) for k in (2, 3, 4))
 
     probes = np.linspace(lo, hi, 10, axis=-1)
     probe = _signed_values(
         case, x, builder, probes.ravel(), np.repeat(pairs, 10), np.repeat(columns, 10)
-    ).reshape(probes.shape)
-    for (pair, measure, _, _), (f_lo, f_hi) in zip(queries, probe[:, [0, -1]]):
+    ).reshape(probes.shape) - offsets[:, None]
+    for (pair, measure, _, _, offset), (f_lo, f_hi) in zip(queries, probe[:, [0, -1]]):
         if (f_lo > 0.0) == (f_hi > 0.0):
             raise NoBracketError(
                 f"{measure} of pair {pair} classifies identically at both ends "
-                f"({f_lo:.3e} and {f_hi:.3e})"
+                f"({f_lo + offset:.3e} and {f_hi + offset:.3e})"
             )
     steps = np.diff(probe, axis=-1)
     monotone = np.all(steps >= -1e-12, axis=-1) | np.all(steps <= 1e-12, axis=-1)
-    for (pair, measure, a, b), ok in zip(queries, monotone):
+    for (pair, measure, a, b, _), ok in zip(queries, monotone):
         if not ok:
             warnings.warn(
                 f"{measure} of pair {pair} is not monotone on [{a:g}, {b:g}]",
@@ -453,10 +479,13 @@ def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float
                 stacklevel=3,
             )
 
-    f = lambda lams, rows: _signed_values(case, x, builder, lams, pairs[rows], columns[rows])
+    def f(lams, rows):
+        return _signed_values(case, x, builder, lams, pairs[rows], columns[rows]) - offsets[rows]
+
     result = bisect(f, lo, hi, probe[:, 0], probe[:, -1], tol)
-    for i, (pair, measure, _, _) in enumerate(queries):
-        for lam, engine in ((result.a[i], result.fa[i]), (result.b[i], result.fb[i])):
+    for i, (pair, measure, _, _, offset) in enumerate(queries):
+        for lam, value in ((result.a[i], result.fa[i]), (result.b[i], result.fb[i])):
+            engine = value + offset
             with _at_lambda(lam):
                 scalar = _signed_pair_value(builder, float(lam), pair, measure)
                 if not abs(engine - scalar) <= VERIFY_TOL:
@@ -480,8 +509,9 @@ def find_threshold(
     The bisection runs on the signed (unclamped) quantifier of the first
     outcome's conditional state, so the root is a genuine sign change rather
     than the edge of a clamped-to-zero plateau. It takes the steps of
-    ``scipy.optimize.bisect`` at xtol ``tol`` and evaluates on the batched
-    engine; the scalar pipeline checks the final bracket's ends.
+    ``scipy.optimize.bisect`` at xtol ``tol``, and returns its root bit for
+    bit, but evaluates on the batched engine, four steps' midpoints per
+    stacked call; the scalar pipeline checks the final bracket's ends.
     Monotonicity over the bracket is the caller's responsibility; a 10-point
     sub-grid check emits NonMonotoneWarning when it looks violated.
     """
@@ -494,7 +524,7 @@ def find_threshold(
         raise BadParamError(f"bracket must satisfy 0 <= lo < hi <= 1, got {bracket}")
     check_tolerance(tol)
     x = _resolve_x(case, x)
-    [root] = _bisect_signed(case, x, [(pair, measure, lo, hi)], tol)
+    [root] = _bisect_signed(case, x, [(pair, measure, lo, hi, 0.0)], tol)
     return ThresholdResult(
         measure=measure, pair=pair, bracket=(lo, hi), root=root, achieved_tol=tol
     )
@@ -533,8 +563,13 @@ def classify_table(
 
     The grid points with lambda > 0 are classified by whether the
     quantifiers of the first outcome exceed ``tol``; interval endpoints are
-    then bisected to ``root_tol`` in lambda on the signed quantifiers.
-    Patterns that are not a single interval raise.
+    then bisected to ``root_tol`` in lambda on the signed quantifiers. An
+    endpoint is the zero crossing of the signed quantifier where the grid
+    point classified not positive has the clamped value 0, which is where
+    the measure appears or vanishes. Otherwise the grid flips across ``tol``
+    with the quantifier positive on both sides, and the endpoint is where the
+    signed quantifier crosses ``tol``. Patterns that are not a single
+    interval raise.
     """
     check_tolerance(tol)
     check_tolerance(root_tol)
@@ -546,14 +581,15 @@ def classify_table(
     _, values, _ = _grid_values(case, x, _builder_for(case, x), lams, tol, outcomes=1)
 
     kinds: dict[tuple[str, str], str] = {}
-    queries: list[tuple] = []  # (pair, measure, lo, hi) of each interval end to bisect
-    shared: dict[tuple, int] = {}  # (pair, signed function, lo, hi) -> query
+    queries: list[tuple] = []  # (pair, measure, lo, hi, offset) of each interval end
+    shared: dict[tuple, int] = {}  # (pair, signed function, lo, hi, offset) -> query
     rows: dict[tuple[str, str], int] = {}  # key -> its query
     for key in [(pair, measure) for pair in PAIRS for measure in MEASURES]:
         pair, measure = key
         # Outcome 1; with tol > 0 a clamped value exceeds tol exactly where
         # the signed one does.
-        positive = values[:, 0, PAIRS.index(pair), measures.QUANTITIES.index(measure)] > tol
+        column = values[:, 0, PAIRS.index(pair), measures.QUANTITIES.index(measure)]
+        positive = column > tol
         if not positive.any():
             kinds[key] = "never"
         elif positive.all():
@@ -568,10 +604,13 @@ def classify_table(
             i = int(flips[0])
             lo, hi = float(lams[i]), float(lams[i + 1])
             kinds[key] = "above" if positive[-1] else "below"
+            # The zero crossing where the end classified not positive is
+            # clamped to 0, else the crossing of tol that the grid saw.
+            offset = 0.0 if column[i + 1 if positive[i] else i] == 0.0 else tol
             # Measures with one signed function (steering2, nonlocality) share a root.
-            rows[key] = shared.setdefault((pair, _SIGNED[measure], lo, hi), len(queries))
+            rows[key] = shared.setdefault((pair, _SIGNED[measure], lo, hi, offset), len(queries))
             if rows[key] == len(queries):
-                queries.append((pair, measure, lo, hi))
+                queries.append((pair, measure, lo, hi, offset))
     roots = _bisect_signed(case, x, queries, root_tol) if queries else []
     return {
         key: MeasureRange(kind, threshold=roots[rows[key]] if key in rows else None)

@@ -1,10 +1,14 @@
-"""Fixed-seed random generators shared by the test modules."""
+"""Fixed-seed random generators and hypothesis strategies shared by the
+test modules."""
 
 from __future__ import annotations
 
-import numpy as np
+import json
 
-from entswap import Povm
+import numpy as np
+from hypothesis import strategies as st
+
+from entswap import Povm, povm_to_dict, werner_bell_povm
 
 SEED = 20240817
 
@@ -45,3 +49,58 @@ def random_povm(gen: np.random.Generator, outcomes: int = 4, dim: int = 4) -> Po
         tuple(inv_root @ g @ inv_root for g in blocks),
         label=f"random-{outcomes}",
     )
+
+
+# JSON values that are neither a finite number nor an array.
+_NOT_NUMBER_OR_ARRAY = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+_FINITE = st.integers(-2, 2) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def malformed_povm_payloads(draw):
+    """A POVM JSON payload with one structural fault.
+
+    The fault sits at a drawn depth of ``{"effects": [effect][row][entry]
+    [component]}``: a component that is not a finite number (non-finite,
+    boolean, string, null, array or object), or an array replaced by a
+    non-array, by an array of the wrong length, or by one level more or
+    less of nesting. Payloads that are not an object, an empty ``effects``
+    and a label that is not a string are drawn too.
+    """
+    lam = draw(st.floats(0.0, 1.0))
+    payload = json.loads(json.dumps(povm_to_dict(werner_bell_povm(lam))))
+    depth = draw(st.sampled_from(["payload", "label", "effects", "effect", "row", "entry",
+                                  "component"]))
+    if depth == "payload":
+        return draw(_NOT_NUMBER_OR_ARRAY.filter(lambda v: not isinstance(v, dict))
+                    | _FINITE | st.lists(_FINITE, max_size=3))
+    if depth == "label":
+        payload["label"] = draw(_NOT_NUMBER_OR_ARRAY.filter(lambda v: not isinstance(v, str))
+                                | _FINITE)
+        return payload
+    if depth == "effects":
+        parent, index = payload, "effects"
+    else:
+        parent = payload["effects"]
+        for _ in range(["effect", "row", "entry", "component"].index(depth)):
+            parent = parent[draw(st.integers(0, len(parent) - 1))]
+        index = draw(st.integers(0, len(parent) - 1))
+    old = parent[index]
+    if depth == "component":
+        parent[index] = draw(_NOT_NUMBER_OR_ARRAY | st.lists(_FINITE, max_size=2))
+        return payload
+    lengths = st.integers(0, len(old) + 2).filter(lambda n: n != len(old))
+    parent[index] = draw(st.one_of(
+        _NOT_NUMBER_OR_ARRAY,
+        _FINITE,
+        lengths.map(lambda n: (old * 3)[:n]) if depth != "effects" else st.just([]),
+        st.just([old]),  # one level more
+        st.just(old[0]),  # one level less
+    ))
+    return payload

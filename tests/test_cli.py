@@ -1,13 +1,18 @@
 import csv
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from entswap import Povm, analysis, asymmetric_povm, povm_to_dict, sweep, werner_bell_povm
 from entswap.analysis import SweepConfig
 from entswap.cli import SWEEP_HEADER, main
+from helpers import malformed_povm_payloads
 
 I4 = np.eye(4, dtype=complex)
 
@@ -176,6 +181,22 @@ def test_analyze_non_finite_povm_exits_three(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", "--povm", str(path))
     assert code == 3 and out == ""
     assert "effect 3, row 0, column 0" in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_povm_payloads())
+def test_analyze_malformed_povm_exits_three(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, target = os.path.join(tmp, "bad.json"), os.path.join(tmp, "out.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)  # writes NaN and Infinity tokens as they are
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["analyze", "--povm", path, "--out", target, "--format", "csv"])
+        assert code == 3 and out.getvalue() == ""
+        assert err.getvalue().startswith("invalid POVM: ")
+        assert "Traceback" not in err.getvalue()
+        assert os.listdir(tmp) == ["bad.json"]
 
 
 @pytest.mark.parametrize("command", ["thresholds", "verify"])

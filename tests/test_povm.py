@@ -21,7 +21,7 @@ from entswap import (
     werner_bell_povm,
 )
 from entswap.povm import validate
-from helpers import random_povm, rng
+from helpers import malformed_povm_payloads, random_povm, rng
 
 I4 = np.eye(4, dtype=complex)
 LAMBDA_GRID = np.linspace(0.0, 1.0, 11)
@@ -187,6 +187,13 @@ def test_json_rejects_non_finite_and_boolean_entries(entry):
     payload["effects"][0][1][2] = [0.0, entry]
     with pytest.raises(InvalidPovmError, match="row 1, column 2"):
         povm_from_dict(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_povm_payloads())
+def test_json_rejects_malformed_payloads(payload):
+    with pytest.raises(InvalidPovmError):
+        povm_from_dict(json.loads(json.dumps(payload)))
 
 
 def _reference_werner_bell(lam):

@@ -128,6 +128,80 @@ def test_bisect_runs_out_of_iterations_where_scipy_does(steps):
             one_bracket(f, lo, hi, tol)
 
 
+def counted(f):
+    """``f`` as an ``analysis.bisect`` callback that records each call's points."""
+
+    def g(x, rows):
+        g.calls.append((np.array(x), np.array(rows)))
+        return np.array([f(v) for v in x])
+
+    g.calls = []
+    return g
+
+
+@pytest.mark.parametrize("steps", [1, 4, 5, 30, 199, 200, 201])
+def test_bisect_calls_f_once_per_four_steps(steps):
+    # As in the maxiter test: f(x) = x on [-1, 0.5] converges at step k.
+    f, lo, hi = (lambda lam: lam), -1.0, 0.5
+    tol = 1.5 * (1.5 * 2.0**-steps)
+    g = counted(f)
+    if steps <= 200:
+        root = analysis.bisect(g, lo, hi, f(lo), f(hi), tol).root[0]
+        assert root == scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200)
+    else:
+        with pytest.raises(EntswapError, match="did not converge in 200 iterations"):
+            analysis.bisect(g, lo, hi, f(lo), f(hi), tol)
+    assert len(g.calls) == min(-(-steps // 4), 50)
+    # Each call takes the 15 midpoints of the next four levels, heap-ordered.
+    x, rows = g.calls[0]
+    assert rows.tolist() == [0] * 15
+    assert x.tolist() == [
+        lo + 1.5 * k / 16 for k in (8, 4, 12, 2, 6, 10, 14, 1, 3, 5, 7, 9, 11, 13, 15)
+    ]
+
+
+def test_bisect_ignores_nan_off_the_path():
+    # The first step moves b to 0.5, so the walk never reaches 0.75.
+    f = lambda lam: lam - 0.3
+    nan_at_075 = lambda lam: float("nan") if lam == 0.75 else f(lam)
+    g = counted(nan_at_075)
+    root = analysis.bisect(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12).root[0]
+    assert 0.75 in g.calls[0][0]
+    assert root == scipy.optimize.bisect(f, 0.0, 1.0, xtol=1e-12)
+
+
+def test_bisect_raises_on_nan_on_the_path():
+    # The first step moves b to 0.5, so the second evaluates 0.25.
+    f = lambda lam: float("nan") if lam == 0.25 else lam - 0.3
+    with pytest.raises(EntswapError) as raised:
+        one_bracket(f, 0.0, 1.0, 1e-12)
+    assert str(raised.value) == f"the function value at x={np.float64(0.25)!r} is NaN"
+
+
+@pytest.mark.parametrize("case, key", [("II", ("12", "steering2")), ("III", ("14", "steering3"))])
+def test_classify_table_at_coarse_tol_bisects_the_crossing_of_tol(case, key):
+    # The grid flips across tol where the quantifier is positive on both
+    # sides, so that end is where the signed quantifier crosses tol.
+    tol, root_tol = 1e-3, 1e-9
+    grid = np.linspace(0.0, 1.0, 101)
+    table = classify_table(case, grid=grid, tol=tol, root_tol=root_tol)
+    x = analysis.CASE_PRESETS[case]
+    targets = {}
+    for (pair, measure), interval in table.items():
+        if interval.threshold is None:
+            continue
+        f = signed_closed_form(x, pair, measure)
+        i = int(np.searchsorted(grid, interval.threshold)) - 1
+        negative_end = grid[i] if interval.kind == "above" else grid[i + 1]
+        target = 0.0 if f(negative_end) <= 0.0 else tol
+        # The closed form crosses the target within root_tol of the threshold.
+        below, above = (f(interval.threshold + d) - target for d in (-root_tol, root_tol))
+        assert below * above <= 0.0, (pair, measure)
+        targets[pair, measure] = target
+    assert targets[key] == tol
+    assert table[key].kind == "above"
+
+
 def test_find_threshold_resolves_the_case3_sliver():
     # Pair (3,4) of case III turns steerable just below lambda = 1.
     f = signed_closed_form(analysis.CASE_PRESETS["III"], "34", "steering3")
