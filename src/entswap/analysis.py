@@ -370,7 +370,9 @@ def bisect(f, a, b, fa, fb, xtol: float) -> Bisection:
     takes the bracket's subtree of midpoints in heap order: node i, at
     a_i + dm (dm halved once per level), has the children 2i + 1, which
     keeps a_i, and 2i + 2, which moves a to the node's midpoint; ``rows``
-    repeats each bracket's index once per node. The rule above then walks
+    repeats each bracket's index once per node. The subtree stops at the
+    first level where |dm| < xtol for every open bracket, since the walk
+    stops on that level at the latest. The rule above then walks
     down the subtree, and the nodes it does not reach are discarded, so the
     roots, final brackets and values are those of one step per call.
     Brackets whose ends have the same sign, a NaN at a point the walk
@@ -380,7 +382,7 @@ def bisect(f, a, b, fa, fb, xtol: float) -> Bisection:
     b = np.array(b, dtype=float, ndmin=1)
     fa, fb = (_not_nan(np.array(v, dtype=float, ndmin=1), x) for v, x in ((fa, a), (fb, b)))
     for i in np.flatnonzero(fa * fb > 0):
-        raise NoBracketError(f"f has the same sign at {a[i]!r} and {b[i]!r}")
+        raise NoBracketError(f"f has the same sign at {float(a[i])!r} and {float(b[i])!r}")
     f_start, dm = fa.copy(), b - a
     root = np.where(fa == 0, a, b)
     open_ = (fa != 0) & (fb != 0)
@@ -395,6 +397,9 @@ def bisect(f, a, b, fa, fb, xtol: float) -> Bisection:
             dms.append(dm[rows])
             xm.append(starts + dm[rows, None])
             starts = np.stack([starts, xm[-1]], axis=-1).reshape(rows.size, -1)
+            # Every node of this level ends the walk, so none below it is reached.
+            if (np.abs(dms[-1]) < xtol).all():
+                break
         xm = np.concatenate(xm, axis=1)
         fm = np.asarray(f(xm.ravel(), np.repeat(rows, xm.shape[1])), dtype=float)
         fm = fm.reshape(xm.shape)
@@ -412,14 +417,15 @@ def bisect(f, a, b, fa, fb, xtol: float) -> Bisection:
             live = live[~done]
     for i in np.flatnonzero(open_):
         raise EntswapError(
-            f"bisection did not converge in {_MAXITER} iterations, bracket [{a[i]!r}, {b[i]!r}]"
+            f"bisection did not converge in {_MAXITER} iterations, "
+            f"bracket [{float(a[i])!r}, {float(b[i])!r}]"
         )
     return Bisection(root, a, b, fa, fb)
 
 
 def _not_nan(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(np.isnan(values)):
-        raise EntswapError(f"the function value at x={x[i]!r} is NaN")
+        raise EntswapError(f"the function value at x={float(x[i])!r} is NaN")
     return values
 
 

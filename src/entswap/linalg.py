@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small multi-qubit operators (dim <= 16).
 
-``hermitian_eig``, ``hermitian_eigvals``, ``psd_sqrt`` and
+``hermitian_eig``, ``hermitian_eigvals``, ``psd_sqrt``, ``partial_trace`` and
 ``partial_transpose`` also take a stack of matrices, shape (..., d, d), and
 treat each matrix independently in one numpy call.
 
@@ -94,12 +94,14 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 def partial_trace(m: np.ndarray, qubits_total: int, keep: Iterable[int]) -> np.ndarray:
     """Trace out all qubits not in ``keep`` (1-based indices, qubit 1 = MSB).
 
+    ``m`` is one matrix or a stack, shape (..., 2**qubits_total,
+    2**qubits_total); each matrix of a stack is reduced independently.
     ``keep`` must be a nonempty strict subset of {1..qubits_total}; kept
     qubits retain their relative order. The total trace is preserved.
     """
     m = np.asarray(m, dtype=complex)
     dim = 2**qubits_total
-    if m.shape != (dim, dim):
+    if m.shape[-2:] != (dim, dim):
         raise BadDimError(f"expected shape {(dim, dim)} for {qubits_total} qubits, got {m.shape}")
     keep_set = set(int(q) for q in keep)
     if not keep_set:
@@ -109,20 +111,25 @@ def partial_trace(m: np.ndarray, qubits_total: int, keep: Iterable[int]) -> np.n
     if len(keep_set) == qubits_total:
         raise BadIndexError("keep set must be a strict subset; nothing to trace out")
 
+    lead = m.shape[:-2]
+    # Axes of the (lead, row qubits, column qubits) tensor.
+    row = len(lead)
+    col = row + qubits_total
     kept = [q - 1 for q in sorted(keep_set)]
     traced = [q for q in range(qubits_total) if q not in kept]
-    tensor = m.reshape((2,) * (2 * qubits_total))
+    tensor = m.reshape(lead + (2,) * (2 * qubits_total))
     perm = (
-        kept
-        + [qubits_total + q for q in kept]
-        + traced
-        + [qubits_total + q for q in traced]
+        list(range(row))
+        + [row + q for q in kept]
+        + [col + q for q in kept]
+        + [row + q for q in traced]
+        + [col + q for q in traced]
     )
     tensor = tensor.transpose(perm)
     dim_keep = 2 ** len(kept)
     dim_traced = 2 ** len(traced)
-    tensor = tensor.reshape(dim_keep, dim_keep, dim_traced, dim_traced)
-    return np.trace(tensor, axis1=2, axis2=3)
+    tensor = tensor.reshape(lead + (dim_keep, dim_keep, dim_traced, dim_traced))
+    return np.trace(tensor, axis1=-2, axis2=-1)
 
 
 def partial_transpose(m: np.ndarray, subsystem: str) -> np.ndarray:

@@ -6,6 +6,7 @@ indexed with qubit 1 as the most significant bit (see ``linalg``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,27 +35,38 @@ def _residuals(m: np.ndarray) -> tuple[np.ndarray, ...]:
     return finite, herm, tr, low
 
 
-def check_density_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
-    """Validate a density matrix, returning it as a complex ndarray.
+def _passes(finite, herm, tr, low) -> tuple[np.ndarray, ...]:
+    """The four checks, in order, from ``_residuals``: finite, Hermitian and
+    of unit trace within STATE_ATOL, no eigenvalue below -STATE_ATOL."""
+    return finite, herm <= STATE_ATOL, np.abs(tr - 1.0) <= STATE_ATOL, low >= -STATE_ATOL
 
-    Raises NotAStateError if the matrix has a non-finite entry, is not
+
+def check_density_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
+    """Validate a density matrix, or a (..., d, d) stack of them, returning it
+    as a complex ndarray.
+
+    Raises NotAStateError if a matrix has a non-finite entry, is not
     Hermitian within STATE_ATOL, its trace is not 1 within STATE_ATOL, or any
-    eigenvalue is below -STATE_ATOL.
+    eigenvalue is below -STATE_ATOL. In a stack, the first failing matrix in
+    C order is named, with the message it would raise alone.
     """
     m = np.asarray(matrix, dtype=complex)
     dim = 2**qubits
-    if m.shape != (dim, dim):
+    if m.shape[-2:] != (dim, dim):
         raise NotAStateError(f"expected a {dim}x{dim} matrix for {qubits} qubits, got {m.shape}")
     finite, herm, tr, low = _residuals(m)
-    if not finite:
-        raise NotAStateError("non-finite entry")
-    if herm > STATE_ATOL:
-        raise NotAStateError(f"not Hermitian: residual {herm:.3e}")
-    if abs(tr - 1.0) > STATE_ATOL:
-        raise NotAStateError(f"trace is {complex(tr):.12g}, expected 1")
-    if low < -STATE_ATOL:
-        raise NotAStateError(f"negative eigenvalue {low:.3e}")
-    return m
+    passes = _passes(finite, herm, tr, low)
+    ok = np.logical_and.reduce(passes)
+    if ok.all():
+        return m
+    first = np.unravel_index(np.argmin(ok), np.shape(ok))
+    failed = [bool(p[first]) for p in passes].index(False)
+    raise NotAStateError((
+        "non-finite entry",
+        f"not Hermitian: residual {herm[first]:.3e}",
+        f"trace is {complex(tr[first]):.12g}, expected 1",
+        f"negative eigenvalue {low[first]:.3e}",
+    )[failed])
 
 
 def is_density_matrix(stack: np.ndarray) -> np.ndarray:
@@ -64,8 +76,7 @@ def is_density_matrix(stack: np.ndarray) -> np.ndarray:
     matrix is finite, Hermitian and of unit trace within STATE_ATOL and has
     no eigenvalue below -STATE_ATOL.
     """
-    finite, herm, tr, low = _residuals(np.asarray(stack, dtype=complex))
-    return finite & (herm <= STATE_ATOL) & (np.abs(tr - 1.0) <= STATE_ATOL) & (low >= -STATE_ATOL)
+    return np.logical_and.reduce(_passes(*_residuals(np.asarray(stack, dtype=complex))))
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,18 @@ class DensityMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        m = check_density_matrix(self.matrix, self.qubits).copy()
+        self._freeze(check_density_matrix(self.matrix, self.qubits))
+
+    @classmethod
+    def _checked(cls, qubits: int, m: np.ndarray) -> DensityMatrix:
+        """Wrap a matrix that ``check_density_matrix`` has already passed."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "qubits", qubits)
+        state._freeze(m)
+        return state
+
+    def _freeze(self, m: np.ndarray) -> None:
+        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -160,7 +182,11 @@ def product_basis(k: int) -> np.ndarray:
     return v
 
 
+@functools.cache
 def initial_four_qubit() -> DensityMatrix:
-    """The protocol's initial state: Bell pair on (1,2) times Bell pair on (3,4)."""
+    """The protocol's initial state: Bell pair on (1,2) times Bell pair on (3,4).
+
+    Built once; every call returns the same frozen, read-only state.
+    """
     vec = kron(bell_state(1), bell_state(1))
     return pure_density_matrix(vec)

@@ -4,8 +4,11 @@ Two Bell pairs (1,2) and (3,4) start in the same maximally entangled state.
 A four-outcome POVM is measured on the middle pair (2,3) and the state is
 updated with the square-root (Lueders) rule, conditioning on the outcome.
 ``run_swap`` returns, per outcome, the probability and the conditional
-two-qubit states of the pairs (1,4), (1,2) and (3,4); ``swap_stack`` computes
-the same for a whole stack of effects at once, without 16x16 matrices.
+two-qubit states of the pairs (1,4), (1,2) and (3,4). It runs all outcomes
+of one POVM through the full 16-dimensional pipeline as one stack.
+``swap_stack`` computes the same for a whole stack of effects at once,
+without 16x16 matrices; ``run_swap`` does not use it, so each checks the
+other.
 
 The module also carries the closed forms for the two built-in measurement
 families. They are exact and serve as independent oracles for the full
@@ -19,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndexError, BadParamError, DegenerateEffectError, InvalidPovmError
-from .linalg import kron, partial_trace, psd_sqrt
+from .linalg import partial_trace, psd_sqrt
 from .measures import CorrelationReport
 from .povm import AsymmetricPovmParams, Povm, validate
-from .states import DensityMatrix, initial_four_qubit
+from .states import DensityMatrix, check_density_matrix, initial_four_qubit
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT3 = np.sqrt(3.0)
@@ -34,6 +37,9 @@ DEGENERATE_PROBABILITY = 1e-12
 PAIRS = ("14", "12", "34")
 
 _I2 = np.eye(2, dtype=complex)
+
+# Qubits kept by each pair state, in PAIRS order.
+_PAIR_QUBITS = ({1, 4}, {1, 2}, {3, 4})
 
 
 @dataclass(frozen=True)
@@ -69,32 +75,33 @@ def run_swap(p: Povm) -> list[SwapOutcome]:
     For each effect E the four-qubit state is updated with
     K = I x sqrt(E) x I acting on qubits (2,3), the outcome probability is
     the trace of K rho K-dagger, and the conditional pair states are the
-    normalized partial traces onto (1,4), (1,2) and (3,4).
+    normalized partial traces onto (1,4), (1,2) and (3,4). All outcomes go
+    through each step as one stack of 16x16 matrices, and all pair states
+    through one ``check_density_matrix`` call.
     """
     problems = validate(p)
     if problems:
         raise InvalidPovmError("; ".join(problems))
-    rho0 = np.asarray(initial_four_qubit())
+    roots = psd_sqrt(np.array(p.effects)).reshape(-1, 2, 2, 2, 2)
+    # K[(a, b, c, d), (e, f, g, h)] = I[a, e] sqrt(E)[(b, c), (f, g)] I[d, h].
+    k = np.einsum("ae,nbcfg,dh->nabcdefgh", _I2, roots, _I2).reshape(-1, 16, 16)
+    joint = k @ initial_four_qubit().matrix @ k.conj().swapaxes(-1, -2)
+    probabilities = np.trace(joint, axis1=-2, axis2=-1).real
+    kept = probabilities >= DEGENERATE_PROBABILITY
+    conditional = joint[kept] / probabilities[kept, None, None]
+    states = check_density_matrix(
+        np.stack([partial_trace(conditional, 4, pair) for pair in _PAIR_QUBITS], axis=1), 2
+    )
+    pair_states = iter(states)
     outcomes = []
-    for index, effect in enumerate(p.effects, start=1):
-        k = kron(kron(_I2, psd_sqrt(effect)), _I2)
-        joint = k @ rho0 @ k.conj().T
-        probability = float(np.trace(joint).real)
+    for index, probability in enumerate(probabilities.tolist(), start=1):
         if probability < DEGENERATE_PROBABILITY:
             outcomes.append(
                 SwapOutcome(index, probability, None, None, None, degenerate=True)
             )
             continue
-        conditional = joint / probability
-        outcomes.append(
-            SwapOutcome(
-                outcome_index=index,
-                probability=probability,
-                rho14=DensityMatrix(2, partial_trace(conditional, 4, {1, 4})),
-                rho12=DensityMatrix(2, partial_trace(conditional, 4, {1, 2})),
-                rho34=DensityMatrix(2, partial_trace(conditional, 4, {3, 4})),
-            )
-        )
+        rho14, rho12, rho34 = (DensityMatrix._checked(2, m) for m in next(pair_states))
+        outcomes.append(SwapOutcome(index, probability, rho14, rho12, rho34))
     return outcomes
 
 

@@ -8,7 +8,20 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
-from entswap import Povm, povm_to_dict, werner_bell_povm
+from entswap import (
+    DensityMatrix,
+    InvalidPovmError,
+    Povm,
+    SwapOutcome,
+    initial_four_qubit,
+    kron,
+    partial_trace,
+    povm_to_dict,
+    psd_sqrt,
+    werner_bell_povm,
+)
+from entswap.povm import validate
+from entswap.swap import DEGENERATE_PROBABILITY
 
 SEED = 20240817
 
@@ -104,3 +117,34 @@ def malformed_povm_payloads(draw):
         st.just(old[0]),  # one level less
     ))
     return payload
+
+
+def run_swap_per_effect(p: Povm) -> list:
+    """``swap.run_swap`` as one pass per effect, kept as the reference for the
+    stacked pipeline: the same steps on one 16x16 matrix at a time."""
+    problems = validate(p)
+    if problems:
+        raise InvalidPovmError("; ".join(problems))
+    i2 = np.eye(2, dtype=complex)
+    rho0 = np.asarray(initial_four_qubit())
+    outcomes = []
+    for index, effect in enumerate(p.effects, start=1):
+        k = kron(kron(i2, psd_sqrt(effect)), i2)
+        joint = k @ rho0 @ k.conj().T
+        probability = float(np.trace(joint).real)
+        if probability < DEGENERATE_PROBABILITY:
+            outcomes.append(
+                SwapOutcome(index, probability, None, None, None, degenerate=True)
+            )
+            continue
+        conditional = joint / probability
+        outcomes.append(
+            SwapOutcome(
+                outcome_index=index,
+                probability=probability,
+                rho14=DensityMatrix(2, partial_trace(conditional, 4, {1, 4})),
+                rho12=DensityMatrix(2, partial_trace(conditional, 4, {1, 2})),
+                rho34=DensityMatrix(2, partial_trace(conditional, 4, {3, 4})),
+            )
+        )
+    return outcomes

@@ -183,3 +183,15 @@ def test_trace_norm_bounds_trace():
 def test_trace_norm_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("keep", [{1}, {2, 3}, {1, 4}, {1, 2}, {3, 4}, {1, 3, 4}])
+def test_partial_trace_stack_matches_each_matrix(keep):
+    gen = rng(6)
+    stack = np.array([[random_density_matrix(gen, dim=16) for _ in range(3)] for _ in range(2)])
+    reduced = partial_trace(stack, 4, keep)
+    assert reduced.shape == (2, 3) + (2 ** len(keep),) * 2
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(reduced[index], partial_trace(stack[index], 4, keep))
+    with pytest.raises(BadDimError):
+        partial_trace(stack[..., :8], 4, keep)

@@ -183,3 +183,37 @@ def test_check_density_matrix_messages():
     # The non-finite case of the stacked check is in the test above.
     stack = np.array([good] + [matrix for matrix, _ in cases[1:]])
     assert is_density_matrix(stack).tolist() == [True, False, False, False]
+
+
+def test_check_density_matrix_on_a_stack_names_the_first_bad_matrix():
+    from entswap.states import check_density_matrix
+
+    good = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    nan_state = good.copy()
+    nan_state[0, 3] = float("nan")
+    skew = good.copy()
+    skew[0, 1] += 1e-6
+    bad = [
+        (nan_state, "non-finite entry"),
+        (skew, "not Hermitian: residual 1.000e-06"),
+        (1.01 * np.eye(4) / 4, "trace is 1.01+0j, expected 1"),
+        (np.diag([1.1, -0.1, 0, 0]), "negative eigenvalue -1.000e-01"),
+    ]
+    stack = np.array([[good, np.eye(4) / 4, good]] * 2)
+    assert check_density_matrix(stack, 2) is stack
+    for (first, message), (second, _) in zip(bad, bad[1:] + bad[:1]):
+        # C order: (0, 2) comes before (1, 0).
+        stack = np.array([[good, good, first], [second, good, good]])
+        with pytest.raises(NotAStateError) as info:
+            check_density_matrix(stack, 2)
+        assert str(info.value) == message
+    with pytest.raises(NotAStateError, match=r"got \(2, 4, 2\)"):
+        check_density_matrix(np.zeros((2, 4, 2)), 2)
+
+
+def test_initial_four_qubit_is_one_read_only_state():
+    rho0 = initial_four_qubit()
+    assert initial_four_qubit() is rho0
+    assert not rho0.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        rho0.matrix[0, 0] = 0.0

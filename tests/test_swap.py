@@ -228,3 +228,39 @@ def test_swap_stack_matches_run_swap():
                 continue
             for q, pair in enumerate(PAIRS):
                 assert np.abs(pair_states[j, q] - np.asarray(outcome.pair_state(pair))).max() < 1e-14
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    effects=st.integers(1, 8),
+    weak=st.sampled_from([None, 0.0, 1e-15, 1e-13]),
+)
+def test_run_swap_equals_the_per_effect_loop_bitwise(seed, effects, weak):
+    from helpers import run_swap_per_effect
+
+    gen = np.random.default_rng(seed)
+    if weak is None or effects == 1:
+        p = random_povm(gen, outcomes=effects)
+    else:
+        # Split one effect E into weak * E, a degenerate outcome, and (1 - weak) * E.
+        base = random_povm(gen, outcomes=effects - 1).effects
+        j = int(gen.integers(len(base)))
+        split = (weak * base[j], (1.0 - weak) * base[j])
+        p = Povm(base[:j] + split + base[j + 1:])
+    stacked, reference = run_swap(p), run_swap_per_effect(p)
+    if weak is not None and effects > 1:
+        assert any(o.degenerate for o in stacked)
+    assert len(stacked) == len(reference)
+    for got, want in zip(stacked, reference):
+        assert got.outcome_index == want.outcome_index
+        assert got.degenerate == want.degenerate
+        assert got.probability == want.probability
+        assert type(got.probability) is float
+        for pair in PAIRS:
+            state, expected = getattr(got, f"rho{pair}"), getattr(want, f"rho{pair}")
+            if expected is None:
+                assert state is None
+                continue
+            assert state.qubits == 2 and not state.matrix.flags.writeable
+            assert state.matrix.tobytes() == expected.matrix.tobytes()

@@ -152,12 +152,12 @@ def test_bisect_calls_f_once_per_four_steps(steps):
         with pytest.raises(EntswapError, match="did not converge in 200 iterations"):
             analysis.bisect(g, lo, hi, f(lo), f(hi), tol)
     assert len(g.calls) == min(-(-steps // 4), 50)
-    # Each call takes the 15 midpoints of the next four levels, heap-ordered.
+    # Each call takes the midpoints of the next four levels, heap-ordered,
+    # down to the first level where |dm| < tol, here level min(4, steps).
+    heap = (8, 4, 12, 2, 6, 10, 14, 1, 3, 5, 7, 9, 11, 13, 15)[: 2 ** min(4, steps) - 1]
     x, rows = g.calls[0]
-    assert rows.tolist() == [0] * 15
-    assert x.tolist() == [
-        lo + 1.5 * k / 16 for k in (8, 4, 12, 2, 6, 10, 14, 1, 3, 5, 7, 9, 11, 13, 15)
-    ]
+    assert rows.tolist() == [0] * len(heap)
+    assert x.tolist() == [lo + 1.5 * k / 16 for k in heap]
 
 
 def test_bisect_ignores_nan_off_the_path():
@@ -175,7 +175,7 @@ def test_bisect_raises_on_nan_on_the_path():
     f = lambda lam: float("nan") if lam == 0.25 else lam - 0.3
     with pytest.raises(EntswapError) as raised:
         one_bracket(f, 0.0, 1.0, 1e-12)
-    assert str(raised.value) == f"the function value at x={np.float64(0.25)!r} is NaN"
+    assert str(raised.value) == "the function value at x=0.25 is NaN"
 
 
 @pytest.mark.parametrize("case, key", [("II", ("12", "steering2")), ("III", ("14", "steering3"))])
