@@ -11,17 +11,19 @@ through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
 (``_bisect_signed`` with ``bisect``, an in-repo copy of
 ``scipy.optimize.bisect``): one stacked call covers the next four bisection
 steps of every open bracket, by evaluating all 15 midpoints they can reach
-and then taking scipy's steps through them. The scalar
-16-dimensional pipeline, ``run_swap`` plus ``measures``, stays the oracle:
-it re-checks the last point of every grid scan and both ends of every
-bisected root's final bracket, and it runs the golden-section refinement of
-``find_extremum``.
+and then taking scipy's steps through them. ``_outcome_values`` gives the
+quantifiers of all outcomes of one ``run_swap`` call (``entswap analyze``)
+from one ``measures.report_stack`` call. The scalar 16-dimensional
+pipeline, ``run_swap`` plus ``measures``, stays the oracle: it re-checks
+the last point of every grid scan, both ends of every bisected root's final
+bracket and one pair state of every ``_outcome_values`` call, and it runs
+the golden-section refinement of ``find_extremum``.
 """
 
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -49,6 +51,7 @@ from .states import DensityMatrix
 from .swap import (
     DEGENERATE_PROBABILITY,
     PAIRS,
+    SwapOutcome,
     case1_closed_forms,
     case2_closed_forms,
     run_swap,
@@ -251,16 +254,50 @@ def _grid_values(
     effects = _grid_effects(case, x, builder, lams)[:, :outcomes]
     probabilities, states = swap_stack(effects)
     kept = probabilities >= DEGENERATE_PROBABILITY
+    values = _report_values(
+        states, kept, tol,
+        lambda i, j, p: _at_lambda(lams[i], f"outcome {j + 1}, pair {PAIRS[p]}: "),
+    )
+    _check_scalar(builder, float(lams[-1]), probabilities[-1], values[-1], tol)
+    return probabilities, values, kept
+
+
+def _report_values(states, kept, tol: float, where=lambda *index: nullcontext()):
+    """The QUANTITIES columns of a stack of pair states, shape (..., 3, 4, 4).
+
+    ``kept`` masks the outcomes, shape (...); the result, shape (..., 3, 6),
+    is zero for the others. One ``measures.report_stack`` call covers every
+    kept state. ``report`` on a state the stacked checks reject raises its
+    error, inside the context ``where(*index)`` of the state's index, or
+    overrules them and gives the values.
+    """
     values = np.zeros(states.shape[:-2] + (len(measures.QUANTITIES),))
     ok = np.ones(states.shape[:-2], dtype=bool)
     values[kept], ok[kept] = measures.report_stack(states[kept], tol)
-    # report() on a state the stacked checks reject raises its error, or
-    # overrules them and gives the values.
-    for i, j, p in np.argwhere(~ok):
-        with _at_lambda(lams[i], f"outcome {j + 1}, pair {PAIRS[p]}: "):
-            values[i, j, p] = list(measures.report(states[i, j, p], tol).values().values())
-    _check_scalar(builder, float(lams[-1]), probabilities[-1], values[-1], tol)
-    return probabilities, values, kept
+    for index in map(tuple, np.argwhere(~ok).tolist()):
+        with where(*index):
+            values[index] = list(measures.report(states[index], tol).values().values())
+    return values
+
+
+def _outcome_values(outcomes: list[SwapOutcome], tol: float) -> np.ndarray:
+    """The QUANTITIES columns of every pair state of ``run_swap`` outcomes.
+
+    Returns shape (k, 3, 6), pairs in PAIRS order, zero for degenerate
+    outcomes, from ``_report_values`` on the stacked states. ``report`` on
+    the (1,4) state of the first non-degenerate outcome must give its six
+    values within VERIFY_TOL.
+    """
+    kept = np.array([not o.degenerate for o in outcomes])
+    states = np.zeros((len(outcomes), len(PAIRS), 4, 4), dtype=complex)
+    states[kept] = [
+        [o.pair_state(pair).matrix for pair in PAIRS] for o in outcomes if not o.degenerate
+    ]
+    values = _report_values(states, kept, tol)
+    first = next(o for o in outcomes if not o.degenerate)
+    batched = values[first.outcome_index - 1, 0]
+    _compare(first.outcome_index, _report_checks("14", batched, first.pair_state("14"), tol))
+    return values
 
 
 def _closed_form_values(case: str, x, lams: np.ndarray, tol: float) -> np.ndarray:
@@ -308,15 +345,27 @@ def _check_scalar(builder, lam: float, probabilities, values, tol: float) -> Non
         j = outcome.outcome_index - 1
         checks = [("probability", probabilities[j], outcome.probability)]
         for pair, batched in zip(PAIRS, values[j]):
-            scalar = measures.report(outcome.pair_state(pair), tol).values()
-            checks += [(f"pair {pair} {name}", batched[q], scalar[name])
-                       for q, name in enumerate(measures.QUANTITIES)]
-        for name, batched, scalar in checks:
-            if not abs(batched - scalar) <= VERIFY_TOL:
-                raise EntswapError(
-                    f"batched engine deviates from the scalar pipeline at outcome "
-                    f"{j + 1}: {name} is {float(batched)!r}, scalar {scalar!r}"
-                )
+            checks += _report_checks(pair, batched, outcome.pair_state(pair), tol)
+        _compare(j + 1, checks)
+
+
+def _report_checks(pair: str, batched, state, tol: float) -> list[tuple]:
+    """(name, batched, scalar) of the six QUANTITIES of one pair state, the
+    batched values against those of ``report``."""
+    scalar = measures.report(state, tol).values()
+    return [(f"pair {pair} {name}", batched[q], scalar[name])
+            for q, name in enumerate(measures.QUANTITIES)]
+
+
+def _compare(outcome: int, checks: list[tuple]) -> None:
+    """Raise unless every (name, batched, scalar) check of an outcome agrees
+    within VERIFY_TOL."""
+    for name, batched, scalar in checks:
+        if not abs(batched - scalar) <= VERIFY_TOL:
+            raise EntswapError(
+                f"batched engine deviates from the scalar pipeline at outcome "
+                f"{outcome}: {name} is {float(batched)!r}, scalar {scalar!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -491,14 +540,9 @@ def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float
     result = bisect(f, lo, hi, probe[:, 0], probe[:, -1], tol)
     for i, (pair, measure, _, _, offset) in enumerate(queries):
         for lam, value in ((result.a[i], result.fa[i]), (result.b[i], result.fb[i])):
-            engine = value + offset
             with _at_lambda(lam):
                 scalar = _signed_pair_value(builder, float(lam), pair, measure)
-                if not abs(engine - scalar) <= VERIFY_TOL:
-                    raise EntswapError(
-                        "batched engine deviates from the scalar pipeline at outcome 1: "
-                        f"pair {pair} {measure} is {float(engine)!r}, scalar {scalar!r}"
-                    )
+                _compare(1, [(f"pair {pair} {measure}", value + offset, scalar)])
     return result.root.tolist()
 
 

@@ -17,9 +17,9 @@ from io import StringIO
 
 import numpy as np
 
-from . import analysis, measures
+from . import analysis
 from .errors import EntswapError, InvalidPovmError
-from .povm import povm_from_dict, validate
+from .povm import povm_from_dict
 from .swap import PAIRS, run_swap
 
 SWEEP_HEADER = (
@@ -52,30 +52,18 @@ def _emit(text: str, out_path: str | None) -> None:
         raise
 
 
+# One row of SWEEP_HEADER; '%.12g' % v equals _fmt(v) for every float v.
+_SWEEP_ROW = "%s,%s,%.12g,%d,%s" + ",%.12g" * 7 + "\n"
+
+
 def _sweep_csv(records) -> str:
-    buf = StringIO()
-    buf.write(SWEEP_HEADER + "\n")
-    for r in records:
-        buf.write(
-            ",".join(
-                [
-                    r.case,
-                    _fmt(r.x),
-                    _fmt(r.lam),
-                    str(r.outcome),
-                    r.pair,
-                    _fmt(r.probability),
-                    _fmt(r.negativity),
-                    _fmt(r.steering2),
-                    _fmt(r.steering3),
-                    _fmt(r.nonlocality),
-                    _fmt(r.M),
-                    _fmt(r.Lambda3),
-                ]
-            )
-            + "\n"
+    return SWEEP_HEADER + "\n" + "".join([
+        _SWEEP_ROW % (
+            r.case, _fmt(r.x), r.lam, r.outcome, r.pair, r.probability, r.negativity,
+            r.steering2, r.steering3, r.nonlocality, r.M, r.Lambda3,
         )
-    return buf.getvalue()
+        for r in records
+    ])
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -117,32 +105,28 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analyze_text(p, outcomes, tol) -> str:
+# Each analyze flag and its QUANTITIES column, whose clamped value exceeds tol
+# where the flag is set.
+_FLAGS = (("entangled", 0), ("steerable", 2), ("nonlocal", 3))
+
+
+def _analyze_text(p, outcomes, values, tol) -> str:
     lines = [f"POVM {p.label!r}: {len(p.effects)} effects, valid"]
-    for outcome in outcomes:
+    for outcome, rows in zip(outcomes, values.tolist()):
         lines.append(f"outcome {outcome.outcome_index}: probability {_fmt(outcome.probability)}")
         if outcome.degenerate:
             lines.append("  degenerate outcome, no conditional states")
             continue
-        for pair in PAIRS:
-            rep = measures.report(outcome.pair_state(pair), tol)
-            flags = ", ".join(
-                name
-                for name, on in (
-                    ("entangled", rep.entangled),
-                    ("steerable", rep.steerable),
-                    ("nonlocal", rep.nonlocal_),
-                )
-                if on
-            )
+        for pair, row in zip(PAIRS, rows):
+            flags = ", ".join(name for name, column in _FLAGS if row[column] > tol)
             lines.append(
-                f"  pair ({pair[0]},{pair[1]}): negativity={_fmt(rep.negativity)} "
-                f"S3={_fmt(rep.S3)} N={_fmt(rep.N)} [{flags or 'uncorrelated'}]"
+                f"  pair ({pair[0]},{pair[1]}): negativity={_fmt(row[0])} "
+                f"S3={_fmt(row[2])} N={_fmt(row[3])} [{flags or 'uncorrelated'}]"
             )
     return "\n".join(lines) + "\n"
 
 
-def _analyze_csv(p, outcomes, tol) -> str:
+def _analyze_csv(p, outcomes, values, tol) -> str:
     # labels are user-controlled and may contain commas, so quote properly
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -150,26 +134,18 @@ def _analyze_csv(p, outcomes, tol) -> str:
         "label,outcome,pair,probability,negativity,steering2,steering3,"
         "nonlocality,M,Lambda3,entangled,steerable,nonlocal".split(",")
     )
-    for outcome in outcomes:
+    for outcome, rows in zip(outcomes, values.tolist()):
         if outcome.degenerate:
             continue
-        for pair in PAIRS:
-            rep = measures.report(outcome.pair_state(pair), tol)
+        for pair, row in zip(PAIRS, rows):
             writer.writerow(
                 [
                     p.label,
                     str(outcome.outcome_index),
                     pair,
                     _fmt(outcome.probability),
-                    _fmt(rep.negativity),
-                    _fmt(rep.S2),
-                    _fmt(rep.S3),
-                    _fmt(rep.N),
-                    _fmt(rep.M),
-                    _fmt(rep.Lambda3),
-                    str(rep.entangled).lower(),
-                    str(rep.steerable).lower(),
-                    str(rep.nonlocal_).lower(),
+                    *map(_fmt, row),
+                    *(str(row[column] > tol).lower() for _, column in _FLAGS),
                 ]
             )
     return buf.getvalue()
@@ -187,15 +163,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except InvalidPovmError as exc:
         print(f"invalid POVM: {exc}", file=sys.stderr)
         return 3
-    problems = validate(p)
-    if problems:
+    try:
+        outcomes = run_swap(p)
+    except InvalidPovmError as exc:
         print("invalid POVM:", file=sys.stderr)
-        for problem in problems:
+        for problem in exc.problems:
             print(f"  {problem}", file=sys.stderr)
         return 3
-    outcomes = run_swap(p)
+    values = analysis._outcome_values(outcomes, args.tol)
     render = _analyze_csv if args.format == "csv" else _analyze_text
-    _emit(render(p, outcomes, args.tol), args.out)
+    _emit(render(p, outcomes, values, args.tol), args.out)
     return 0
 
 

@@ -32,7 +32,14 @@ class NotAStateError(EntswapError):
 
 
 class InvalidPovmError(EntswapError):
-    """Effect list fails the POVM invariants; message carries the violations."""
+    """Effect list fails the POVM invariants; message carries the violations.
+
+    ``problems`` lists the violations that the message joins, if any.
+    """
+
+    def __init__(self, message: str, problems: list[str] | None = None) -> None:
+        super().__init__(message)
+        self.problems = problems or []
 
 
 class DegenerateEffectError(EntswapError):

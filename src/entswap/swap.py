@@ -81,7 +81,7 @@ def run_swap(p: Povm) -> list[SwapOutcome]:
     """
     problems = validate(p)
     if problems:
-        raise InvalidPovmError("; ".join(problems))
+        raise InvalidPovmError("; ".join(problems), problems)
     roots = psd_sqrt(np.array(p.effects)).reshape(-1, 2, 2, 2, 2)
     # K[(a, b, c, d), (e, f, g, h)] = I[a, e] sqrt(E)[(b, c), (f, g)] I[d, h].
     k = np.einsum("ae,nbcfg,dh->nabcdefgh", _I2, roots, _I2).reshape(-1, 16, 16)

@@ -18,10 +18,13 @@ from entswap import (
     partial_trace,
     povm_to_dict,
     psd_sqrt,
+    report,
+    run_swap,
     werner_bell_povm,
 )
+from entswap.cli import SWEEP_HEADER
 from entswap.povm import validate
-from entswap.swap import DEGENERATE_PROBABILITY
+from entswap.swap import DEGENERATE_PROBABILITY, PAIRS
 
 SEED = 20240817
 
@@ -148,3 +151,42 @@ def run_swap_per_effect(p: Povm) -> list:
             )
         )
     return outcomes
+
+
+def analyze_per_pair(p: Povm, tol: float) -> list[tuple]:
+    """What ``entswap analyze`` reports, from ``run_swap`` and one ``report``
+    per pair state, kept as the reference for the stacked kernel.
+
+    Per outcome: (index, probability, pairs), where pairs is None for a
+    degenerate outcome and otherwise lists (pair, the six QUANTITIES,
+    [entangled, steerable, nonlocal]) in PAIRS order.
+    """
+    rows = []
+    for outcome in run_swap(p):
+        pairs = None
+        if not outcome.degenerate:
+            pairs = []
+            for pair in PAIRS:
+                rep = report(outcome.pair_state(pair), tol)
+                flags = [rep.entangled, rep.steerable, rep.nonlocal_]
+                pairs.append((pair, list(rep.values().values()), flags))
+        rows.append((outcome.outcome_index, outcome.probability, pairs))
+    return rows
+
+
+def _fmt(value: float | None) -> str:
+    return "" if value is None else format(float(value), ".12g")
+
+
+def sweep_csv_per_field(records) -> str:
+    """The sweep CSV with one ``format`` call per field, kept as the
+    reference for the one-template rows of ``cli._sweep_csv``."""
+    lines = [SWEEP_HEADER]
+    for r in records:
+        fields = [
+            r.case, _fmt(r.x), _fmt(r.lam), str(r.outcome), r.pair, _fmt(r.probability),
+            _fmt(r.negativity), _fmt(r.steering2), _fmt(r.steering3), _fmt(r.nonlocality),
+            _fmt(r.M), _fmt(r.Lambda3),
+        ]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"

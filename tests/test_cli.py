@@ -1,18 +1,20 @@
 import csv
 import json
 import os
+import struct
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entswap import Povm, analysis, asymmetric_povm, povm_to_dict, sweep, werner_bell_povm
 from entswap.analysis import SweepConfig
 from entswap.cli import SWEEP_HEADER, main
-from helpers import malformed_povm_payloads
+from helpers import malformed_povm_payloads, sweep_csv_per_field
 
 I4 = np.eye(4, dtype=complex)
 
@@ -46,6 +48,33 @@ def test_sweep_csv_round_trips(capsys):
                      "steering3", "nonlocality", "M", "Lambda3"):
             attr = {"lambda": "lam"}.get(name, name)
             assert abs(float(row[name]) - getattr(rec, attr)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "case, x", [("I", None)] + [(case, x) for case in ("II", "III", "IV") for x in (None, 0.41)]
+)
+@pytest.mark.parametrize("grid", [2, 7, 31])
+def test_sweep_rows_match_the_per_field_reference(case, x, grid, capsys):
+    args = ["--x", repr(x)] if x is not None else []
+    code, out, _ = run_cli(capsys, "sweep", "--case", case, "--grid", str(grid), *args)
+    assert code == 0
+    assert out == sweep_csv_per_field(sweep(SweepConfig(case=case, x=x, count=grid)))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats() | st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+))
+@example(0.0)
+@example(-0.0)
+@example(float("inf"))
+@example(float("-inf"))
+@example(float("nan"))
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+def test_percent_template_formats_floats_as_format(v):
+    assert "%.12g" % v == format(v, ".12g")
 
 
 def test_sweep_case1_has_empty_x_column(capsys):

@@ -1,0 +1,74 @@
+"""CLI outputs compared byte for byte with the files under tests/golden/.
+
+Each golden file holds the stdout of one command. A change that alters an
+output on purpose regenerates the files with
+``PYTHONPATH=src python tests/test_golden.py`` and lists the change in
+CHANGES.md; any other change must leave every byte as it is.
+"""
+
+import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+import pytest
+
+from entswap import asymmetric_povm, povm_to_dict, werner_bell_povm
+from entswap.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+POVMS = {
+    "werner_bell_0.5": lambda: werner_bell_povm(0.5),
+    "werner_bell_1.0": lambda: werner_bell_povm(1.0),
+    "asymmetric_0.8_0.5": lambda: asymmetric_povm(0.8, 0.5),
+    "asymmetric_0.725_0.9": lambda: asymmetric_povm(0.725, 0.9),
+}
+
+EXTENSIONS = {"csv": "csv", "text": "txt"}
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(golden file name, argv) of every golden output; ``analyze`` takes
+    the name of an entry of POVMS in place of a path."""
+    out = []
+    for case in ("I", "II", "III", "IV"):
+        out.append((f"sweep_{case}_grid11.csv", ["sweep", "--case", case, "--grid", "11"]))
+        for fmt, ext in EXTENSIONS.items():
+            argv = ["thresholds", "--case", case, "--grid", "21", "--format", fmt]
+            out.append((f"thresholds_{case}_grid21.{ext}", argv))
+    out.append(("verify_grid11.txt", ["verify", "--grid", "11"]))
+    for name in POVMS:
+        for fmt, ext in EXTENSIONS.items():
+            out.append((f"analyze_{name}.{ext}", ["analyze", "--povm", name, "--format", fmt]))
+    return out
+
+
+def run(argv: list[str], work: str) -> str:
+    """The stdout of a command, which must exit 0 with nothing on stderr."""
+    if argv[0] == "analyze":
+        path = os.path.join(work, f"{argv[2]}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(povm_to_dict(POVMS[argv[2]]()), fh)
+        argv = [*argv[:2], path, *argv[3:]]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name, argv", commands(), ids=[name for name, _ in commands()])
+def test_output_matches_golden_file(name, argv, tmp_path):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
+        assert run(argv, str(tmp_path)) == fh.read()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
+        for name, argv in commands():
+            with open(os.path.join(GOLDEN, name), "w", encoding="utf-8", newline="") as fh:
+                fh.write(run(argv, work))
