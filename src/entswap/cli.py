@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -152,10 +153,12 @@ def _analyze_csv(p, outcomes, values, tol) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    # ValueError covers bytes that are not UTF-8 and text that is not JSON;
+    # the decoder recurses once per level of nesting.
     try:
         with open(args.povm, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read POVM file: {exc}", file=sys.stderr)
         return 1
     try:
@@ -199,7 +202,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of the CLI, built on the first call.
+
+    Every call returns the same shared parser, which callers must not
+    mutate. It names the subcommand in ``command`` and binds no handler, so
+    ``main`` dispatches to the ``_cmd_*`` function of that name at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="entswap",
         description="Generalized entanglement swapping: sweeps, thresholds, "
@@ -221,34 +231,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lambda-start", type=float, default=0.0)
     p_sweep.add_argument("--lambda-stop", type=float, default=1.0)
     p_sweep.add_argument("--grid", type=int, default=101, help="number of lambda points")
-    p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_thresh = sub.add_parser("thresholds", help="classification intervals per pair and measure")
     add_common(p_thresh)
     p_thresh.add_argument("--grid", type=int, default=101, help="classification grid size")
     p_thresh.add_argument("--format", choices=("csv", "text"), default="text")
-    p_thresh.set_defaults(handler=_cmd_thresholds)
 
     p_analyze = sub.add_parser("analyze", help="run the protocol on a POVM from JSON")
     p_analyze.add_argument("--povm", required=True, help="path to a POVM JSON file")
     p_analyze.add_argument("--tol", type=float, default=1e-9)
     p_analyze.add_argument("--format", choices=("csv", "text"), default="text")
     p_analyze.add_argument("--out", default=None)
-    p_analyze.set_defaults(handler=_cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="check closed forms against the numeric engine")
     p_verify.add_argument("--case", choices=("I", "II", "III", "IV"), default=None)
     p_verify.add_argument("--grid", type=int, default=101)
     p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    handlers = {
+        "sweep": _cmd_sweep, "thresholds": _cmd_thresholds,
+        "analyze": _cmd_analyze, "verify": _cmd_verify,
+    }
     try:
-        return args.handler(args)
+        return handlers[args.command](args)
     except (EntswapError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -262,24 +263,42 @@ def povm_to_dict(p: Povm) -> dict:
 
 
 def _is_finite_number(v) -> bool:
-    # JSON booleans parse to bool, which is an int subclass.
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # JSON booleans parse to bool, which is an int subclass; an int beyond
+    # float range makes math.isfinite raise OverflowError.
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
-def povm_from_dict(data: dict) -> Povm:
-    """Parse the JSON schema produced by ``povm_to_dict``.
+def _effects_in_one_pass(raw_effects: list) -> np.ndarray | None:
+    """The (k, 4, 4) effects of a well-formed ``effects`` array in one
+    conversion, or None when any container is not exactly a list of the
+    schema's length or any number is not exactly a finite int or float.
 
-    Structural problems raise InvalidPovmError naming the effect index and
-    matrix position; use ``validate`` afterwards for the POVM invariants.
+    This accepts a subset of what the per-entry walk accepts and yields the
+    same bits: ``view(complex)`` pairs the floats as ``complex(re, im)`` does.
     """
-    if not isinstance(data, dict):
-        raise InvalidPovmError(f"expected a JSON object, got {type(data).__name__}")
-    label = data.get("label", "")
-    if not isinstance(label, str):
-        raise InvalidPovmError("'label' must be a string")
-    raw_effects = data.get("effects")
-    if not isinstance(raw_effects, list) or not raw_effects:
-        raise InvalidPovmError("'effects' must be a non-empty array")
+    items = raw_effects
+    for length in (4, 4, 2):  # rows per effect, entries per row, [re, im]
+        if set(map(type, items)) != {list} or set(map(len, items)) != {length}:
+            return None
+        items = [*chain.from_iterable(items)]
+    if not set(map(type, items)) <= {float, int}:
+        return None
+    try:
+        values = np.array(items, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(complex).reshape(-1, 4, 4)
+
+
+def _effects_by_walk(raw_effects: list) -> list[np.ndarray]:
+    """The effects entry by entry; raises InvalidPovmError at the first fault."""
     effects = []
     for i, raw in enumerate(raw_effects, start=1):
         if not isinstance(raw, list) or len(raw) != 4:
@@ -300,4 +319,27 @@ def povm_from_dict(data: dict) -> Povm:
                     )
                 matrix[r, c] = complex(entry[0], entry[1])
         effects.append(matrix)
+    return effects
+
+
+def povm_from_dict(data: dict) -> Povm:
+    """Parse the JSON schema produced by ``povm_to_dict``.
+
+    Structural problems raise InvalidPovmError naming the effect index and
+    matrix position; use ``validate`` afterwards for the POVM invariants.
+    Well-formed effects are converted in one pass; anything else goes
+    through the per-entry walk, which words the rejection (or accepts
+    subclasses of list, int and float).
+    """
+    if not isinstance(data, dict):
+        raise InvalidPovmError(f"expected a JSON object, got {type(data).__name__}")
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise InvalidPovmError("'label' must be a string")
+    raw_effects = data.get("effects")
+    if not isinstance(raw_effects, list) or not raw_effects:
+        raise InvalidPovmError("'effects' must be a non-empty array")
+    effects = _effects_in_one_pass(raw_effects)
+    if effects is None:
+        effects = _effects_by_walk(raw_effects)
     return Povm(tuple(effects), label=label)

@@ -4,6 +4,7 @@ test modules."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -75,6 +76,8 @@ _NOT_NUMBER_OR_ARRAY = st.one_of(
     st.none(),
     st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
 )
+# JSON integers that no float can hold.
+_BEYOND_FLOAT = st.sampled_from([10**400, -10**400])
 _FINITE = st.integers(-2, 2) | st.floats(-2.0, 2.0)
 
 
@@ -109,7 +112,7 @@ def malformed_povm_payloads(draw):
         index = draw(st.integers(0, len(parent) - 1))
     old = parent[index]
     if depth == "component":
-        parent[index] = draw(_NOT_NUMBER_OR_ARRAY | st.lists(_FINITE, max_size=2))
+        parent[index] = draw(_NOT_NUMBER_OR_ARRAY | _BEYOND_FLOAT | st.lists(_FINITE, max_size=2))
         return payload
     lengths = st.integers(0, len(old) + 2).filter(lambda n: n != len(old))
     parent[index] = draw(st.one_of(
@@ -120,6 +123,50 @@ def malformed_povm_payloads(draw):
         st.just(old[0]),  # one level less
     ))
     return payload
+
+
+def _finite_number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
+def povm_from_dict_walk(data: dict) -> Povm:
+    """``povm.povm_from_dict`` as one check and one ``complex`` per entry,
+    kept as the reference for its one-pass conversion. An integer beyond
+    float range counts as a number that is not finite."""
+    if not isinstance(data, dict):
+        raise InvalidPovmError(f"expected a JSON object, got {type(data).__name__}")
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise InvalidPovmError("'label' must be a string")
+    raw_effects = data.get("effects")
+    if not isinstance(raw_effects, list) or not raw_effects:
+        raise InvalidPovmError("'effects' must be a non-empty array")
+    effects = []
+    for i, raw in enumerate(raw_effects, start=1):
+        if not isinstance(raw, list) or len(raw) != 4:
+            raise InvalidPovmError(f"effect {i}: expected 4 rows")
+        matrix = np.zeros((4, 4), dtype=complex)
+        for r, row in enumerate(raw):
+            if not isinstance(row, list) or len(row) != 4:
+                raise InvalidPovmError(f"effect {i}, row {r}: expected 4 entries")
+            for c, entry in enumerate(row):
+                if (
+                    not isinstance(entry, list)
+                    or len(entry) != 2
+                    or not all(_finite_number(v) for v in entry)
+                ):
+                    raise InvalidPovmError(
+                        f"effect {i}, row {r}, column {c}: "
+                        "expected an [re, im] pair of finite numbers"
+                    )
+                matrix[r, c] = complex(entry[0], entry[1])
+        effects.append(matrix)
+    return Povm(tuple(effects), label=label)
 
 
 def run_swap_per_effect(p: Povm) -> list:

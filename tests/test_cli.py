@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from entswap import Povm, analysis, asymmetric_povm, povm_to_dict, sweep, werner_bell_povm
 from entswap.analysis import SweepConfig
-from entswap.cli import SWEEP_HEADER, main
+from entswap.cli import SWEEP_HEADER, build_parser, main
 from helpers import malformed_povm_payloads, sweep_csv_per_field
 
 I4 = np.eye(4, dtype=complex)
@@ -271,3 +273,73 @@ def test_linalg_error_exits_one(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "sweep", "--case", "I")
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: Eigenvalues did not converge"]
+
+
+def test_analyze_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"label": "caf\u00e9"}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, "analyze", "--povm", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read POVM file: 'utf-8' codec can't decode byte 0xe9")
+    assert len(err.splitlines()) == 1
+
+
+def test_analyze_deeply_nested_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, "analyze", "--povm", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read POVM file: maximum recursion depth exceeded")
+    assert len(err.splitlines()) == 1
+
+
+def test_analyze_integer_beyond_float_range_exits_three(tmp_path, capsys):
+    payload = povm_to_dict(werner_bell_povm(0.5))
+    payload["effects"][1][3][0] = [1, 10**400]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "analyze", "--povm", str(path))
+    assert code == 3 and out == ""
+    assert err == (
+        "invalid POVM: effect 2, row 3, column 0: "
+        "expected an [re, im] pair of finite numbers\n"
+    )
+
+
+def _in_process(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    done = subprocess.run(
+        [sys.executable, "-m", "entswap.cli", *argv], capture_output=True, env=env, check=False
+    )
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this width
+    path = tmp_path / "werner.json"
+    path.write_text(json.dumps(povm_to_dict(werner_bell_povm(0.5))))
+    calls = [
+        ["sweep", "--case", "II", "--x", "0.5", "--grid", "3", "--tol", "1e-6"],
+        ["sweep", "--case", "II", "--grid", "3"],
+        ["sweep", "--case", "V"],
+        ["analyze", "--povm", str(path), "--format", "csv"],
+        ["analyze", "--povm", str(path)],
+        ["thresholds", "--case", "I", "--grid", "5"],
+    ]
+    results = [_in_process(argv) for argv in calls]
+    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0, 0]
+    assert results[0][1] != results[1][1]
+    for argv, result in zip(calls, results):
+        assert result == _fresh_process(argv), argv

@@ -3,11 +3,16 @@
 Each golden file holds the stdout of one command. A change that alters an
 output on purpose regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and lists the change in
-CHANGES.md; any other change must leave every byte as it is.
+CHANGES.md; any other change must leave every byte as it is. One command
+per subcommand also runs as ``python -m entswap.cli`` in a new process, so a
+one-shot process and the parser that ``main`` reuses within a process are
+held to the same bytes.
 """
 
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -16,7 +21,9 @@ import pytest
 from entswap import asymmetric_povm, povm_to_dict, werner_bell_povm
 from entswap.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(TESTS, "golden")
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 POVMS = {
     "werner_bell_0.5": lambda: werner_bell_povm(0.5),
@@ -44,13 +51,19 @@ def commands() -> list[tuple[str, list[str]]]:
     return out
 
 
+def _with_povm_file(argv: list[str], work: str) -> list[str]:
+    """``argv`` with the POVMS name of an ``analyze`` replaced by a JSON file."""
+    if argv[0] != "analyze":
+        return argv
+    path = os.path.join(work, f"{argv[2]}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(povm_to_dict(POVMS[argv[2]]()), fh)
+    return [*argv[:2], path, *argv[3:]]
+
+
 def run(argv: list[str], work: str) -> str:
     """The stdout of a command, which must exit 0 with nothing on stderr."""
-    if argv[0] == "analyze":
-        path = os.path.join(work, f"{argv[2]}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(povm_to_dict(POVMS[argv[2]]()), fh)
-        argv = [*argv[:2], path, *argv[3:]]
+    argv = _with_povm_file(argv, work)
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -62,6 +75,24 @@ def run(argv: list[str], work: str) -> str:
 def test_output_matches_golden_file(name, argv, tmp_path):
     with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
         assert run(argv, str(tmp_path)) == fh.read()
+
+
+SUBPROCESS = [
+    "sweep_III_grid11.csv", "thresholds_II_grid21.txt", "verify_grid11.txt",
+    "analyze_asymmetric_0.725_0.9.csv",
+]
+
+
+@pytest.mark.parametrize("name", SUBPROCESS)
+def test_one_shot_process_matches_golden_file(name, tmp_path):
+    argv = _with_povm_file(dict(commands())[name], str(tmp_path))
+    done = subprocess.run(
+        [sys.executable, "-m", "entswap.cli", *argv], capture_output=True,
+        env={**os.environ, "PYTHONPATH": SRC}, check=False,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        assert done.stdout == fh.read()
 
 
 if __name__ == "__main__":

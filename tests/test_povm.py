@@ -21,7 +21,7 @@ from entswap import (
     werner_bell_povm,
 )
 from entswap.povm import validate
-from helpers import malformed_povm_payloads, random_povm, rng
+from helpers import malformed_povm_payloads, povm_from_dict_walk, random_povm, rng
 
 I4 = np.eye(4, dtype=complex)
 LAMBDA_GRID = np.linspace(0.0, 1.0, 11)
@@ -194,6 +194,84 @@ def test_json_rejects_non_finite_and_boolean_entries(entry):
 def test_json_rejects_malformed_payloads(payload):
     with pytest.raises(InvalidPovmError):
         povm_from_dict(json.loads(json.dumps(payload)))
+
+
+def test_json_rejects_integers_beyond_float_range():
+    payload = json.loads(json.dumps(povm_to_dict(werner_bell_povm(0.5))))
+    payload["effects"][0][1][2] = [10**400, 0]
+    with pytest.raises(
+        InvalidPovmError,
+        match=r"^effect 1, row 1, column 2: expected an \[re, im\] pair of finite numbers$",
+    ):
+        povm_from_dict(payload)
+
+
+def _parsed(parse, payload):
+    """The label and effect bits ``parse`` gives, or its exception type and message."""
+    try:
+        p = parse(payload)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return p.label, np.array(p.effects).view(np.uint64).tolist()
+
+
+# Floats of every magnitude (with -0.0 and subnormals), ints up to 2**63 and
+# ints far beyond it that a float still holds.
+_COMPONENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2**63, -(2**63), 2**1023]),
+    st.integers(-(2**63), 2**63),
+    st.integers(-(2**1000), 2**1000),
+)
+
+
+def _exactly(n, elements):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+_WELL_FORMED = st.fixed_dictionaries(
+    {"effects": st.lists(_exactly(4, _exactly(4, _exactly(2, _COMPONENTS))), min_size=1,
+                         max_size=6)},
+    optional={"label": st.text(max_size=8)},
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_WELL_FORMED)
+def test_json_parse_is_bitwise_the_walk_on_well_formed_payloads(payload):
+    parsed = _parsed(povm_from_dict, payload)
+    assert isinstance(parsed[0], str)
+    assert parsed == _parsed(povm_from_dict_walk, payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_povm_payloads())
+def test_json_parse_rejects_malformed_payloads_as_the_walk_does(payload):
+    parsed = _parsed(povm_from_dict, payload)
+    assert parsed[0] is InvalidPovmError
+    assert parsed == _parsed(povm_from_dict_walk, payload)
+
+
+class _Row(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "replace",
+    [
+        pytest.param(lambda e: e[0][1].__setitem__(2, (0.25, 0.0)), id="tuple-entry"),
+        pytest.param(lambda e: e[1].__setitem__(3, np.array(e[1][3])), id="ndarray-row"),
+        pytest.param(lambda e: e.__setitem__(2, tuple(e[2])), id="tuple-effect"),
+        pytest.param(lambda e: e[0][0].__setitem__(0, [np.float64(0.25), np.int64(0)]),
+                     id="numpy-scalars"),
+        pytest.param(lambda e: e[3].__setitem__(1, _Row(e[3][1])), id="list-subclass"),
+        pytest.param(lambda e: e[2][2][2].__setitem__(0, np.bool_(True)), id="numpy-bool"),
+    ],
+)
+def test_json_parse_of_other_python_types_matches_the_walk(replace):
+    payload = povm_to_dict(werner_bell_povm(0.5))
+    replace(payload["effects"])
+    assert _parsed(povm_from_dict, payload) == _parsed(povm_from_dict_walk, payload)
 
 
 def _reference_werner_bell(lam):
