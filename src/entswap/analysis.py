@@ -9,11 +9,13 @@ classification and extremum search) runs the whole grid as stacked arrays
 through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
 ``measures.report_stack``). Threshold bisection runs on the same engine
 (``_bisect_signed`` with ``bisect``, an in-repo copy of
-``scipy.optimize.bisect``): one stacked call covers the next four bisection
-steps of every open bracket, by evaluating all 15 midpoints they can reach
-and then taking scipy's steps through them. ``_outcome_values`` gives the
-quantifiers of all outcomes of one ``run_swap`` call (``entswap analyze``)
-from one ``measures.report_stack`` call. The scalar 16-dimensional
+``scipy.optimize.bisect``): each stacked call evaluates, for every open
+bracket, the midpoints of as many of its next four steps as keep it at four
+steps per call, and the path its steps take below them if the root is at a
+regula falsi estimate, and then takes scipy's steps through them until one
+leaves the path. ``_outcome_values`` gives the quantifiers of all outcomes
+of one ``run_swap`` call (``entswap analyze``) from one
+``measures.report_stack`` call. The scalar 16-dimensional
 pipeline, ``run_swap`` plus ``measures``, stays the oracle: it re-checks
 the last point of every grid scan, both ends of every bisected root's final
 bracket and one pair state of every ``_outcome_values`` call, and it runs
@@ -385,13 +387,20 @@ def _signed_pair_value(builder, lam: float, pair: str, measure: str) -> float:
 
 
 # scipy.optimize.bisect's default relative tolerance, 4 machine epsilons.
-_RTOL = 4 * np.finfo(float).eps
+_RTOL = 4 * float(np.finfo(float).eps)
 # Steps a bisection may take before it gives up.
 _MAXITER = 200
-# Bisection steps each call to f covers: it evaluates every midpoint the next
-# _LEVELS steps can reach, 2**_LEVELS - 1 per open bracket. _MAXITER is a
-# multiple of it, so the last allowed step ends a call.
+# Steps per call a bracket keeps pace with: after c calls it has taken at
+# least _LEVELS * c steps, or stopped, as with a full subtree of _LEVELS
+# levels (2**_LEVELS - 1 midpoints) per call. Each call evaluates as many
+# levels of that subtree as it needs to keep the pace, none when earlier
+# calls are ahead of it, and below them one predicted path.
 _LEVELS = 4
+# A call follows the predicted path below its subtree for at most this many
+# times the steps the bracket's previous call took (the first call follows
+# it down to xtol), so a path that keeps failing costs at most 2 points per
+# step taken.
+_REACH = 2
 
 
 class Bisection(NamedTuple):
@@ -405,7 +414,7 @@ class Bisection(NamedTuple):
     fb: np.ndarray
 
 
-def bisect(f, a, b, fa, fb, xtol: float) -> Bisection:
+def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
     """``scipy.optimize.bisect`` step for step, on several brackets at once.
 
     ``fa`` and ``fb`` are the function values at the ends ``a`` and ``b``;
@@ -415,15 +424,23 @@ def bisect(f, a, b, fa, fb, xtol: float) -> Bisection:
     to xm when f(xm) * f(a) >= 0 with f(a) the value at the first end, and
     stop with xm when f(xm) == 0 or |dm| < xtol + 4 eps |xm|.
 
-    One call to f covers the next _LEVELS steps of every open bracket. It
-    takes the bracket's subtree of midpoints in heap order: node i, at
-    a_i + dm (dm halved once per level), has the children 2i + 1, which
-    keeps a_i, and 2i + 2, which moves a to the node's midpoint; ``rows``
-    repeats each bracket's index once per node. The subtree stops at the
-    first level where |dm| < xtol for every open bracket, since the walk
-    stops on that level at the latest. The rule above then walks
-    down the subtree, and the nodes it does not reach are discarded, so the
-    roots, final brackets and values are those of one step per call.
+    Each call to f evaluates, for every open bracket, the midpoints of the
+    full subtree of its next d steps, d = _LEVELS * (calls + 1) - steps
+    taken (4 on the first call, at most 4, 0 when ahead), and, below them,
+    the path its steps take if the root is at an estimate r, down to the
+    first level where |dm| < xtol, where the steps stop at the latest, and
+    at most _REACH times as many levels as the previous call took steps
+    (see ``_Bracket.speculate``). ``rows`` repeats each bracket's index once
+    per point. The rule above then walks down these points; a bracket's
+    walk ends for the call at the first step whose sign differs from the
+    prediction below the subtree. So a root of n steps takes at most
+    ceil(n / 4) calls, as with the full four-level subtree per call, and at
+    most 15 ceil(n / 4) + 3n points however the signs fall; one call
+    suffices when r is close enough. Points the walk does not reach are
+    discarded, so the roots, final brackets and values are those of one
+    step per call. r is ``guess`` (one per bracket, NaN for none) at first,
+    or else regula falsi on the ends, and regula falsi on the new bracket
+    after each call, so its error about squares per call on a smooth f.
     Brackets whose ends have the same sign, a NaN at a point the walk
     reaches, and brackets still open after _MAXITER steps raise.
     """
@@ -432,44 +449,110 @@ def bisect(f, a, b, fa, fb, xtol: float) -> Bisection:
     fa, fb = (_not_nan(np.array(v, dtype=float, ndmin=1), x) for v, x in ((fa, a), (fb, b)))
     for i in np.flatnonzero(fa * fb > 0):
         raise NoBracketError(f"f has the same sign at {float(a[i])!r} and {float(b[i])!r}")
-    f_start, dm = fa.copy(), b - a
+    guesses = np.broadcast_to(np.asarray(guess, dtype=float), a.shape).tolist()
+    brackets = [
+        _Bracket(int(i), *map(float, (a[i], b[i], fa[i], fb[i])), guesses[i])
+        for i in np.flatnonzero((fa != 0) & (fb != 0))
+    ]
     root = np.where(fa == 0, a, b)
-    open_ = (fa != 0) & (fb != 0)
-    for _ in range(_MAXITER // _LEVELS):
-        rows = np.flatnonzero(open_)
-        if rows.size == 0:
-            break
-        # The midpoints of each level, from the a of every node on it.
-        starts, xm, dms = a[rows, None], [], []
-        for _ in range(_LEVELS):
-            dm[rows] *= 0.5
-            dms.append(dm[rows])
-            xm.append(starts + dm[rows, None])
-            starts = np.stack([starts, xm[-1]], axis=-1).reshape(rows.size, -1)
-            # Every node of this level ends the walk, so none below it is reached.
-            if (np.abs(dms[-1]) < xtol).all():
-                break
-        xm = np.concatenate(xm, axis=1)
-        fm = np.asarray(f(xm.ravel(), np.repeat(rows, xm.shape[1])), dtype=float)
-        fm = fm.reshape(xm.shape)
-        node, live = np.zeros(rows.size, dtype=int), np.arange(rows.size)
-        for dm_level in dms:
-            r, x = rows[live], xm[live, node[live]]
-            v = _not_nan(fm[live, node[live]], x)
-            move = v * f_start[r] >= 0
-            a[r[move]], fa[r[move]] = x[move], v[move]
-            b[r[~move]], fb[r[~move]] = x[~move], v[~move]
-            done = (v == 0) | (np.abs(dm_level[live]) < xtol + _RTOL * np.abs(x))
-            root[r[done]] = x[done]
-            open_[r[done]] = False
-            node[live] = 2 * node[live] + 1 + move
-            live = live[~done]
-    for i in np.flatnonzero(open_):
-        raise EntswapError(
-            f"bisection did not converge in {_MAXITER} iterations, "
-            f"bracket [{float(a[i])!r}, {float(b[i])!r}]"
+    while walks := [w for w in brackets if w.root is None and w.steps < _MAXITER]:
+        points = [w.speculate(xtol) for w in walks]
+        rows = np.repeat([w.index for w in walks], [len(x) for x in points])
+        values = np.asarray(f(np.concatenate(points), rows), dtype=float).tolist()
+        start = 0
+        for w, x in zip(walks, points):
+            w.walk(values[start:start + len(x)], xtol)
+            start += len(x)
+    for w in brackets:
+        if w.root is None:
+            raise EntswapError(
+                f"bisection did not converge in {_MAXITER} iterations, "
+                f"bracket [{w.a!r}, {w.b!r}]"
+            )
+        root[w.index], a[w.index], b[w.index], fa[w.index], fb[w.index] = (
+            w.root, w.a, w.b, w.fa, w.fb
         )
     return Bisection(root, a, b, fa, fb)
+
+
+class _Bracket:
+    """One open bracket of ``bisect``, in Python floats: its ends and their
+    values, the value at the first end, dm, the steps and calls taken, the
+    path levels the next call may follow, the root estimate r, and the root
+    once the steps stop."""
+
+    def __init__(self, index: int, a: float, b: float, fa: float, fb: float, guess: float):
+        self.index, self.a, self.b, self.fa, self.fb = index, a, b, fa, fb
+        self.f_start, self.dm, self.steps, self.root = fa, b - a, 0, None
+        self.calls, self.reach = 0, float("inf")
+        self.estimate = _estimate(a, b, guess if guess == guess else _regula_falsi(a, b, fa, fb))
+
+    def speculate(self, xtol: float) -> list[float]:
+        """The points of the next call, from level 1 down: the subtree of
+        ``self.depth`` levels in heap order (the children of the midpoint
+        a + dm keep a, then move it to the midpoint), then one point per level
+        on the predicted path, where a moves to a midpoint on the first end's
+        side of r, for ``self.reach`` levels at most. Stops at the first level
+        where |dm| < xtol or the steps run out. Keeps, per level, dm, the
+        index of its first point and the predicted move."""
+        self.depth = max(0, _LEVELS * (self.calls + 1) - self.steps)
+        points, self.levels = [], []
+        tree, start, dm, r = [self.a], self.a, self.dm, self.estimate
+        while True:
+            dm *= 0.5
+            x = start + dm
+            move = r >= x if dm > 0 else r <= x
+            self.levels.append((dm, len(points), move))
+            if len(self.levels) <= self.depth:
+                level = [s + dm for s in tree]
+                tree = [t for pair in zip(tree, level) for t in pair]
+                points += level
+            else:
+                points.append(x)
+            if move:
+                start = x
+            if (
+                not abs(dm) >= xtol
+                or self.steps + len(self.levels) >= _MAXITER
+                or len(self.levels) >= self.depth + self.reach
+            ):
+                self.points = points
+                return points
+
+    def walk(self, values: list[float], xtol: float) -> None:
+        """Take the steps through ``values``, f at ``self.points``, until the
+        root or the first step off the evaluated points."""
+        node, on_path, before = 0, True, self.steps
+        self.calls += 1
+        for k, (dm, first, predicted) in enumerate(self.levels):
+            if k >= self.depth and not on_path:
+                break
+            i = first + (node if k < self.depth else 0)
+            x, v = self.points[i], values[i]
+            if v != v:
+                raise EntswapError(f"the function value at x={x!r} is NaN")
+            move = v * self.f_start >= 0
+            if move:
+                self.a, self.fa = x, v
+            else:
+                self.b, self.fb = x, v
+            self.dm, self.steps = dm, self.steps + 1
+            if v == 0 or abs(dm) < xtol + _RTOL * abs(x):
+                self.root = x
+                return
+            node, on_path = 2 * node + move, on_path and move == predicted
+        self.reach = _REACH * (self.steps - before)
+        self.estimate = _estimate(self.a, self.b, _regula_falsi(self.a, self.b, self.fa, self.fb))
+
+
+def _regula_falsi(a: float, b: float, fa: float, fb: float) -> float:
+    """Where the chord from (a, fa) to (b, fb) crosses 0; NaN if fb == fa."""
+    return a - fa * (b - a) / (fb - fa) if fb != fa else float("nan")
+
+
+def _estimate(a: float, b: float, x: float) -> float:
+    """``x`` clipped into the bracket [a, b], or its midpoint if x is NaN."""
+    return min(max(x, min(a, b)), max(a, b)) if x == x else a + (b - a) / 2
 
 
 def _not_nan(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -504,10 +587,12 @@ def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float
 
     The 10 monotonicity probes of every bracket, the first and last of which
     are its ends, are one stacked engine call, as is each call of ``bisect``
-    over the open brackets. A bracket whose ends lie on the same side of the
-    offset raises, in query order; a non-monotone one warns. At both ends of
-    each root's final bracket the scalar pipeline must give the engine's
-    signed value within VERIFY_TOL.
+    over the open brackets. The first root estimate of each bracket is
+    regula falsi between the two probes about its first sign change. A
+    bracket whose ends lie on the same side of the offset raises, in query
+    order; a non-monotone one warns. At both ends of each root's final
+    bracket the scalar pipeline must give the engine's signed value within
+    VERIFY_TOL.
     """
     builder = _builder_for(case, x)
     pairs = np.array([PAIRS.index(q[0]) for q in queries])
@@ -537,7 +622,14 @@ def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float
     def f(lams, rows):
         return _signed_values(case, x, builder, lams, pairs[rows], columns[rows]) - offsets[rows]
 
-    result = bisect(f, lo, hi, probe[:, 0], probe[:, -1], tol)
+    # The first root estimates: regula falsi between the first probe on the
+    # other side of the offset (or on it) and the probe before it.
+    crossings = (np.argmax(probe[:, 1:] * probe[:, :1] <= 0.0, axis=-1) + 1).tolist()
+    guess = [
+        _regula_falsi(lams[k - 1], lams[k], values[k - 1], values[k])
+        for lams, values, k in zip(probes.tolist(), probe.tolist(), crossings)
+    ]
+    result = bisect(f, lo, hi, probe[:, 0], probe[:, -1], tol, guess)
     for i, (pair, measure, _, _, offset) in enumerate(queries):
         for lam, value in ((result.a[i], result.fa[i]), (result.b[i], result.fb[i])):
             with _at_lambda(lam):
@@ -560,8 +652,10 @@ def find_threshold(
     outcome's conditional state, so the root is a genuine sign change rather
     than the edge of a clamped-to-zero plateau. It takes the steps of
     ``scipy.optimize.bisect`` at xtol ``tol``, and returns its root bit for
-    bit, but evaluates on the batched engine, four steps' midpoints per
-    stacked call; the scalar pipeline checks the final bracket's ends.
+    bit, but evaluates on the batched engine, in stacked calls that take at
+    least four steps each on average, and all of them when the root
+    estimate is close (see ``bisect``); the scalar pipeline checks the final
+    bracket's ends.
     Monotonicity over the bracket is the caller's responsibility; a 10-point
     sub-grid check emits NonMonotoneWarning when it looks violated.
     """

@@ -37,12 +37,16 @@ def _fmt(value: float | None) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    """Write to stdout, or atomically to a file (temp write, then rename)."""
+    """Write to stdout, or atomically to a file (temp write, then rename).
+    An error creating the temp file names ``out_path``, not the temp file."""
     if out_path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp", text=True)
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp", text=True)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, out_path) from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import struct
@@ -92,6 +93,14 @@ def test_sweep_writes_file_atomically(tmp_path, capsys):
     lines = target.read_text().strip().splitlines()
     assert len(lines) == 1 + 3 * 4 * 3
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_sweep_into_a_missing_directory_names_the_out_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "sweep", "--case", "I", "--grid", "2", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(target)!r}\n"
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_sweep_compute_error_leaves_no_file(tmp_path, capsys):

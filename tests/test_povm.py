@@ -64,6 +64,39 @@ def test_povm_structure_enforced():
         Povm((np.eye(2),))
 
 
+@pytest.mark.parametrize(
+    "effects, message",
+    [
+        ((I4, np.eye(2)), "effect 2: expected a 4x4 matrix, got shape (2, 2)"),
+        ((I4, I4[None]), "effect 2: expected a 4x4 matrix, got shape (1, 4, 4)"),
+        ((I4, 1.0), "effect 2: expected a 4x4 matrix, got shape ()"),
+        ((I4, I4, np.zeros((4, 5))), "effect 3: expected a 4x4 matrix, got shape (4, 5)"),
+        ((np.eye(2), np.eye(2)), "effect 1: expected a 4x4 matrix, got shape (2, 2)"),
+    ],
+    ids=["ragged-2x2", "ragged-3d", "ragged-scalar", "ragged-4x5", "all-2x2"],
+)
+def test_povm_names_the_first_effect_that_is_not_4x4(effects, message):
+    with pytest.raises(InvalidPovmError) as raised:
+        Povm(effects)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("as_stack", [False, True], ids=["tuple", "stack"])
+def test_povm_effects_are_read_only_copies(as_stack):
+    caller = [I4 / 4 + 0.01 * k * np.diag([1, -1, 0, 0]) for k in range(4)]
+    given_effects = np.array(caller) if as_stack else tuple(caller)
+    povm = Povm(given_effects)
+    expected = [effect.copy() for effect in caller]
+    for k, effect in enumerate(povm.effects):
+        assert effect.dtype == complex and effect.shape == (4, 4)
+        assert not effect.flags.writeable
+        with pytest.raises(ValueError):
+            effect[0, 0] = 1.0
+        assert not np.shares_memory(effect, given_effects if as_stack else caller[k])
+    (given_effects[0] if as_stack else caller[0])[0, 0] = 7.0
+    assert all(np.array_equal(e, x) for e, x in zip(povm.effects, expected))
+
+
 def test_werner_bell_povm_limits():
     projective = werner_bell_povm(1.0)
     for k, effect in enumerate(projective.effects, start=1):

@@ -11,6 +11,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entswap
 from entswap import (
@@ -51,7 +53,7 @@ def signed_closed_form(x, pair: str, measure: str):
 
 def one_bracket(f, lo, hi, tol):
     g = lambda x, rows: np.array([f(v) for v in x])
-    return analysis.bisect(g, lo, hi, f(lo), f(hi), tol).root[0]
+    return analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan).root[0]
 
 
 def random_brackets(count: int):
@@ -85,7 +87,7 @@ def test_vectorized_bisect_equals_one_bracket_runs():
         g = lambda x, rows: np.array([fs[r](v) for v, r in zip(x, rows)])
         lo, hi = np.array([b[1] for b in group]), np.array([b[2] for b in group])
         f_lo, f_hi = [f(v) for f, v in zip(fs, lo)], [f(v) for f, v in zip(fs, hi)]
-        result = analysis.bisect(g, lo, hi, f_lo, f_hi, tol)
+        result = analysis.bisect(g, lo, hi, f_lo, f_hi, tol, np.nan)
         single = [one_bracket(f, a, b, tol) for f, a, b in group]
         assert len(group) > 20
         assert result.root.tolist() == single
@@ -139,25 +141,187 @@ def counted(f):
     return g
 
 
+def scipy_path(f, lo, hi, tol):
+    """The midpoints ``scipy.optimize.bisect`` evaluates, in order."""
+    points = []
+
+    def record(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        scipy.optimize.bisect(record, lo, hi, xtol=tol, maxiter=200)
+    except RuntimeError:
+        pass
+    return points[2:]  # after f(lo) and f(hi)
+
+
+def step_function(c: float):
+    """-1e-12 below c and 1 from c on: regula falsi puts every estimate
+    next to the small end, so the predicted path is mostly wrong."""
+    return lambda lam: 1.0 if lam >= c else -1e-12
+
+
 @pytest.mark.parametrize("steps", [1, 4, 5, 30, 199, 200, 201])
 def test_bisect_calls_f_once_per_four_steps(steps):
-    # As in the maxiter test: f(x) = x on [-1, 0.5] converges at step k.
+    # As in the maxiter test: f with the signs of x on [-1, 0.5] converges at
+    # step k. Its steps alternate, a moves at every other one, and the
+    # estimate next to a predicts that a never moves, so every call leaves
+    # the path inside its subtree: each call takes exactly four steps.
+    f, lo, hi = step_function(0.0), -1.0, 0.5
+    tol = 1.5 * (1.5 * 2.0**-steps)
+    g = counted(f)
+    if steps <= 200:
+        root = analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan).root[0]
+        assert root == scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200)
+    else:
+        with pytest.raises(EntswapError, match="did not converge in 200 iterations"):
+            analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan)
+    assert len(g.calls) == min(-(-steps // 4), 50)
+    # The first call takes the midpoints of the next four levels, heap-ordered,
+    # then one predicted point per level down to the first level where
+    # |dm| < tol, here level min(steps, 200).
+    heap = (8, 4, 12, 2, 6, 10, 14, 1, 3, 5, 7, 9, 11, 13, 15)[: 2 ** min(4, steps) - 1]
+    x, rows = g.calls[0]
+    assert rows.tolist() == [0] * x.size
+    assert x[: len(heap)].tolist() == [lo + 1.5 * k / 16 for k in heap]
+    assert x.size == len(heap) + max(0, min(steps, 200) - 4)
+
+
+@pytest.mark.parametrize("steps", [1, 4, 5, 30, 199, 200, 201])
+def test_bisect_linear_f_takes_one_call(steps):
+    # f(x) = x on [-1, 0.5] converges at step k. Regula falsi on the ends
+    # puts the estimate at the root, 0, so one call covers every step, at
+    # most 200.
     f, lo, hi = (lambda lam: lam), -1.0, 0.5
     tol = 1.5 * (1.5 * 2.0**-steps)
     g = counted(f)
     if steps <= 200:
-        root = analysis.bisect(g, lo, hi, f(lo), f(hi), tol).root[0]
+        root = analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan).root[0]
         assert root == scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200)
     else:
         with pytest.raises(EntswapError, match="did not converge in 200 iterations"):
-            analysis.bisect(g, lo, hi, f(lo), f(hi), tol)
-    assert len(g.calls) == min(-(-steps // 4), 50)
-    # Each call takes the midpoints of the next four levels, heap-ordered,
-    # down to the first level where |dm| < tol, here level min(4, steps).
+            analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan)
+    assert len(g.calls) == 1
+    # The call takes the four-level subtree, heap-ordered, then scipy's path
+    # below it, down to the first level where |dm| < tol, here min(steps, 200).
+    path = scipy_path(f, lo, hi, tol)
+    assert len(path) == min(steps, 200)
     heap = (8, 4, 12, 2, 6, 10, 14, 1, 3, 5, 7, 9, 11, 13, 15)[: 2 ** min(4, steps) - 1]
     x, rows = g.calls[0]
-    assert rows.tolist() == [0] * len(heap)
-    assert x.tolist() == [lo + 1.5 * k / 16 for k in heap]
+    assert x.tolist() == [lo + 1.5 * k / 16 for k in heap] + path[4:]
+    assert rows.tolist() == [0] * x.size
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, tol, guess",
+    [
+        (lambda lam: lam - 0.3, 0.0, 1.0, 1e-12, 0.9),  # wrong guess
+        (lambda lam: lam - 0.3, 0.0, 1.0, 1e-12, 0.0),  # guess on an end
+        (lambda lam: lam - 0.3, 0.0, 1.0, 1e-12, 7.0),  # guess outside, clipped
+        (lambda lam: lam - 0.3, 0.0, 1.0, 1e-12, float("nan")),  # falls back
+        (step_function(0.3), 0.0, 1.0, 1e-12, float("nan")),
+        (step_function(0.7), 1.0, 0.0, 1e-11, float("nan")),  # reversed bracket
+        (step_function(0.123456789), 0.0, 1.0, 1e-15, 0.999),
+        (step_function(0.0), -1.0, 0.5, 1.5 * 1.5 * 2.0**-200, float("nan")),  # 200 steps
+        (lambda lam: np.expm1(40.0 * (lam - 0.9)), 0.0, 1.0, 1e-12, float("nan")),
+        (lambda lam: np.cbrt(lam - 0.61), 0.0, 1.0, 1e-13, 0.01),
+        (lambda lam: lam, -1.0, 0.5, 1.5 * 1.5 * 2.0**-200, 0.5),  # the last allowed step
+    ],
+)
+def test_bisect_takes_at_least_four_steps_per_call(f, lo, hi, tol, guess):
+    # A wrong estimate costs points, never calls: a root of n steps takes at
+    # most the ceil(n / 4) calls of a full four-level subtree per call, and
+    # at most 15 points per call plus 3 per step.
+    root, info = scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200, full_output=True)
+    g = counted(f)
+    result = analysis.bisect(g, lo, hi, f(lo), f(hi), tol, guess)
+    assert result.root[0] == root
+    calls = -(-info.iterations // 4)
+    assert len(g.calls) <= calls
+    assert sum(x.size for x, _ in g.calls) <= 15 * calls + 3 * info.iterations
+
+
+def test_bisect_runs_out_of_iterations_on_a_wrong_guess():
+    # f has the signs of x on [-1, 0.5], so it needs step 201, as in the maxiter test.
+    f, lo, hi, tol = step_function(0.0), -1.0, 0.5, 1.5 * (1.5 * 2.0**-201)
+    with pytest.raises(RuntimeError):
+        scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200)
+    g = counted(f)
+    with pytest.raises(EntswapError) as raised:
+        analysis.bisect(g, lo, hi, f(lo), f(hi), tol, 0.4)
+    assert str(raised.value).startswith("bisection did not converge in 200 iterations, bracket [")
+    assert 2 <= len(g.calls) <= 50
+
+
+def stepwise_bisect(f, a, b, fa, fb, xtol):
+    """The steps of ``scipy.optimize.bisect``, one evaluation each, with the
+    final bracket: (root, a, b, fa, fb) as ``analysis.Bisection`` gives them."""
+    if fa == 0 or fb == 0:
+        return (a if fa == 0 else b), a, b, fa, fb
+    f_start, dm = fa, b - a
+    for _ in range(200):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * f_start >= 0:
+            a, fa = xm, fm
+        else:
+            b, fb = xm, fm
+        if fm == 0 or abs(dm) < xtol + 4 * np.finfo(float).eps * abs(xm):
+            return xm, a, b, fa, fb
+    raise AssertionError("no convergence")
+
+
+@st.composite
+def smooth_brackets(draw):
+    """(f, lo, hi, root) with f smooth and of opposite signs at lo and hi."""
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(1e-6, 3.0))
+    root = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    slope = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["cubic", "expm1", "tanh"]))
+    bend = draw(st.floats(0.0, 30.0))
+    if kind == "cubic":
+        f = lambda lam: slope * ((lam - root) + bend * (lam - root) ** 3)
+    elif kind == "expm1":
+        f = lambda lam: slope * float(np.expm1(bend * (lam - root))) + slope * (lam - root)
+    else:
+        f = lambda lam: slope * float(np.tanh((1.0 + bend) * (lam - root)))
+    return f, lo, hi, root
+
+
+guesses = st.sampled_from(["good", "bad", "outside", "nan"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(smooth_brackets(), guesses), min_size=1, max_size=4),
+    st.sampled_from(TOLS + (1e-13, 1e-3)),
+)
+def test_bisect_equals_the_stepwise_algorithm(brackets, tol):
+    fs, lo, hi, guess = [], [], [], []
+    for (f, a, b, root), kind in brackets:
+        fs.append(f)
+        lo.append(a)
+        hi.append(b)
+        guess.append({
+            "good": root + 1e-3 * tol,
+            "bad": b - 0.1 * (root - a),
+            "outside": a - 5.0,
+            "nan": float("nan"),
+        }[kind])
+    f_lo, f_hi = [f(v) for f, v in zip(fs, lo)], [f(v) for f, v in zip(fs, hi)]
+    keep = [i for i in range(len(fs)) if f_lo[i] * f_hi[i] <= 0]
+    if not keep:
+        return
+    fs, lo, hi, guess, f_lo, f_hi = ([v[i] for i in keep] for v in (fs, lo, hi, guess, f_lo, f_hi))
+    g = lambda x, rows: np.array([fs[r](v) for v, r in zip(x, rows)])
+    result = analysis.bisect(g, lo, hi, f_lo, f_hi, tol, guess)
+    for i, f in enumerate(fs):
+        expected = stepwise_bisect(f, lo[i], hi[i], f_lo[i], f_hi[i], tol)
+        assert tuple(float(field[i]) for field in result) == expected
+        assert expected[0] == scipy.optimize.bisect(f, lo[i], hi[i], xtol=tol, maxiter=200)
 
 
 def test_bisect_ignores_nan_off_the_path():
@@ -165,9 +329,33 @@ def test_bisect_ignores_nan_off_the_path():
     f = lambda lam: lam - 0.3
     nan_at_075 = lambda lam: float("nan") if lam == 0.75 else f(lam)
     g = counted(nan_at_075)
-    root = analysis.bisect(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12).root[0]
+    root = analysis.bisect(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12, np.nan).root[0]
     assert 0.75 in g.calls[0][0]
     assert root == scipy.optimize.bisect(f, 0.0, 1.0, xtol=1e-12)
+
+
+def test_bisect_ignores_nan_on_a_mispredicted_path():
+    # With the estimate at 0.9 the predicted path is 0.5, 0.75, 0.875, 0.9375,
+    # 0.90625, ...; below the four-level subtree the call takes only the path.
+    # f(0.5) > 0 moves b to 0.5, so the walk leaves that path at the first
+    # step, and never reaches 0.90625.
+    f = lambda lam: lam - 0.3
+    nan_at_090625 = lambda lam: float("nan") if lam == 0.90625 else f(lam)
+    g = counted(nan_at_090625)
+    root = analysis.bisect(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12, 0.9).root[0]
+    assert 0.90625 in g.calls[0][0]
+    assert root == scipy.optimize.bisect(f, 0.0, 1.0, xtol=1e-12)
+
+
+def test_bisect_raises_on_nan_deep_on_the_predicted_path():
+    # The estimate is the root, so the first call's path holds scipy's 20th midpoint.
+    f = lambda lam: lam - 0.3
+    x20 = scipy_path(f, 0.0, 1.0, 1e-12)[19]
+    g = counted(lambda lam: float("nan") if lam == x20 else f(lam))
+    with pytest.raises(EntswapError) as raised:
+        analysis.bisect(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12, np.nan)
+    assert str(raised.value) == f"the function value at x={x20!r} is NaN"
+    assert len(g.calls) == 1
 
 
 def test_bisect_raises_on_nan_on_the_path():
@@ -238,6 +426,60 @@ def test_classify_table_roots_equal_find_threshold(case):
         i = int(np.searchsorted(grid, interval.threshold)) - 1
         bracket = (float(grid[i]), float(grid[i + 1]))
         assert find_threshold(case, None, pair, measure, bracket).root == interval.threshold
+
+
+def threshold_draws():
+    """find_threshold calls (case, pair, measure, bracket, tol): for every
+    case and measure, each pair whose closed form changes sign once on the
+    grid, three times, each in a seeded bracket of width 0.25 to 0.35 about
+    the root, at the tolerances of TOLS in turn."""
+    gen, draws = rng(83), []
+    grid = np.linspace(0.0, 1.0, 201)[1:]
+    for case in ("I", "II", "III", "IV"):
+        x = analysis.CASE_PRESETS.get(case)
+        for measure in analysis.MEASURES:
+            for pair in ("14", "12", "34"):
+                f = signed_closed_form(x, pair, measure)
+                flips = np.flatnonzero(np.diff([f(lam) > 0.0 for lam in grid]))
+                if flips.size != 1:
+                    continue
+                root = scipy.optimize.brentq(f, grid[flips[0]], grid[flips[0] + 1], xtol=1e-15)
+                for _ in range(3):
+                    width = float(gen.uniform(0.25, 0.35))
+                    lo = root - float(gen.uniform(0.1, 0.9)) * width
+                    lo = min(max(lo, 0.1 * root), 1 - width)
+                    tol = TOLS[len(draws) % len(TOLS)]
+                    draws.append((case, pair, measure, (lo, lo + width), tol))
+    return draws
+
+
+@pytest.mark.filterwarnings("ignore::entswap.NonMonotoneWarning")
+def test_find_threshold_makes_at_most_four_engine_calls_per_root(monkeypatch):
+    # Guards the speculative bisection: a full four-level subtree per call
+    # made about 8 engine calls per root, probes included.
+    draws = threshold_draws()
+    calls = []
+    real = analysis._signed_values
+
+    def counted_values(*args):
+        calls.append(args[3].size)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_signed_values", counted_values)
+    roots = [find_threshold(case, None, pair, measure, bracket, tol).root
+             for case, pair, measure, bracket, tol in draws]
+    monkeypatch.undo()
+    assert len(draws) == 39
+    assert len(calls) / len(draws) <= 4.0, (len(calls), len(draws))
+    # Each root is scipy's bisection of the engine at one point per call.
+    for (case, pair, measure, (lo, hi), tol), root in zip(draws, roots):
+        x = analysis._resolve_x(case, None)
+        builder = analysis._builder_for(case, x)
+        pairs, columns = [analysis.PAIRS.index(pair)], [analysis.MEASURES.index(measure)]
+        one_point = lambda lam: float(
+            analysis._signed_values(case, x, builder, np.array([lam]), pairs, columns)[0]
+        )
+        assert root == scipy.optimize.bisect(one_point, lo, hi, xtol=tol, maxiter=200)
 
 
 def test_import_does_not_load_scipy():
