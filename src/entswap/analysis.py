@@ -11,10 +11,13 @@ through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
 (``_bisect_signed`` with ``bisect``, an in-repo copy of
 ``scipy.optimize.bisect``): each stacked call evaluates, for every open
 bracket, the midpoints of as many of its next four steps as keep it at four
-steps per call, and the path its steps take below them if the root is at a
-regula falsi estimate, and then takes scipy's steps through them until one
-leaves the path. ``_outcome_values`` gives the quantifiers of all outcomes
-of one ``run_swap`` call (``entswap analyze``) from one
+steps per call, and the path its steps take below them if the root is at an
+estimate, and then takes scipy's steps through them until one leaves the
+path. The midpoints of the first call are the monotonicity probes, which
+are evaluated once; the first estimate is inverse interpolation through the
+probes about the sign change, each later one regula falsi on the new
+bracket. ``_outcome_values`` gives the quantifiers of all outcomes of one
+``run_swap`` call (``entswap analyze``) from one
 ``measures.report_stack`` call. The scalar 16-dimensional
 pipeline, ``run_swap`` plus ``measures``, stays the oracle: it re-checks
 the last point of every grid scan, both ends of every bisected root's final
@@ -497,16 +500,15 @@ class _Bracket:
         index of its first point and the predicted move."""
         self.depth = max(0, _LEVELS * (self.calls + 1) - self.steps)
         points, self.levels = [], []
-        tree, start, dm, r = [self.a], self.a, self.dm, self.estimate
+        subtree = _subtree(self.a, self.dm, self.depth)
+        start, dm, r = self.a, self.dm, self.estimate
         while True:
             dm *= 0.5
             x = start + dm
             move = r >= x if dm > 0 else r <= x
             self.levels.append((dm, len(points), move))
             if len(self.levels) <= self.depth:
-                level = [s + dm for s in tree]
-                tree = [t for pair in zip(tree, level) for t in pair]
-                points += level
+                points += subtree[len(self.levels) - 1]
             else:
                 points.append(x)
             if move:
@@ -543,6 +545,20 @@ class _Bracket:
             node, on_path = 2 * node + move, on_path and move == predicted
         self.reach = _REACH * (self.steps - before)
         self.estimate = _estimate(self.a, self.b, _regula_falsi(self.a, self.b, self.fa, self.fb))
+
+
+def _subtree(a: float, dm: float, depth: int) -> list[list[float]]:
+    """The midpoints of the first ``depth`` bisection levels below a
+    bracket with first end a and width dm, one list per level, in the order
+    of their brackets from a: a + dm/2, then a + dm/4 and a + dm/2 + dm/4,
+    and so on, each level halving dm and adding it to the points above."""
+    levels, tree = [], [a]
+    for _ in range(depth):
+        dm *= 0.5
+        level = [s + dm for s in tree]
+        tree = [t for pair in zip(tree, level) for t in pair]
+        levels.append(level)
+    return levels
 
 
 def _regula_falsi(a: float, b: float, fa: float, fb: float) -> float:
@@ -585,31 +601,49 @@ def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float
     """Bisect, on the batched engine, where each query's signed measure of
     outcome 1 crosses its offset; a query is (pair, measure, lo, hi, offset).
 
-    The 10 monotonicity probes of every bracket, the first and last of which
-    are its ends, are one stacked engine call, as is each call of ``bisect``
-    over the open brackets. The first root estimate of each bracket is
-    regula falsi between the two probes about its first sign change. A
-    bracket whose ends lie on the same side of the offset raises, in query
-    order; a non-monotone one warns. At both ends of each root's final
-    bracket the scalar pipeline must give the engine's signed value within
-    VERIFY_TOL.
+    The probes of every bracket are its ends and the 15 midpoints of the
+    first four levels of ``bisect``, the subtree of its first call; they
+    are one stacked engine call, as is each call of ``bisect`` over the
+    open brackets, which gets the probe values back without evaluating
+    them again. A bracket whose ends lie on the same side of the offset
+    raises, in query order; one whose 17 probes, ordered from lo to hi, are
+    not monotone warns. The first root estimate of each bracket comes from
+    the probes about its first sign change (``_first_estimate``). At both
+    ends of each root's final bracket the scalar pipeline must give the
+    engine's signed value within VERIFY_TOL.
     """
     builder = _builder_for(case, x)
     pairs = np.array([PAIRS.index(q[0]) for q in queries])
     columns = np.array([MEASURES.index(q[1]) for q in queries])
     lo, hi, offsets = (np.array([q[k] for q in queries], dtype=float) for k in (2, 3, 4))
 
-    probes = np.linspace(lo, hi, 10, axis=-1)
-    probe = _signed_values(
-        case, x, builder, probes.ravel(), np.repeat(pairs, 10), np.repeat(columns, 10)
-    ).reshape(probes.shape) - offsets[:, None]
-    for (pair, measure, _, _, offset), (f_lo, f_hi) in zip(queries, probe[:, [0, -1]]):
+    # Every (query, lambda) reaches the engine once: f evaluates only the
+    # points it has not seen and reads the others back.
+    known: dict[tuple[int, float], float] = {}
+
+    def f(lams, rows):
+        keys = list(zip(rows.tolist(), lams.tolist()))
+        new = list(dict.fromkeys(key for key in keys if key not in known))
+        if new:
+            at, points = (np.array(v) for v in zip(*new))
+            values = _signed_values(case, x, builder, points, pairs[at], columns[at]) - offsets[at]
+            known.update(zip(new, values.tolist()))
+        return [known[key] for key in keys]
+
+    probes = [
+        sorted([a, b, *(s for level in _subtree(a, b - a, _LEVELS) for s in level)],
+               reverse=b < a)
+        for a, b in zip(lo.tolist(), hi.tolist())
+    ]
+    rows = np.repeat(np.arange(len(queries)), [len(p) for p in probes])
+    values = np.array(f(np.concatenate(probes), rows)).reshape(len(queries), -1)
+    for (pair, measure, _, _, offset), (f_lo, f_hi) in zip(queries, values[:, [0, -1]]):
         if (f_lo > 0.0) == (f_hi > 0.0):
             raise NoBracketError(
                 f"{measure} of pair {pair} classifies identically at both ends "
                 f"({f_lo + offset:.3e} and {f_hi + offset:.3e})"
             )
-    steps = np.diff(probe, axis=-1)
+    steps = np.diff(values, axis=-1)
     monotone = np.all(steps >= -1e-12, axis=-1) | np.all(steps <= 1e-12, axis=-1)
     for (pair, measure, a, b, _), ok in zip(queries, monotone):
         if not ok:
@@ -619,23 +653,42 @@ def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float
                 stacklevel=3,
             )
 
-    def f(lams, rows):
-        return _signed_values(case, x, builder, lams, pairs[rows], columns[rows]) - offsets[rows]
-
-    # The first root estimates: regula falsi between the first probe on the
-    # other side of the offset (or on it) and the probe before it.
-    crossings = (np.argmax(probe[:, 1:] * probe[:, :1] <= 0.0, axis=-1) + 1).tolist()
-    guess = [
-        _regula_falsi(lams[k - 1], lams[k], values[k - 1], values[k])
-        for lams, values, k in zip(probes.tolist(), probe.tolist(), crossings)
-    ]
-    result = bisect(f, lo, hi, probe[:, 0], probe[:, -1], tol, guess)
+    # The first probe on the other side of the offset (or on it).
+    crossings = (np.argmax(values[:, 1:] * values[:, :1] <= 0.0, axis=-1) + 1).tolist()
+    guess = [_first_estimate(*args) for args in zip(probes, values.tolist(), crossings)]
+    result = bisect(f, lo, hi, values[:, 0], values[:, -1], tol, guess)
     for i, (pair, measure, _, _, offset) in enumerate(queries):
         for lam, value in ((result.a[i], result.fa[i]), (result.b[i], result.fb[i])):
             with _at_lambda(lam):
                 scalar = _signed_pair_value(builder, float(lam), pair, measure)
                 _compare(1, [(f"pair {pair} {measure}", value + offset, scalar)])
     return result.root.tolist()
+
+
+# Probes about a sign change that the first root estimate interpolates.
+_INTERPOLATED = 8
+
+
+def _first_estimate(lams: list[float], values: list[float], k: int) -> float:
+    """A root estimate between the probes lams[k - 1] and lams[k], where
+    ``values`` changes sign: the inverse Lagrange interpolant at 0 through
+    the _INTERPOLATED probes centred on them if their values are strictly
+    monotone, else regula falsi between the two, clipped into [lams[k - 1],
+    lams[k]], or its midpoint if NaN."""
+    first = min(max(k - _INTERPOLATED // 2, 0), len(lams) - _INTERPOLATED)
+    xs = lams[first:first + _INTERPOLATED]
+    ys = values[first:first + _INTERPOLATED]
+    steps = [v - u for u, v in zip(ys, ys[1:])]
+    if all(d > 0 for d in steps) or all(d < 0 for d in steps):
+        estimate = 0.0
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            for j, other in enumerate(ys):
+                if j != i:
+                    x *= other / (other - y)
+            estimate += x
+    else:
+        estimate = _regula_falsi(lams[k - 1], lams[k], values[k - 1], values[k])
+    return _estimate(lams[k - 1], lams[k], estimate)
 
 
 def find_threshold(
@@ -656,8 +709,9 @@ def find_threshold(
     least four steps each on average, and all of them when the root
     estimate is close (see ``bisect``); the scalar pipeline checks the final
     bracket's ends.
-    Monotonicity over the bracket is the caller's responsibility; a 10-point
-    sub-grid check emits NonMonotoneWarning when it looks violated.
+    Monotonicity over the bracket is the caller's responsibility; a check on
+    17 probes, the ends and the midpoints of the first four bisection
+    levels, emits NonMonotoneWarning when it looks violated.
     """
     if pair not in PAIRS:
         raise BadParamError(f"pair must be one of {PAIRS}, got {pair!r}")

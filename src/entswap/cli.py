@@ -221,23 +221,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, case_required=True):
+    def add_common(p, tol_help):
         p.add_argument(
-            "--case", choices=("I", "II", "III", "IV"), required=case_required,
+            "--case", choices=("I", "II", "III", "IV"), required=True,
             help="measurement family preset",
         )
         p.add_argument("--x", type=float, default=None, help="mixing weight override (cases II-IV)")
-        p.add_argument("--tol", type=float, default=1e-9, help="classification tolerance")
+        p.add_argument("--tol", type=float, default=1e-9, help=tol_help)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_sweep = sub.add_parser("sweep", help="sweep a family over lambda, emit CSV")
-    add_common(p_sweep)
+    add_common(p_sweep, "classification tolerance")
     p_sweep.add_argument("--lambda-start", type=float, default=0.0)
     p_sweep.add_argument("--lambda-stop", type=float, default=1.0)
     p_sweep.add_argument("--grid", type=int, default=101, help="number of lambda points")
 
     p_thresh = sub.add_parser("thresholds", help="classification intervals per pair and measure")
-    add_common(p_thresh)
+    add_common(p_thresh, "bisection tolerance in lambda of the interval ends")
     p_thresh.add_argument("--grid", type=int, default=101, help="classification grid size")
     p_thresh.add_argument("--format", choices=("csv", "text"), default="text")
 

@@ -141,6 +141,21 @@ def test_thresholds_csv_and_coarse_tolerance(capsys):
     assert abs(float(rows[("12", "nonlocality")]["threshold"]) - 0.6245192) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("thresholds", "--tol TOL bisection tolerance in lambda of the interval ends"),
+        ("sweep", "--tol TOL classification tolerance"),
+    ],
+)
+def test_tol_help_says_what_each_command_does_with_it(capsys, command, text):
+    # thresholds passes --tol to classify_table as root_tol, the bisection tolerance.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert text in " ".join(capsys.readouterr().out.split())
+
+
 def test_analyze_projective_swap(tmp_path, capsys):
     path = tmp_path / "projective.json"
     path.write_text(json.dumps(povm_to_dict(werner_bell_povm(1.0))))

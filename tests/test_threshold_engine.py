@@ -7,6 +7,7 @@ scipy serves as the oracle here; the package itself never imports it.
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -482,12 +483,122 @@ def test_find_threshold_makes_at_most_four_engine_calls_per_root(monkeypatch):
         assert root == scipy.optimize.bisect(one_point, lo, hi, xtol=tol, maxiter=200)
 
 
-def test_import_does_not_load_scipy():
+def engine_points(draws):
+    """Roots of ``find_threshold`` on ``draws`` and, per root, the lambdas of
+    each of its ``_signed_values`` calls."""
+    calls = []
+    real = analysis._signed_values
+
+    def recorded(*args):
+        calls[-1].append(args[3].tolist())
+        return real(*args)
+
+    roots = []
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", entswap.NonMonotoneWarning)
+        patch.setattr(analysis, "_signed_values", recorded)
+        for case, pair, measure, bracket, tol in draws:
+            calls.append([])
+            roots.append(find_threshold(case, None, pair, measure, bracket, tol).root)
+    return roots, calls
+
+
+def one_point_bisect(case, pair, measure, lo, hi, tol):
+    """``scipy.optimize.bisect`` on the engine's signed value at one point."""
+    x = analysis._resolve_x(case, None)
+    builder = analysis._builder_for(case, x)
+    pairs, columns = [analysis.PAIRS.index(pair)], [analysis.MEASURES.index(measure)]
+    one_point = lambda lam: float(
+        analysis._signed_values(case, x, builder, np.array([lam]), pairs, columns)[0]
+    )
+    return scipy.optimize.bisect(one_point, lo, hi, xtol=tol, maxiter=200)
+
+
+def test_probes_are_the_first_subtree_and_no_point_is_evaluated_twice():
+    draws = threshold_draws()
+    _, calls = engine_points(draws)
+    for (_, _, _, (lo, hi), tol), root_calls in zip(draws, calls):
+        # The probes: both ends and the midpoints of bisect's first four levels.
+        g = counted(lambda lam: lam - 0.5 * (lo + hi))
+        analysis.bisect(g, lo, hi, -1.0, 1.0, tol, np.nan)
+        subtree = g.calls[0][0][:15].tolist()
+        assert sorted(root_calls[0]) == sorted([lo, hi] + subtree)
+        points = [lam for lams in root_calls for lam in lams]
+        assert len(set(points)) == len(points), (lo, hi, tol)
+
+
+@pytest.mark.filterwarnings("ignore::entswap.NonMonotoneWarning")
+def test_find_threshold_makes_at_most_three_engine_calls_per_root():
+    # Guards the probes shared with bisect's first call and the interpolated
+    # first estimate: without them the same draws took 3.31 calls and 60.8
+    # points per root.
+    draws = threshold_draws()
+    roots, calls = engine_points(draws)
+    assert len(draws) == 39
+    assert sum(map(len, calls)) / len(draws) <= 3.0
+    assert sum(len(lams) for c in calls for lams in c) / len(draws) <= 50.0
+    for (case, pair, measure, (lo, hi), tol), root in zip(draws, roots):
+        assert root == one_point_bisect(case, pair, measure, lo, hi, tol)
+
+
+def test_first_estimate_falls_back_where_the_probes_are_not_monotone():
+    # Steering3 of pair (3,4) in case III dips before it turns up just below
+    # lambda = 1, so the 8 probes about the crossing are not monotone.
+    with pytest.warns(entswap.NonMonotoneWarning, match="steering3 of pair 34 is not monotone"):
+        root = find_threshold("III", None, "34", "steering3", (0.5, 1.0)).root
+    assert root == one_point_bisect("III", "34", "steering3", 0.5, 1.0, 1e-9)
+
+
+def patch_engine(monkeypatch, f):
+    """Let the engine and the scalar pipeline both evaluate f(lambda)."""
+    monkeypatch.setattr(
+        analysis, "_signed_values", lambda *args: np.array([f(lam) for lam in args[3].tolist()])
+    )
+    monkeypatch.setattr(analysis, "_signed_pair_value", lambda builder, lam, *_: f(lam))
+
+
+def test_first_estimate_falls_back_on_a_flat_step(monkeypatch):
+    # Every probe below 0.3 gives -1 and every one above 1: equal values
+    # among the 8 interpolated probes, which must not be divided by.
+    f = lambda lam: 1.0 if lam >= 0.3 else -1.0
+    patch_engine(monkeypatch, f)
+    root = find_threshold("I", None, "14", "negativity", (0.0, 1.0), 1e-12).root
+    assert root == scipy.optimize.bisect(f, 0.0, 1.0, xtol=1e-12)
+
+
+def test_first_estimate_falls_back_on_nan_at_a_probe_off_the_walk(monkeypatch):
+    # 0.4375 is among the 8 probes about the crossing at 0.3, but the steps
+    # go 0.5, 0.25, 0.375, 0.3125, ..., so the walk never reaches it.
+    f = lambda lam: lam - 0.3
+    patch_engine(monkeypatch, lambda lam: float("nan") if lam == 0.4375 else f(lam))
+    with pytest.warns(entswap.NonMonotoneWarning):
+        root = find_threshold("I", None, "14", "negativity", (0.0, 1.0), 1e-12).root
+    assert root == scipy.optimize.bisect(f, 0.0, 1.0, xtol=1e-12)
+
+
+def python_output(code: str) -> str:
+    """The stripped stdout of ``code`` run by a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(entswap.__file__)))
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import sys, entswap; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, entswap; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert python_output(code) == "[]"
+
+
+def test_find_threshold_loads_neither_scipy_nor_numpy_polynomial():
+    # The first root estimate interpolates in Python floats; numpy.polynomial
+    # is imported lazily and would add to every process's first threshold.
+    code = (
+        "import sys, entswap; "
+        "entswap.find_threshold('I', None, '14', 'negativity', (0.2, 0.5)); "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m.startswith('numpy.polynomial')])"
+    )
+    assert python_output(code) == "[]"
