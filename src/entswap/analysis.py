@@ -45,6 +45,7 @@ from .errors import (
 )
 from .povm import (
     Povm,
+    _sharpness_vector,
     asymmetric_effects,
     asymmetric_povm,
     is_povm,
@@ -434,12 +435,16 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
     first level where |dm| < xtol, where the steps stop at the latest, and
     at most _REACH times as many levels as the previous call took steps
     (see ``_Bracket.speculate``). ``rows`` repeats each bracket's index once
-    per point. The rule above then walks down these points; a bracket's
-    walk ends for the call at the first step whose sign differs from the
-    prediction below the subtree. So a root of n steps takes at most
-    ceil(n / 4) calls, as with the full four-level subtree per call, and at
-    most 15 ceil(n / 4) + 3n points however the signs fall; one call
-    suffices when r is close enough. Points the walk does not reach are
+    per point. Each bracket then gets its call's values as a map from point
+    to value and takes the rule's steps while the next midpoint a + dm/2 is
+    a key. The subtree holds every midpoint of its levels, and below it the
+    only point per level is the predicted one, so a bracket's walk ends for
+    the call at the first step whose sign differs from the prediction below
+    the subtree, or below the last level evaluated. So a root of n steps
+    takes at most ceil(n / 4) calls, as with the full four-level subtree per
+    call, and at most 15 ceil(n / 4) + 3n points however the signs fall; one
+    call suffices when r is close enough. Every value a walk reads is f at
+    the very midpoint the step takes, and points it does not reach are
     discarded, so the roots, final brackets and values are those of one
     step per call. r is ``guess`` (one per bracket, NaN for none) at first,
     or else regula falsi on the ends, and regula falsi on the new bracket
@@ -461,11 +466,10 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
     while walks := [w for w in brackets if w.root is None and w.steps < _MAXITER]:
         points = [w.speculate(xtol) for w in walks]
         rows = np.repeat([w.index for w in walks], [len(x) for x in points])
-        values = np.asarray(f(np.concatenate(points), rows), dtype=float).tolist()
-        start = 0
+        values = iter(np.asarray(f(np.concatenate(points), rows), dtype=float).tolist())
         for w, x in zip(walks, points):
-            w.walk(values[start:start + len(x)], xtol)
-            start += len(x)
+            # zip takes len(x) values, the bracket's own, and no more.
+            w.walk(dict(zip(x, values)), xtol)
     for w in brackets:
         if w.root is None:
             raise EntswapError(
@@ -491,58 +495,42 @@ class _Bracket:
         self.estimate = _estimate(a, b, guess if guess == guess else _regula_falsi(a, b, fa, fb))
 
     def speculate(self, xtol: float) -> list[float]:
-        """The points of the next call, from level 1 down: the subtree of
-        ``self.depth`` levels in heap order (the children of the midpoint
-        a + dm keep a, then move it to the midpoint), then one point per level
-        on the predicted path, where a moves to a midpoint on the first end's
-        side of r, for ``self.reach`` levels at most. Stops at the first level
-        where |dm| < xtol or the steps run out. Keeps, per level, dm, the
-        index of its first point and the predicted move."""
-        self.depth = max(0, _LEVELS * (self.calls + 1) - self.steps)
-        points, self.levels = [], []
-        subtree = _subtree(self.a, self.dm, self.depth)
-        start, dm, r = self.a, self.dm, self.estimate
-        while True:
+        """The points of the next call: the midpoints of the subtree of its
+        next d levels, d = _LEVELS * (calls + 1) - steps (at least 0), level
+        by level, then one midpoint per level on the predicted path, where a
+        moves to a midpoint on the first end's side of r, for ``self.reach``
+        levels below the subtree at most. Stops, in the subtree too, at the
+        first level where |dm| < xtol or the steps run out."""
+        depth = max(0, _LEVELS * (self.calls + 1) - self.steps)
+        subtree = _subtree(self.a, self.dm, depth)
+        points, start, dm, r = [], self.a, self.dm, self.estimate
+        for level in range(1, _MAXITER - self.steps + 1):
             dm *= 0.5
             x = start + dm
-            move = r >= x if dm > 0 else r <= x
-            self.levels.append((dm, len(points), move))
-            if len(self.levels) <= self.depth:
-                points += subtree[len(self.levels) - 1]
-            else:
-                points.append(x)
-            if move:
+            points += subtree[level - 1] if level <= depth else [x]
+            if r >= x if dm > 0 else r <= x:
                 start = x
-            if (
-                not abs(dm) >= xtol
-                or self.steps + len(self.levels) >= _MAXITER
-                or len(self.levels) >= self.depth + self.reach
-            ):
-                self.points = points
-                return points
-
-    def walk(self, values: list[float], xtol: float) -> None:
-        """Take the steps through ``values``, f at ``self.points``, until the
-        root or the first step off the evaluated points."""
-        node, on_path, before = 0, True, self.steps
-        self.calls += 1
-        for k, (dm, first, predicted) in enumerate(self.levels):
-            if k >= self.depth and not on_path:
+            if not abs(dm) >= xtol or level >= depth + self.reach:
                 break
-            i = first + (node if k < self.depth else 0)
-            x, v = self.points[i], values[i]
+        return points
+
+    def walk(self, values: dict[float, float], xtol: float) -> None:
+        """Take the steps while the next midpoint is a key of ``values``,
+        which maps this call's points of the bracket to f, until the root."""
+        before = self.steps
+        self.calls += 1
+        while (x := self.a + self.dm * 0.5) in values:
+            v = values[x]
             if v != v:
                 raise EntswapError(f"the function value at x={x!r} is NaN")
-            move = v * self.f_start >= 0
-            if move:
+            if v * self.f_start >= 0:
                 self.a, self.fa = x, v
             else:
                 self.b, self.fb = x, v
-            self.dm, self.steps = dm, self.steps + 1
-            if v == 0 or abs(dm) < xtol + _RTOL * abs(x):
+            self.dm, self.steps = self.dm * 0.5, self.steps + 1
+            if v == 0 or abs(self.dm) < xtol + _RTOL * abs(x):
                 self.root = x
                 return
-            node, on_path = 2 * node + move, on_path and move == predicted
         self.reach = _REACH * (self.steps - before)
         self.estimate = _estimate(self.a, self.b, _regula_falsi(self.a, self.b, self.fa, self.fb))
 
@@ -771,7 +759,7 @@ def classify_table(
     """
     check_tolerance(tol)
     check_tolerance(root_tol)
-    grid = _grid_points(grid)
+    grid = _sharpness_vector(_grid_points(grid))
     lams = grid[grid > 0.0]
     if lams.size == 0:
         raise BadParamError("classification needs a grid point with lambda > 0")

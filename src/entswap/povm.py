@@ -15,11 +15,15 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import BadIndexError, BadParamError, InvalidPovmError
+from .errors import BadIndexError, BadParamError, DegenerateEffectError, InvalidPovmError
 from .states import bell_state, product_basis
 
 # Per-effect eigenvalue window and completeness tolerance.
 POVM_ATOL = 1e-10
+
+# Outcomes below this probability carry no conditional states: normalizing
+# by a vanishing trace would just amplify rounding noise.
+DEGENERATE_PROBABILITY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -236,15 +240,28 @@ def asymmetric_povm(x: float, lam: float) -> Povm:
     return Povm(tuple(asymmetric_effects(x, [lam])[0]), label=f"asymmetric(x={x:g}, lam={lam:g})")
 
 
-def effect_entanglement(p: Povm, i: int) -> float:
-    """Negativity of effect i normalized to unit trace (1-based index)."""
-    from .measures import negativity
+def unit_trace_effect(p: Povm, i: int) -> np.ndarray:
+    """Effect i (1-based index) divided by its trace.
 
+    Both pairs start maximally entangled, so outcome i has probability
+    tr(E_i)/4; where that is below DEGENERATE_PROBABILITY, as for the
+    outcomes ``swap.run_swap`` marks degenerate, this raises
+    DegenerateEffectError.
+    """
     if not 1 <= i <= len(p.effects):
         raise BadIndexError(f"effect index must be 1..{len(p.effects)}, got {i}")
     effect = p.effects[i - 1]
     trace = float(np.trace(effect).real)
-    return negativity(effect / trace)
+    if trace / 4 < DEGENERATE_PROBABILITY:
+        raise DegenerateEffectError(f"effect {i} has trace {trace:.3e}")
+    return effect / trace
+
+
+def effect_entanglement(p: Povm, i: int) -> float:
+    """Negativity of effect i normalized to unit trace (1-based index)."""
+    from .measures import negativity
+
+    return negativity(unit_trace_effect(p, i))
 
 
 def povm_to_dict(p: Povm) -> dict:

@@ -21,18 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndexError, BadParamError, DegenerateEffectError, InvalidPovmError
+from .errors import BadParamError, DegenerateEffectError, InvalidPovmError
 from .linalg import partial_trace, psd_sqrt
 from .measures import CorrelationReport
-from .povm import AsymmetricPovmParams, Povm, validate
+from .povm import DEGENERATE_PROBABILITY, AsymmetricPovmParams, Povm, unit_trace_effect, validate
 from .states import DensityMatrix, check_density_matrix, initial_four_qubit
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT3 = np.sqrt(3.0)
-
-# Outcomes below this probability carry no conditional states: normalizing
-# by a vanishing trace would just amplify rounding noise.
-DEGENERATE_PROBABILITY = 1e-12
 
 PAIRS = ("14", "12", "34")
 
@@ -147,15 +143,10 @@ def rho14_spectral(p: Povm, i: int) -> DensityMatrix:
 
     Because both pairs start maximally entangled, the (1,4) state for
     outcome i is the entrywise complex conjugate of effect i divided by its
-    trace. ``run_swap`` reproduces this to machine precision.
+    trace. ``run_swap`` reproduces this to machine precision. Raises
+    DegenerateEffectError for the outcomes ``run_swap`` marks degenerate.
     """
-    if not 1 <= i <= len(p.effects):
-        raise BadIndexError(f"effect index must be 1..{len(p.effects)}, got {i}")
-    effect = p.effects[i - 1]
-    trace = float(np.trace(effect).real)
-    if trace <= DEGENERATE_PROBABILITY:
-        raise DegenerateEffectError(f"effect {i} has trace {trace:.3e}")
-    return DensityMatrix(2, effect.conj() / trace)
+    return DensityMatrix(2, unit_trace_effect(p, i).conj())
 
 
 def s_of_lambda(lam: float) -> float:

@@ -280,6 +280,8 @@ def test_find_extremum_rejects_short_grid():
         ({"grid": [0.0, 0.0]}, "needs a grid point with lambda > 0"),
         ({"tol": 0.0}, "tolerance must be positive"),
         ({"x": 0.3}, "case I has no x parameter"),
+        ({"grid": [-0.5, 0.5, 0.9]}, r"sharpness must be in \[0, 1\], got -0.5"),
+        ({"grid": [0.2, float("nan"), 0.9]}, r"sharpness must be in \[0, 1\], got nan"),
     ],
 )
 def test_classify_rejects_bad_input(kwargs, message):

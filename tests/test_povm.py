@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from entswap import (
     AsymmetricPovmParams,
     BadIndexError,
     BadParamError,
+    DegenerateEffectError,
     InvalidPovmError,
     Povm,
     asymmetric_povm,
@@ -168,6 +170,14 @@ def test_effect_entanglement_thresholds():
         assert effect_entanglement(werner_bell_povm(1 / 3), i) < 1e-12
     with pytest.raises(BadIndexError):
         effect_entanglement(werner_bell_povm(0.5), 5)
+
+
+def test_effect_entanglement_of_a_zero_effect_raises_without_a_warning():
+    p = Povm((np.zeros((4, 4), dtype=complex), I4), label="skewed")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateEffectError, match="effect 1 has trace 0.000e"):
+            effect_entanglement(p, 1)
 
 
 def test_json_round_trip():

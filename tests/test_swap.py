@@ -97,6 +97,20 @@ def test_degenerate_outcome_flagged():
     assert abs(sum(o.probability for o in outcomes) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("trace", [2e-12, 3.9e-12, 4.1e-12, 8e-12])
+def test_spectral_shortcut_is_degenerate_exactly_where_run_swap_is(trace):
+    # Outcome 1 has probability trace / 4: degenerate below 4e-12.
+    p = Povm((trace / 4 * I4, (1 - trace / 4) * I4), label="faint")
+    assert validate_ok(p)
+    degenerate = run_swap(p)[0].degenerate
+    assert degenerate == (trace < 4e-12)
+    if degenerate:
+        with pytest.raises(DegenerateEffectError, match="effect 1 has trace"):
+            rho14_spectral(p, 1)
+    else:
+        assert np.abs(np.asarray(rho14_spectral(p, 1)) - I4 / 4).max() < 1e-15
+
+
 def validate_ok(p):
     from entswap.povm import validate
 
