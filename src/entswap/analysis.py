@@ -18,7 +18,8 @@ are evaluated once; the first estimate is inverse interpolation through the
 probes about the sign change, each later one regula falsi on the new
 bracket. ``_outcome_values`` gives the quantifiers of all outcomes of one
 ``run_swap`` call (``entswap analyze``) from one
-``measures.report_stack`` call. The scalar 16-dimensional
+``measures.report_stack`` call. ``sweep`` turns the stacked values into
+``SweepRecord`` rows in bulk, column by column. The scalar 16-dimensional
 pipeline, ``run_swap`` plus ``measures``, stays the oracle: it re-checks
 the last point of every grid scan, both ends of every bisected root's final
 bracket and one pair state of every ``_outcome_values`` call, and it runs
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 import warnings
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -189,7 +191,9 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     pipeline "analytic" the closed forms replace the numeric engine; with
     "both" the numeric rows are emitted after checking them against the
     closed forms at VERIFY_TOL. The numeric rows of the last grid point are
-    checked against the scalar pipeline at VERIFY_TOL.
+    checked against the scalar pipeline at VERIFY_TOL. The records are built
+    in bulk: each column is one list from the stacked arrays, and each
+    record's fields are set at once by ``_records``.
     """
     x = _resolve_x(cfg.case, cfg.x)
     lams = cfg.grid()
@@ -211,12 +215,33 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
                 f"(outcome {outcome}, pair {pair or '-'}, {quantity})"
             )
 
-    lams, probabilities, values = lams.tolist(), probabilities.tolist(), values.tolist()
-    return [
-        SweepRecord(cfg.case, x, lams[i], j + 1, pair, probabilities[i][j], *columns)
-        for i, j in np.argwhere(kept).tolist()
-        for pair, columns in zip(PAIRS, values[i][j])
-    ]
+    # One row per kept (lambda, outcome) and pair, each column one list.
+    i, j = np.nonzero(kept)
+    per_pair = len(PAIRS)
+    return _records(zip(
+        repeat(cfg.case), repeat(x),
+        np.repeat(lams[i], per_pair).tolist(), np.repeat(j + 1, per_pair).tolist(),
+        PAIRS * len(i), np.repeat(probabilities[i, j], per_pair).tolist(),
+        *values[i, j].reshape(-1, len(measures.QUANTITIES)).T.tolist(),
+    ))
+
+
+_RECORD_FIELDS = tuple(field.name for field in fields(SweepRecord))
+
+
+def _records(rows) -> list[SweepRecord]:
+    """``SweepRecord(*row)`` for each row of field values, in field order.
+
+    Each record's ``__dict__`` is filled from its row in one update, where
+    the frozen initializer makes one ``object.__setattr__`` call per field.
+    """
+    new = object.__new__
+    records = []
+    for row in rows:
+        record = new(SweepRecord)
+        vars(record).update(zip(_RECORD_FIELDS, row))
+        records.append(record)
+    return records
 
 
 def _grid_effects(case: str, x, builder, lams: np.ndarray) -> np.ndarray:

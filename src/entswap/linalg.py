@@ -11,6 +11,7 @@ b1*8 + b2*4 + b3*2 + b4. Qubit indices are 1-based.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -103,6 +104,22 @@ def partial_trace(m: np.ndarray, qubits_total: int, keep: Iterable[int]) -> np.n
     dim = 2**qubits_total
     if m.shape[-2:] != (dim, dim):
         raise BadDimError(f"expected shape {(dim, dim)} for {qubits_total} qubits, got {m.shape}")
+    if not isinstance(keep, (tuple, frozenset)):
+        keep = tuple(keep)
+    lead = m.shape[:-2]
+    perm, dim_keep, dim_traced = _trace_plan(len(lead), qubits_total, keep)
+    tensor = m.reshape(lead + (2,) * (2 * qubits_total)).transpose(perm)
+    tensor = tensor.reshape(lead + (dim_keep, dim_keep, dim_traced, dim_traced))
+    return np.trace(tensor, axis1=-2, axis2=-1)
+
+
+@functools.lru_cache(maxsize=256)
+def _trace_plan(lead: int, qubits_total: int, keep: tuple | frozenset) -> tuple:
+    """The checks of ``partial_trace``'s ``keep`` and, for a stack of
+    ``lead`` leading axes, the axis permutation of its (lead, row qubits,
+    column qubits) tensor that puts the kept qubits first, with the kept and
+    traced dimensions. A rejected ``keep`` raises on every call, since
+    ``lru_cache`` keeps no exception."""
     keep_set = set(int(q) for q in keep)
     if not keep_set:
         raise BadIndexError("keep set is empty")
@@ -111,25 +128,19 @@ def partial_trace(m: np.ndarray, qubits_total: int, keep: Iterable[int]) -> np.n
     if len(keep_set) == qubits_total:
         raise BadIndexError("keep set must be a strict subset; nothing to trace out")
 
-    lead = m.shape[:-2]
     # Axes of the (lead, row qubits, column qubits) tensor.
-    row = len(lead)
-    col = row + qubits_total
+    row = lead
+    col = lead + qubits_total
     kept = [q - 1 for q in sorted(keep_set)]
     traced = [q for q in range(qubits_total) if q not in kept]
-    tensor = m.reshape(lead + (2,) * (2 * qubits_total))
     perm = (
-        list(range(row))
+        list(range(lead))
         + [row + q for q in kept]
         + [col + q for q in kept]
         + [row + q for q in traced]
         + [col + q for q in traced]
     )
-    tensor = tensor.transpose(perm)
-    dim_keep = 2 ** len(kept)
-    dim_traced = 2 ** len(traced)
-    tensor = tensor.reshape(lead + (dim_keep, dim_keep, dim_traced, dim_traced))
-    return np.trace(tensor, axis1=-2, axis2=-1)
+    return tuple(perm), 2 ** len(kept), 2 ** len(traced)
 
 
 def partial_transpose(m: np.ndarray, subsystem: str) -> np.ndarray:

@@ -246,11 +246,15 @@ def unit_trace_effect(p: Povm, i: int) -> np.ndarray:
     Both pairs start maximally entangled, so outcome i has probability
     tr(E_i)/4; where that is below DEGENERATE_PROBABILITY, as for the
     outcomes ``swap.run_swap`` marks degenerate, this raises
-    DegenerateEffectError.
+    DegenerateEffectError. An effect with a non-finite entry raises
+    InvalidPovmError, with the message ``validate`` gives it.
     """
     if not 1 <= i <= len(p.effects):
         raise BadIndexError(f"effect index must be 1..{len(p.effects)}, got {i}")
     effect = p.effects[i - 1]
+    if not np.isfinite(effect).all():
+        problem = f"effect {i}: non-finite entry"
+        raise InvalidPovmError(problem, [problem])
     trace = float(np.trace(effect).real)
     if trace / 4 < DEGENERATE_PROBABILITY:
         raise DegenerateEffectError(f"effect {i} has trace {trace:.3e}")

@@ -95,10 +95,17 @@ class DensityMatrix:
 
     @classmethod
     def _checked(cls, qubits: int, m: np.ndarray) -> DensityMatrix:
-        """Wrap a matrix that ``check_density_matrix`` has already passed."""
+        """Wrap a matrix that ``check_density_matrix`` has already passed.
+
+        A read-only matrix, such as a view of a read-only stack, is shared
+        as it is; any other is copied and frozen.
+        """
         state = object.__new__(cls)
         object.__setattr__(state, "qubits", qubits)
-        state._freeze(m)
+        if m.flags.writeable:
+            state._freeze(m)
+        else:
+            object.__setattr__(state, "matrix", m)
         return state
 
     def _freeze(self, m: np.ndarray) -> None:

@@ -35,7 +35,7 @@ PAIRS = ("14", "12", "34")
 _I2 = np.eye(2, dtype=complex)
 
 # Qubits kept by each pair state, in PAIRS order.
-_PAIR_QUBITS = ({1, 4}, {1, 2}, {3, 4})
+_PAIR_QUBITS = ((1, 4), (1, 2), (3, 4))
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ def run_swap(p: Povm) -> list[SwapOutcome]:
     the trace of K rho K-dagger, and the conditional pair states are the
     normalized partial traces onto (1,4), (1,2) and (3,4). All outcomes go
     through each step as one stack of 16x16 matrices, and all pair states
-    through one ``check_density_matrix`` call.
+    through one ``check_density_matrix`` call. The pair states of the
+    outcomes are read-only views of that one checked stack.
     """
     problems = validate(p)
     if problems:
@@ -88,6 +89,7 @@ def run_swap(p: Povm) -> list[SwapOutcome]:
     states = check_density_matrix(
         np.stack([partial_trace(conditional, 4, pair) for pair in _PAIR_QUBITS], axis=1), 2
     )
+    states.setflags(write=False)
     pair_states = iter(states)
     outcomes = []
     for index, probability in enumerate(probabilities.tolist(), start=1):

@@ -16,7 +16,6 @@ from entswap import (
     SwapOutcome,
     initial_four_qubit,
     kron,
-    partial_trace,
     povm_to_dict,
     psd_sqrt,
     report,
@@ -169,6 +168,25 @@ def povm_from_dict_walk(data: dict) -> Povm:
     return Povm(tuple(effects), label=label)
 
 
+def partial_trace_reference(m: np.ndarray, qubits_total: int, keep) -> np.ndarray:
+    """``linalg.partial_trace`` of a valid ``keep``, with the axis
+    permutation worked out on every call: the reference for its cached plan."""
+    m = np.asarray(m, dtype=complex)
+    lead = m.shape[:-2]
+    row, col = len(lead), len(lead) + qubits_total
+    kept = [q - 1 for q in sorted(set(int(q) for q in keep))]
+    traced = [q for q in range(qubits_total) if q not in kept]
+    perm = (
+        list(range(row))
+        + [row + q for q in kept] + [col + q for q in kept]
+        + [row + q for q in traced] + [col + q for q in traced]
+    )
+    tensor = m.reshape(lead + (2,) * (2 * qubits_total)).transpose(perm)
+    dim_keep, dim_traced = 2 ** len(kept), 2 ** len(traced)
+    tensor = tensor.reshape(lead + (dim_keep, dim_keep, dim_traced, dim_traced))
+    return np.trace(tensor, axis1=-2, axis2=-1)
+
+
 def run_swap_per_effect(p: Povm) -> list:
     """``swap.run_swap`` as one pass per effect, kept as the reference for the
     stacked pipeline: the same steps on one 16x16 matrix at a time."""
@@ -192,9 +210,9 @@ def run_swap_per_effect(p: Povm) -> list:
             SwapOutcome(
                 outcome_index=index,
                 probability=probability,
-                rho14=DensityMatrix(2, partial_trace(conditional, 4, {1, 4})),
-                rho12=DensityMatrix(2, partial_trace(conditional, 4, {1, 2})),
-                rho34=DensityMatrix(2, partial_trace(conditional, 4, {3, 4})),
+                rho14=DensityMatrix(2, partial_trace_reference(conditional, 4, {1, 4})),
+                rho12=DensityMatrix(2, partial_trace_reference(conditional, 4, {1, 2})),
+                rho34=DensityMatrix(2, partial_trace_reference(conditional, 4, {3, 4})),
             )
         )
     return outcomes

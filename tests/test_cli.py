@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import json
 import os
@@ -8,15 +9,17 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entswap import Povm, analysis, asymmetric_povm, povm_to_dict, sweep, werner_bell_povm
-from entswap.analysis import SweepConfig
+from entswap import Povm, analysis, asymmetric_povm, cli, povm_to_dict, sweep, werner_bell_povm
+from entswap.analysis import CASES, SweepConfig, SweepRecord
 from entswap.cli import SWEEP_HEADER, build_parser, main
+from entswap.swap import PAIRS
 from helpers import malformed_povm_payloads, sweep_csv_per_field
 
 I4 = np.eye(4, dtype=complex)
@@ -62,6 +65,87 @@ def test_sweep_rows_match_the_per_field_reference(case, x, grid, capsys):
     code, out, _ = run_cli(capsys, "sweep", "--case", case, "--grid", str(grid), *args)
     assert code == 0
     assert out == sweep_csv_per_field(sweep(SweepConfig(case=case, x=x, count=grid)))
+
+
+def sweep_csv_per_row(records) -> str:
+    """The sweep CSV with one ``_SWEEP_ROW %`` per record, kept as the
+    reference for the block formatting of ``cli._sweep_csv``."""
+    return SWEEP_HEADER + "\n" + "".join([
+        cli._SWEEP_ROW % (
+            r.case, cli._fmt(r.x), r.lam, r.outcome, r.pair, r.probability, r.negativity,
+            r.steering2, r.steering3, r.nonlocality, r.M, r.Lambda3,
+        )
+        for r in records
+    ])
+
+
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e300, 1.0, 2.0, -3.0, 1e15, 0.25])
+SWEEP_FLOATS = EDGE_FLOATS | st.floats()
+SWEEP_RECORDS = st.builds(
+    SweepRecord,
+    case=st.sampled_from(CASES),
+    x=st.none() | SWEEP_FLOATS,
+    lam=SWEEP_FLOATS,
+    outcome=st.integers(1, 16),
+    pair=st.sampled_from(PAIRS),
+    probability=SWEEP_FLOATS,
+    negativity=SWEEP_FLOATS,
+    steering2=SWEEP_FLOATS,
+    steering3=SWEEP_FLOATS,
+    nonlocality=SWEEP_FLOATS,
+    M=SWEEP_FLOATS,
+    Lambda3=SWEEP_FLOATS,
+)
+
+
+def assert_same_rows(got: str, want: str) -> None:
+    """``got == want``, failing on the line count and the first line that
+    differs: pytest's diff of two long texts would take minutes."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), len(got))
+    assert (len(got), first, got[first:first + 1]) == (len(want), first, want[first:first + 1])
+
+
+def _block_sizes(block: int) -> list[int]:
+    return [0, 1, block - 1, block, block + 1, 2 * block + 1]
+
+
+def _tiled(drawn, count: int, x: str) -> list:
+    """``count`` records cycling through ``drawn``, with x as drawn, one
+    shared object, or alternating 0.0 and -0.0 (equal, but printed as "0"
+    and "-0")."""
+    records = [drawn[i % len(drawn)] for i in range(count)]
+    if x == "shared":
+        return [dataclasses.replace(r, x=drawn[0].x) for r in records]
+    if x == "zeros":
+        return [dataclasses.replace(r, x=(0.0, -0.0)[i % 2]) for i, r in enumerate(records)]
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=st.lists(SWEEP_RECORDS, min_size=1, max_size=12),
+    count=st.sampled_from(_block_sizes(3)),
+    x=st.sampled_from(["drawn", "shared", "zeros"]),
+)
+def test_block_formatted_rows_match_one_row_per_record(drawn, count, x):
+    # Three rows per block, so a few drawn records cross block boundaries.
+    records = _tiled(drawn, count, x)
+    with mock.patch.object(cli, "_SWEEP_BLOCK", 3):
+        assert_same_rows(cli._sweep_csv(records), sweep_csv_per_row(records))
+
+
+@pytest.mark.parametrize("count", _block_sizes(cli._SWEEP_BLOCK))
+@pytest.mark.parametrize("x", ["drawn", "shared", "zeros"])
+def test_rows_around_the_block_size_match_one_row_per_record(count, x):
+    drawn = [
+        SweepRecord("II", x0, lam, outcome, pair, 0.25, -0.0, 1e-300, 1e300, 2.0, lam, 1 / 3)
+        for x0, lam, outcome, pair in [
+            (None, 0.0, 1, "14"), (0.3, 1e-300, 2, "12"), (-0.0, 1.0, 3, "34"), (1e300, 0.5, 4, "14"),
+        ]
+    ]
+    records = _tiled(drawn, count, x)
+    assert_same_rows(cli._sweep_csv(records), sweep_csv_per_row(records))
 
 
 @settings(max_examples=2000, deadline=None)

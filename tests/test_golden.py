@@ -6,9 +6,11 @@ output on purpose regenerates the files with
 CHANGES.md; any other change must leave every byte as it is. One command
 per subcommand also runs as ``python -m entswap.cli`` in a new process, so a
 one-shot process and the parser that ``main`` reuses within a process are
-held to the same bytes.
+held to the same bytes. Sweeps too long to keep as files are held to the
+SHA-256 of their stdout, in ``golden/sweep_sha256.json``.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -77,6 +79,30 @@ def test_output_matches_golden_file(name, argv, tmp_path):
         assert run(argv, str(tmp_path)) == fh.read()
 
 
+DIGESTS = os.path.join(GOLDEN, "sweep_sha256.json")
+
+
+def large_sweeps() -> list[tuple[str, list[str]]]:
+    """(digest key, argv) of the sweeps held to a SHA-256."""
+    return [
+        (f"sweep_{case}_grid{grid}", ["sweep", "--case", case, "--grid", str(grid)])
+        for case in ("I", "II", "III", "IV")
+        for grid in (101, 2000)
+    ]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name, argv", large_sweeps(), ids=[name for name, _ in large_sweeps()])
+def test_large_sweep_matches_golden_digest(name, argv, tmp_path):
+    with open(DIGESTS, encoding="utf-8") as fh:
+        digests = json.load(fh)
+    assert sorted(digests) == sorted(key for key, _ in large_sweeps())
+    assert sha256(run(argv, str(tmp_path))) == digests[name]
+
+
 SUBPROCESS = [
     "sweep_III_grid11.csv", "thresholds_II_grid21.txt", "verify_grid11.txt",
     "analyze_asymmetric_0.725_0.9.csv",
@@ -103,3 +129,7 @@ if __name__ == "__main__":
         for name, argv in commands():
             with open(os.path.join(GOLDEN, name), "w", encoding="utf-8", newline="") as fh:
                 fh.write(run(argv, work))
+        digests = {name: sha256(run(argv, work)) for name, argv in large_sweeps()}
+    with open(DIGESTS, "w", encoding="utf-8", newline="") as fh:
+        json.dump(digests, fh, indent=2)
+        fh.write("\n")

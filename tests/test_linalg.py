@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from entswap import (
     trace_norm,
     werner_bell_povm,
 )
-from helpers import random_density_matrix, random_hermitian, rng
+from entswap import linalg
+from helpers import partial_trace_reference, random_density_matrix, random_hermitian, rng
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -138,6 +141,44 @@ def test_partial_trace_composes():
 def test_partial_trace_bad_keep(keep):
     with pytest.raises(BadIndexError):
         partial_trace(np.eye(16) / 16, 4, keep)
+
+
+def _spellings(keep: tuple):
+    """The same keep set as a list, a tuple (also reversed), a set, a
+    frozenset and a generator."""
+    return [list(keep), keep, keep[::-1], set(keep), frozenset(keep), (q for q in keep)]
+
+
+@pytest.mark.parametrize("qubits", [2, 3, 4])
+def test_partial_trace_matches_the_uncached_reference_bitwise(qubits):
+    gen = rng(20 + qubits)
+    dim = 2**qubits
+    single = random_density_matrix(gen, dim=dim)
+    stack = np.array([random_density_matrix(gen, dim=dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+    for size in range(1, qubits):
+        for keep in itertools.combinations(range(1, qubits + 1), size):
+            for m in (single, stack):
+                want = partial_trace_reference(m, qubits, keep)
+                for spelled in _spellings(keep):
+                    got = partial_trace(m, qubits, spelled)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (keep, spelled)
+
+
+def test_partial_trace_reuses_its_plan():
+    m = np.eye(16) / 16
+    partial_trace(m, 4, (2, 3))
+    hits = linalg._trace_plan.cache_info().hits
+    partial_trace(m, 4, (2, 3))
+    assert linalg._trace_plan.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("keep", [(), (0,), (5,), (1, 2, 3, 4), (1, 2, 3, 4, 4)])
+def test_partial_trace_rejects_a_bad_keep_on_every_call(keep):
+    for m in [np.eye(16) / 16, np.stack([np.eye(16) / 16] * 3)] * 3:
+        for spelled in _spellings(keep):
+            with pytest.raises(BadIndexError):
+                partial_trace(m, 4, spelled)
 
 
 def test_partial_trace_bad_shape():

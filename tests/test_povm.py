@@ -180,6 +180,32 @@ def test_effect_entanglement_of_a_zero_effect_raises_without_a_warning():
             effect_entanglement(p, 1)
 
 
+def _non_finite_povms():
+    for bad in (np.nan, np.inf, -np.inf):
+        corner = np.zeros((4, 4), dtype=complex)
+        corner[0, 1] = bad
+        yield Povm((np.full((4, 4), bad), I4), label=f"filled with {bad}")
+        yield Povm((corner, I4), label=f"one {bad} entry")
+
+
+@pytest.mark.parametrize("p", list(_non_finite_povms()), ids=lambda p: p.label)
+@pytest.mark.parametrize("function", ["effect_entanglement", "rho14_spectral"])
+def test_non_finite_effect_is_rejected_as_run_swap_rejects_it(function, p):
+    # The suite turns numpy's RuntimeWarning into an error, so a division by
+    # a non-finite trace would fail here before any EntswapError.
+    from entswap import run_swap, rho14_spectral
+
+    call = {"effect_entanglement": effect_entanglement, "rho14_spectral": rho14_spectral}[function]
+    with pytest.raises(InvalidPovmError, match=r"^effect 1: non-finite entry") as from_swap:
+        run_swap(p)
+    with pytest.raises(InvalidPovmError) as raised:
+        call(p, 1)
+    assert str(raised.value) == "effect 1: non-finite entry"
+    assert raised.value.problems == from_swap.value.problems[:1]
+    # The finite effect of the same POVM is still served.
+    assert abs(np.trace(np.asarray(rho14_spectral(p, 2))) - 1) < 1e-15
+
+
 def test_json_round_trip():
     original = asymmetric_povm(0.725, 0.4)
     payload = json.loads(json.dumps(povm_to_dict(original)))

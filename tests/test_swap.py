@@ -225,6 +225,24 @@ def test_rho14_spectral_index_out_of_range():
             rho14_spectral(werner_bell_povm(0.5), i)
 
 
+@pytest.mark.parametrize("p", [
+    asymmetric_povm(0.725, 0.4),
+    Povm((np.zeros((4, 4), dtype=complex), I4 / 2, I4 / 2), label="one degenerate"),
+], ids=lambda p: p.label)
+def test_run_swap_pair_states_are_read_only_views_of_one_stack(p):
+    outcomes = [o for o in run_swap(p) if not o.degenerate]
+    matrices = [o.pair_state(pair).matrix for o in outcomes for pair in PAIRS]
+    stack = matrices[0].base
+    assert stack.shape == (len(outcomes), len(PAIRS), 4, 4)
+    assert not stack.flags.writeable
+    for m in matrices:
+        assert m.base is stack and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m.setflags(write=True)
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+
+
 def test_swap_stack_matches_run_swap():
     from entswap.swap import swap_stack
 

@@ -1,6 +1,8 @@
 """The batched sweep engine against the scalar 16-dimensional pipeline."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from entswap import (
     NotAStateError,
     Povm,
     SweepConfig,
+    SweepRecord,
     report,
     run_swap,
     sweep,
@@ -156,3 +159,30 @@ def test_states_failing_the_stacked_checks_go_to_scalar_report(monkeypatch):
     monkeypatch.setattr(analysis, "swap_stack", skewed)
     with pytest.raises(NotAStateError, match=r"^lambda=0\.5: outcome 2, pair 12: not Hermitian"):
         sweep(cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    *(SweepConfig(case=case, count=4) for case in ("I", "II", "III", "IV")),
+    SweepConfig(case="custom", count=4, povm_builder=shrinking_family(11, 4)),
+], ids=["I", "II", "III", "IV", "custom"])
+def test_bulk_built_records_behave_as_initialized_ones(cfg):
+    records = sweep(cfg)
+    if cfg.case == "custom":
+        # Three outcomes are degenerate at lambda = 0 and leave no rows.
+        assert len(records) == (4 * (cfg.count - 1) + 1) * len(PAIRS)
+    for record in records:
+        fields = dataclasses.astuple(record)
+        twin = SweepRecord(*fields)
+        assert [type(v) for v in fields] == [type(v) for v in dataclasses.astuple(twin)]
+        assert type(record.outcome) is int and type(record.lam) is float
+        assert record == twin and twin == record
+        assert hash(record) == hash(twin)
+        assert repr(record) == repr(twin)
+        assert dataclasses.astuple(twin) == fields
+        thawed = pickle.loads(pickle.dumps(record))
+        assert type(thawed) is SweepRecord
+        assert thawed == record and hash(thawed) == hash(record) and repr(thawed) == repr(record)
+        for field in dataclasses.fields(SweepRecord):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, getattr(record, field.name))
+        assert dataclasses.astuple(record) == fields
