@@ -44,10 +44,10 @@ from .errors import (
     NoBracketError,
     NonMonotoneWarning,
     check_tolerance,
+    check_unit_array,
 )
 from .povm import (
     Povm,
-    _sharpness_vector,
     asymmetric_effects,
     asymmetric_povm,
     is_povm,
@@ -450,8 +450,8 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
     ``f(x, rows)`` gives the function values of the brackets with indices
     ``rows`` at the points ``x``. Each bracket returns an end where f is
     exactly 0 (a first), or else repeats: halve dm, set xm = a + dm, move a
-    to xm when f(xm) * f(a) >= 0 with f(a) the value at the first end, and
-    stop with xm when f(xm) == 0 or |dm| < xtol + 4 eps |xm|.
+    to xm when f(xm) is 0 or has the sign of f(a), the value at the first
+    end, and stop with xm when f(xm) == 0 or |dm| < xtol + 4 eps |xm|.
 
     Each call to f evaluates, for every open bracket, the midpoints of the
     full subtree of its next d steps, d = _LEVELS * (calls + 1) - steps
@@ -480,7 +480,7 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)
     fa, fb = (_not_nan(np.array(v, dtype=float, ndmin=1), x) for v, x in ((fa, a), (fb, b)))
-    for i in np.flatnonzero(fa * fb > 0):
+    for i in np.flatnonzero(np.sign(fa) * np.sign(fb) > 0):
         raise NoBracketError(f"f has the same sign at {float(a[i])!r} and {float(b[i])!r}")
     guesses = np.broadcast_to(np.asarray(guess, dtype=float), a.shape).tolist()
     brackets = [
@@ -548,7 +548,8 @@ class _Bracket:
             v = values[x]
             if v != v:
                 raise EntswapError(f"the function value at x={x!r} is NaN")
-            if v * self.f_start >= 0:
+            # Signs, not the product v * f_start, which can underflow to 0.
+            if v == 0 or (v > 0) == (self.f_start > 0):
                 self.a, self.fa = x, v
             else:
                 self.b, self.fb = x, v
@@ -667,7 +668,8 @@ def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float
             )
 
     # The first probe on the other side of the offset (or on it).
-    crossings = (np.argmax(values[:, 1:] * values[:, :1] <= 0.0, axis=-1) + 1).tolist()
+    signs = np.sign(values)
+    crossings = (np.argmax(signs[:, 1:] * signs[:, :1] <= 0.0, axis=-1) + 1).tolist()
     guess = [_first_estimate(*args) for args in zip(probes, values.tolist(), crossings)]
     result = bisect(f, lo, hi, values[:, 0], values[:, -1], tol, guess)
     for i, (pair, measure, _, _, offset) in enumerate(queries):
@@ -784,7 +786,7 @@ def classify_table(
     """
     check_tolerance(tol)
     check_tolerance(root_tol)
-    grid = _sharpness_vector(_grid_points(grid))
+    grid = check_unit_array("sharpness", _grid_points(grid))
     lams = grid[grid > 0.0]
     if lams.size == 0:
         raise BadParamError("classification needs a grid point with lambda > 0")

@@ -24,13 +24,13 @@ import numpy as np
 
 from . import analysis
 from .errors import EntswapError, InvalidPovmError
+from .measures import QUANTITIES
 from .povm import povm_from_dict
 from .swap import PAIRS, run_swap
 
-SWEEP_HEADER = (
-    "case,x,lambda,outcome,pair,probability,"
-    "negativity,steering2,steering3,nonlocality,M,Lambda3"
-)
+# Sweep CSV columns, one per SweepRecord field (lam is lambda): where the row
+# is, then the QUANTITIES columns.
+SWEEP_HEADER = ",".join(("case", "x", "lambda", "outcome", "pair", "probability") + QUANTITIES)
 
 
 def _fmt(value: float | None) -> str:
@@ -62,13 +62,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 # One row of SWEEP_HEADER; '%.12g' % v equals _fmt(v) for every float v.
-_SWEEP_ROW = "%s,%s,%.12g,%d,%s" + ",%.12g" * 7 + "\n"
+_SWEEP_ROW = "%s,%s,%.12g,%d,%s" + ",%.12g" * (1 + len(QUANTITIES)) + "\n"
 # The record attributes of the SWEEP_HEADER columns, read as one tuple.
-_SWEEP_COLUMNS = operator.attrgetter(
-    "case", "x", "lam", "outcome", "pair", "probability",
-    "negativity", "steering2", "steering3", "nonlocality", "M", "Lambda3",
-)
-_SWEEP_WIDTH = SWEEP_HEADER.count(",") + 1
+_SWEEP_COLUMNS = operator.attrgetter(*analysis._RECORD_FIELDS)
+_SWEEP_WIDTH = len(analysis._RECORD_FIELDS)
 # Rows per % call, so a long sweep's argument tuple and template stay small.
 _SWEEP_BLOCK = 4096
 
@@ -101,10 +98,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unit_grid(count: int) -> np.ndarray:
+    """``count`` evenly spaced lambdas on [0, 1], at least 2."""
+    analysis._check_grid_size(count)
+    return np.linspace(0.0, 1.0, count)
+
+
 def _cmd_thresholds(args: argparse.Namespace) -> int:
-    analysis._check_grid_size(args.grid)
-    grid = np.linspace(0.0, 1.0, args.grid)
-    table = analysis.classify_table(args.case, args.x, grid, root_tol=args.tol)
+    table = analysis.classify_table(args.case, args.x, _unit_grid(args.grid), root_tol=args.tol)
     x = analysis._resolve_x(args.case, args.x)
     if args.format == "csv":
         lines = ["case,x,pair,measure,pattern,threshold"]
@@ -129,7 +130,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 # Each analyze flag and its QUANTITIES column, whose clamped value exceeds tol
 # where the flag is set.
-_FLAGS = (("entangled", 0), ("steerable", 2), ("nonlocal", 3))
+_FLAGS = tuple((flag, QUANTITIES.index(column)) for flag, column in (
+    ("entangled", "negativity"), ("steerable", "steering3"), ("nonlocal", "nonlocality")))
 
 
 def _analyze_text(p, outcomes, values, tol) -> str:
@@ -153,8 +155,7 @@ def _analyze_csv(p, outcomes, values, tol) -> str:
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        "label,outcome,pair,probability,negativity,steering2,steering3,"
-        "nonlocality,M,Lambda3,entangled,steerable,nonlocal".split(",")
+        ["label", "outcome", "pair", "probability", *QUANTITIES, *(flag for flag, _ in _FLAGS)]
     )
     for outcome, rows in zip(outcomes, values.tolist()):
         if outcome.degenerate:
@@ -202,8 +203,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cases = [args.case] if args.case else ["I", "II", "III", "IV"]
-    analysis._check_grid_size(args.grid)
-    grid = np.linspace(0.0, 1.0, args.grid)
+    grid = _unit_grid(args.grid)
     lines = []
     all_passed = True
     for case in cases:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the check of a tolerance."""
+"""Exception types shared across the package, and the checks of parameters."""
 
 import math
+
+import numpy as np
 
 
 class EntswapError(ValueError):
@@ -62,3 +64,23 @@ def check_tolerance(tol: float) -> None:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise BadParamError(f"tolerance must be positive and finite, got {tol}")
+
+
+_OUTSIDE_UNIT = "{} must be in [0, 1], got {}"
+
+
+def check_unit(name: str, value) -> None:
+    """Raise BadParamError unless the scalar ``value`` is in [0, 1] (NaN is
+    not); plain Python, as a numpy check costs about 100 times as much."""
+    if not 0.0 <= value <= 1.0:
+        raise BadParamError(_OUTSIDE_UNIT.format(name, value))
+
+
+def check_unit_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array, or BadParamError naming the first entry
+    outside [0, 1] (NaN is), as the input gives it."""
+    values = np.asarray(values)
+    outside = ~((0.0 <= values) & (values <= 1.0))
+    if outside.any():
+        raise BadParamError(_OUTSIDE_UNIT.format(name, values[outside][0]))
+    return np.asarray(values, dtype=float)

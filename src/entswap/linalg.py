@@ -46,6 +46,31 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def freeze(m: np.ndarray) -> np.ndarray:
+    """``m`` as a read-only array over immutable bytes, which neither it nor
+    any array up its ``.base`` chain can make writeable again. An array that
+    already is one, such as a view of a frozen stack, is returned as it is."""
+    root = m
+    while isinstance(root, np.ndarray):
+        root = root.base
+    if isinstance(root, bytes):
+        return m
+    return np.frombuffer(m.tobytes(), dtype=m.dtype).reshape(m.shape)
+
+
+def invariant_residuals(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per matrix of a complex (..., d, d) stack: finite or not, the matrix
+    with the non-finite ones zeroed, its Hermitian residual max |m - m†| and
+    the ascending eigenvalues of its Hermitian part."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    # The eigensolver fails on non-finite entries, so those matrices are
+    # zeroed; halving before adding keeps the Hermitian part of huge entries finite.
+    m = np.where(finite[..., None, None], m, 0.0)
+    herm = np.abs(m - _adjoint(m)).max(axis=(-2, -1))
+    half = m / 2
+    return finite, m, herm, np.linalg.eigvalsh(half + _adjoint(half))
+
+
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """Return (m + m†)/2, rejecting asymmetry beyond HERMITIAN_ATOL."""
     m = np.asarray(m, dtype=complex)

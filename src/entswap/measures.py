@@ -47,11 +47,11 @@ QUANTITIES = ("negativity", "steering2", "steering3", "nonlocality", "M", "Lambd
 _IMAG_RESIDUE = 1e-10
 
 
-def _as_state(rho) -> np.ndarray:
+def _as_state(rho) -> DensityMatrix:
     # A two-qubit DensityMatrix was checked when it was built.
     if isinstance(rho, DensityMatrix) and rho.qubits == 2:
-        return rho.matrix
-    return check_density_matrix(np.asarray(rho, dtype=complex), qubits=2)
+        return rho
+    return DensityMatrix._checked(2, check_density_matrix(np.asarray(rho, dtype=complex), qubits=2))
 
 
 def _correlation_matrix(m: np.ndarray) -> np.ndarray:
@@ -71,7 +71,7 @@ class CorrelationSpectrum:
 
 def correlation_spectrum(rho) -> CorrelationSpectrum:
     """Correlation matrix and the derived pair-sum / total eigenvalue data."""
-    raw = _correlation_matrix(_as_state(rho))
+    raw = _correlation_matrix(_as_state(rho).matrix)
     residue = float(np.abs(raw.imag).max())
     if residue > _IMAG_RESIDUE:
         raise NotAStateError(f"correlation matrix has imaginary residue {residue:.3e}")
@@ -101,7 +101,7 @@ def steering3_signed(rho) -> float:
 
 def negativity_signed(rho) -> float:
     """Twice the negated smallest partial-transpose eigenvalue, unclamped."""
-    m = _as_state(rho)
+    m = _as_state(rho).matrix
     mu = float(np.linalg.eigvalsh(partial_transpose(m, "second")).min())
     return -2.0 * mu
 
@@ -175,22 +175,17 @@ class CorrelationReport:
         return rep
 
     def values(self) -> dict[str, float]:
-        """Quantifier columns keyed by their CSV names."""
-        return {
-            "negativity": self.negativity,
-            "steering2": self.S2,
-            "steering3": self.S3,
-            "nonlocality": self.N,
-            "M": self.M,
-            "Lambda3": self.Lambda3,
-        }
+        """Quantifier columns keyed by their CSV names, in QUANTITIES order."""
+        columns = (self.negativity, self.S2, self.S3, self.N, self.M, self.Lambda3)
+        return dict(zip(QUANTITIES, columns))
 
 
 def report(rho, tol: float = 1e-9) -> CorrelationReport:
-    """Evaluate every quantifier of a two-qubit state at one tolerance."""
-    spectrum = correlation_spectrum(rho)
+    """Evaluate every quantifier of a two-qubit state, checked once, at one tolerance."""
+    state = _as_state(rho)
+    spectrum = correlation_spectrum(state)
     return CorrelationReport.from_quantities(
-        negativity(rho), spectrum.M, spectrum.Lambda3, tol=tol
+        negativity(state), spectrum.M, spectrum.Lambda3, tol=tol
     )
 
 

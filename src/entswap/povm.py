@@ -15,8 +15,15 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import BadIndexError, BadParamError, DegenerateEffectError, InvalidPovmError
-from .states import bell_state, product_basis
+from .errors import (
+    BadIndexError,
+    DegenerateEffectError,
+    InvalidPovmError,
+    check_unit,
+    check_unit_array,
+)
+from .linalg import freeze, invariant_residuals
+from .states import bell_state, lambda_basis_rows, product_basis
 
 # Per-effect eigenvalue window and completeness tolerance.
 POVM_ATOL = 1e-10
@@ -41,15 +48,11 @@ class Povm:
     def __post_init__(self) -> None:
         if len(self.effects) < 1:
             raise InvalidPovmError("a POVM needs at least one effect")
-        frozen = []
-        for i, effect in enumerate(self.effects, start=1):
-            m = np.asarray(effect, dtype=complex)
+        effects = [np.asarray(effect, dtype=complex) for effect in self.effects]
+        for i, m in enumerate(effects, start=1):
             if m.shape != (4, 4):
                 raise InvalidPovmError(f"effect {i}: expected a 4x4 matrix, got shape {m.shape}")
-            m = m.copy()
-            m.setflags(write=False)
-            frozen.append(m)
-        object.__setattr__(self, "effects", tuple(frozen))
+        object.__setattr__(self, "effects", tuple(freeze(np.array(effects))))
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -62,13 +65,7 @@ def _residuals(effects) -> tuple[np.ndarray, ...]:
     """Per effect of a (..., k, 4, 4) stack: finite or not, the Hermitian residual, the
     extreme eigenvalues and whether all pass; per list: the completeness residual."""
     e = np.asarray(effects, dtype=complex)
-    finite = np.isfinite(e).all(axis=(-2, -1))
-    # The eigensolver fails on non-finite entries, so those effects are
-    # zeroed; halving before adding keeps the Hermitian part of huge entries finite.
-    zeroed = np.where(finite[..., None, None], e, 0.0)
-    herm = np.abs(zeroed - zeroed.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    half = zeroed / 2
-    eigs = np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))
+    finite, _, herm, eigs = invariant_residuals(e)
     low, high = eigs[..., 0], eigs[..., -1]
     ok = finite & (herm <= POVM_ATOL) & (low >= -POVM_ATOL) & (high <= 1.0 + POVM_ATOL)
     # The raw sum is NaN for a NaN entry, which gets no completeness message.
@@ -111,25 +108,12 @@ def is_povm(effects: np.ndarray) -> np.ndarray:
     return ok.all(axis=-1) & (completeness <= POVM_ATOL)
 
 
-def _check_unit(name: str, value) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise BadParamError(f"{name} must be in [0, 1], got {value}")
-
-
-def _sharpness_vector(lams) -> np.ndarray:
-    lams = np.asarray(lams, dtype=float)
-    outside = ~((0.0 <= lams) & (lams <= 1.0))
-    if outside.any():
-        raise BadParamError(f"sharpness must be in [0, 1], got {lams[outside][0]}")
-    return lams
-
-
 _BELL_PROJECTORS = np.array([np.outer(bell_state(k), bell_state(k).conj()) for k in (1, 2, 3, 4)])
 
 
 def werner_bell_effects(lams) -> np.ndarray:
     """Effects of ``werner_bell_povm`` for every sharpness in ``lams``, shape (n, 4, 4, 4)."""
-    lam = _sharpness_vector(lams)[:, None, None, None]
+    lam = check_unit_array("sharpness", lams)[:, None, None, None]
     return lam * _BELL_PROJECTORS + (1.0 - lam) / 4.0 * np.eye(4)
 
 
@@ -140,20 +124,16 @@ def werner_bell_povm(lam: float) -> Povm:
     at lam = 1 and trivial at lam = 0. This is the one-point view of
     ``werner_bell_effects``.
     """
-    _check_unit("sharpness", lam)
     return Povm(tuple(werner_bell_effects([lam])[0]), label=f"werner-bell(lam={lam:g})")
 
 
 def _asymmetric_weights(x, lam):
-    """(y1, y2, w1, w2, a, b) of the asymmetric family; elementwise on arrays."""
-    root = np.sqrt(1.0 - lam)
-    y1 = (2.0 + 2.0 * root - lam) / 4.0
+    """(y1, y2, w1, w2) of the asymmetric family; elementwise on arrays."""
+    y1 = (2.0 + 2.0 * np.sqrt(1.0 - lam) - lam) / 4.0
     y2 = lam / 4.0
     w1 = y1 * (1.0 - x) / (y1 + y2)
     w2 = y2 * (1.0 - x) / (y1 + y2)
-    a = np.sqrt(1.0 - root) / np.sqrt(2.0)
-    b = np.sqrt(1.0 + root) / np.sqrt(2.0)
-    return y1, y2, w1, w2, a, b
+    return y1, y2, w1, w2
 
 
 @dataclass(frozen=True)
@@ -184,9 +164,10 @@ class AsymmetricPovmParams:
 
     def __post_init__(self) -> None:
         x, lam = self.x, self.lam
-        _check_unit("x", x)
-        _check_unit("sharpness", lam)
-        y1, y2, w1, w2, a, b = _asymmetric_weights(x, lam)
+        check_unit("x", x)
+        check_unit("sharpness", lam)
+        y1, y2, w1, w2 = _asymmetric_weights(x, lam)
+        a, b = lambda_basis_rows(lam)[:2, 0].real  # the |00> amplitudes of members 1 and 2
         e = np.sqrt(w2)
         f = a * a * np.sqrt(w1) + b * b * np.sqrt(x)
         g = b * b * np.sqrt(w1) + a * a * np.sqrt(x)
@@ -210,15 +191,10 @@ _PRODUCT_PROJECTORS = np.array([np.outer(product_basis(k), product_basis(k)) for
 
 def asymmetric_effects(x: float, lams) -> np.ndarray:
     """Effects of ``asymmetric_povm(x, lam)`` for every lam in ``lams``, shape (n, 4, 4, 4)."""
-    _check_unit("x", x)
-    lam = _sharpness_vector(lams)
-    _, _, w1, w2, a, b = _asymmetric_weights(x, lam)
-    # Rows are the members of the lam-basis, as in ``states.lambda_basis``.
-    basis = np.zeros(lam.shape + (4, 4), dtype=complex)
-    basis[:, 0, [0, 3]] = np.stack([a, -b], axis=-1)  # a|00> - b|11>
-    basis[:, 1, [0, 3]] = np.stack([b, a], axis=-1)  # b|00> + a|11>
-    basis[:, 2, [1, 2]] = np.stack([a, -b], axis=-1)  # a|01> - b|10>
-    basis[:, 3, [1, 2]] = np.stack([b, a], axis=-1)  # b|01> + a|10>
+    check_unit("x", x)
+    lam = check_unit_array("sharpness", lams)
+    _, _, w1, w2 = _asymmetric_weights(x, lam)
+    basis = lambda_basis_rows(lam)
     projectors = basis[..., :, None] * basis[..., None, :]
     return (
         x * projectors[:, _MAIN]
@@ -235,8 +211,6 @@ def asymmetric_povm(x: float, lam: float) -> Povm:
     identity for every (x, lam). This is the one-point view of
     ``asymmetric_effects``.
     """
-    _check_unit("x", x)
-    _check_unit("sharpness", lam)
     return Povm(tuple(asymmetric_effects(x, [lam])[0]), label=f"asymmetric(x={x:g}, lam={lam:g})")
 
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadIndexError, BadParamError, NotAStateError
-from .linalg import kron
+from .errors import BadIndexError, NotAStateError, check_unit
+from .linalg import freeze, invariant_residuals, kron
 
 # Density-matrix invariants: Hermitian and unit trace within STATE_ATOL,
 # eigenvalues no lower than -STATE_ATOL.
@@ -24,15 +24,8 @@ _SQRT2 = np.sqrt(2.0)
 def _residuals(m: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per matrix of a complex (..., d, d) stack: finite or not, the Hermitian
     residual, the trace and the smallest eigenvalue."""
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    # The eigensolver fails on non-finite entries, so those matrices are
-    # zeroed; halving before adding keeps the Hermitian part of huge entries finite.
-    m = np.where(finite[..., None, None], m, 0.0)
-    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    tr = m.diagonal(0, -2, -1).sum(axis=-1)
-    half = m / 2
-    low = np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2)).min(axis=-1)
-    return finite, herm, tr, low
+    finite, m, herm, eigs = invariant_residuals(m)
+    return finite, herm, m.diagonal(0, -2, -1).sum(axis=-1), eigs[..., 0]
 
 
 def _passes(finite, herm, tr, low) -> tuple[np.ndarray, ...]:
@@ -91,27 +84,16 @@ class DensityMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        self._freeze(check_density_matrix(self.matrix, self.qubits))
+        object.__setattr__(self, "matrix", freeze(check_density_matrix(self.matrix, self.qubits)))
 
     @classmethod
     def _checked(cls, qubits: int, m: np.ndarray) -> DensityMatrix:
-        """Wrap a matrix that ``check_density_matrix`` has already passed.
-
-        A read-only matrix, such as a view of a read-only stack, is shared
-        as it is; any other is copied and frozen.
-        """
+        """Wrap a matrix that ``check_density_matrix`` has already passed,
+        frozen with ``linalg.freeze``, so a view of a frozen stack is shared."""
         state = object.__new__(cls)
         object.__setattr__(state, "qubits", qubits)
-        if m.flags.writeable:
-            state._freeze(m)
-        else:
-            object.__setattr__(state, "matrix", m)
+        object.__setattr__(state, "matrix", freeze(m))
         return state
-
-    def _freeze(self, m: np.ndarray) -> None:
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -149,34 +131,34 @@ def bell_state(k: int) -> np.ndarray:
 
 def werner_state(w: float, k: int) -> DensityMatrix:
     """Bell state k mixed with white noise: w |b_k><b_k| + (1-w)/4 * I."""
-    if not 0.0 <= w <= 1.0:
-        raise BadParamError(f"mixing weight must be in [0, 1], got {w}")
+    check_unit("mixing weight", w)
     v = bell_state(k)
     matrix = w * np.outer(v, v.conj()) + (1.0 - w) / 4.0 * np.eye(4)
     return DensityMatrix(2, matrix)
 
 
-def lambda_basis(lam: float, k: int) -> np.ndarray:
-    """Member k of the sharpness-parameterized orthonormal basis.
+def lambda_basis_rows(lam) -> np.ndarray:
+    """Members 1-4 of ``lambda_basis`` as the rows of a (..., 4, 4) array, one
+    per sharpness; ``lam`` is not checked."""
+    root = np.sqrt(1.0 - lam)
+    a, b = np.sqrt(1.0 - root) / _SQRT2, np.sqrt(1.0 + root) / _SQRT2
+    o = np.zeros_like(a)
+    rows = np.array([[a, o, o, -b], [b, o, o, a], [o, a, -b, o], [o, b, a, o]], dtype=complex)
+    return np.moveaxis(rows, (0, 1), (-2, -1))
 
-    With a = sqrt(1 - sqrt(1-lam))/sqrt2 and b = sqrt(1 + sqrt(1-lam))/sqrt2:
+
+def lambda_basis(lam: float, k: int) -> np.ndarray:
+    """Member k of the sharpness-parameterized orthonormal basis, the
+    one-point view of ``lambda_basis_rows``. With a = sqrt(1 - sqrt(1-lam))/sqrt2
+    and b = sqrt(1 + sqrt(1-lam))/sqrt2:
 
     1: a|00> - b|11>    2: b|00> + a|11>
     3: a|01> - b|10>    4: b|01> + a|10>
     """
-    if not 0.0 <= lam <= 1.0:
-        raise BadParamError(f"sharpness must be in [0, 1], got {lam}")
-    a = np.sqrt(1.0 - np.sqrt(1.0 - lam)) / _SQRT2
-    b = np.sqrt(1.0 + np.sqrt(1.0 - lam)) / _SQRT2
-    table = {
-        1: (a, 0, 0, -b),
-        2: (b, 0, 0, a),
-        3: (0, a, -b, 0),
-        4: (0, b, a, 0),
-    }
-    if k not in table:
+    check_unit("sharpness", lam)
+    if k not in (1, 2, 3, 4):
         raise BadIndexError(f"basis index must be 1..4, got {k}")
-    return np.array(table[k], dtype=complex)
+    return lambda_basis_rows(lam)[int(k) - 1]
 
 
 def product_basis(k: int) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParamError, DegenerateEffectError, InvalidPovmError
-from .linalg import partial_trace, psd_sqrt
+from .errors import BadParamError, DegenerateEffectError, InvalidPovmError, check_unit
+from .linalg import freeze, partial_trace, psd_sqrt
 from .measures import CorrelationReport
 from .povm import DEGENERATE_PROBABILITY, AsymmetricPovmParams, Povm, unit_trace_effect, validate
 from .states import DensityMatrix, check_density_matrix, initial_four_qubit
@@ -74,7 +74,7 @@ def run_swap(p: Povm) -> list[SwapOutcome]:
     normalized partial traces onto (1,4), (1,2) and (3,4). All outcomes go
     through each step as one stack of 16x16 matrices, and all pair states
     through one ``check_density_matrix`` call. The pair states of the
-    outcomes are read-only views of that one checked stack.
+    outcomes are views of that one checked stack, frozen with ``freeze``.
     """
     problems = validate(p)
     if problems:
@@ -89,8 +89,7 @@ def run_swap(p: Povm) -> list[SwapOutcome]:
     states = check_density_matrix(
         np.stack([partial_trace(conditional, 4, pair) for pair in _PAIR_QUBITS], axis=1), 2
     )
-    states.setflags(write=False)
-    pair_states = iter(states)
+    pair_states = iter(freeze(states))
     outcomes = []
     for index, probability in enumerate(probabilities.tolist(), start=1):
         if probability < DEGENERATE_PROBABILITY:
@@ -159,8 +158,7 @@ def s_of_lambda(lam: float) -> float:
     s = (1 - lam + sqrt((1 - lam)(1 + 3 lam)))/2, which falls from 1 at
     lam = 0 to 0 at lam = 1.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise BadParamError(f"sharpness must be in [0, 1], got {lam}")
+    check_unit("sharpness", lam)
     return 0.5 * (1.0 - lam + np.sqrt((1.0 - lam) * (1.0 + 3.0 * lam)))
 
 

@@ -39,6 +39,11 @@ def test_sweep_stdout_shape(capsys):
     assert len(lines) == 1 + 5 * 4 * 3
 
 
+def test_sweep_columns_are_the_record_fields():
+    fields = [field.name for field in dataclasses.fields(SweepRecord)]
+    assert SWEEP_HEADER.split(",") == ["lambda" if name == "lam" else name for name in fields]
+
+
 def test_sweep_csv_round_trips(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--case", "II", "--grid", "3")
     assert code == 0

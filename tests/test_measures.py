@@ -19,6 +19,7 @@ from entswap import (
     trace_norm,
     werner_state,
 )
+from entswap import measures
 from entswap.measures import negativity_signed, report_stack
 from entswap.states import check_density_matrix
 from helpers import random_density_matrix, random_unitary, rng
@@ -168,6 +169,19 @@ def test_non_finite_state_is_rejected(call, bad):
 def test_report_checks_the_qubit_count_of_a_density_matrix():
     with pytest.raises(NotAStateError, match="expected a 4x4 matrix"):
         report(initial_four_qubit())
+
+
+def test_report_checks_a_raw_array_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_density_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "check_density_matrix", counted)
+    rep = report(np.asarray(werner_state(0.77, 1)))
+    assert len(calls) == 1
+    assert rep == report(werner_state(0.77, 1))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

@@ -232,15 +232,35 @@ def test_rho14_spectral_index_out_of_range():
 def test_run_swap_pair_states_are_read_only_views_of_one_stack(p):
     outcomes = [o for o in run_swap(p) if not o.degenerate]
     matrices = [o.pair_state(pair).matrix for o in outcomes for pair in PAIRS]
-    stack = matrices[0].base
-    assert stack.shape == (len(outcomes), len(PAIRS), 4, 4)
-    assert not stack.flags.writeable
+    buffer = matrices[0]
+    while isinstance(buffer.base, np.ndarray):
+        buffer = buffer.base
     for m in matrices:
-        assert m.base is stack and not m.flags.writeable
-        with pytest.raises(ValueError):
-            m.setflags(write=True)
+        assert np.shares_memory(m, buffer)
+        assert_frozen(m)
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
+
+
+def assert_frozen(m):
+    """Neither ``m`` nor any array up its ``.base`` chain can be made writeable."""
+    while isinstance(m, np.ndarray):
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m.setflags(write=True)
+        m = m.base
+
+
+def test_validated_arrays_cannot_be_made_writeable():
+    p = asymmetric_povm(0.725, 0.4)
+    handed_out = [
+        *p.effects,
+        werner_state(0.5, 1).matrix,
+        rho14_spectral(p, 1).matrix,
+        *(o.pair_state(pair).matrix for o in run_swap(p) for pair in PAIRS),
+    ]
+    for m in handed_out:
+        assert_frozen(m)
 
 
 def test_swap_stack_matches_run_swap():

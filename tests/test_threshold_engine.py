@@ -12,12 +12,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entswap
 from entswap import (
     EntswapError,
+    NoBracketError,
     case1_closed_forms,
     case2_closed_forms,
     classify_table,
@@ -265,7 +266,7 @@ def stepwise_bisect(f, a, b, fa, fb, xtol):
         dm *= 0.5
         xm = a + dm
         fm = f(xm)
-        if fm * f_start >= 0:
+        if fm == 0 or (fm > 0) == (f_start > 0):
             a, fa = xm, fm
         else:
             b, fb = xm, fm
@@ -300,6 +301,10 @@ guesses = st.sampled_from(["good", "bad", "outside", "nan"])
     st.lists(st.tuples(smooth_brackets(), guesses), min_size=1, max_size=4),
     st.sampled_from(TOLS + (1e-13, 1e-3)),
 )
+# Signs whose products underflow to 0: the root 5e-324 is near 0, not 0.5,
+# and two positive ends bracket nothing.
+@example([((lambda lam: lam - 5e-324, 0.0, 1.0, 5e-324), "nan")], 1e-5)
+@example([((lambda lam: 5e-324, 0.0, 1.0, 0.5), "nan")], 1e-5)
 def test_bisect_equals_the_stepwise_algorithm(brackets, tol):
     fs, lo, hi, guess = [], [], [], []
     for (f, a, b, root), kind in brackets:
@@ -313,7 +318,13 @@ def test_bisect_equals_the_stepwise_algorithm(brackets, tol):
             "nan": float("nan"),
         }[kind])
     f_lo, f_hi = [f(v) for f, v in zip(fs, lo)], [f(v) for f, v in zip(fs, hi)]
-    keep = [i for i in range(len(fs)) if f_lo[i] * f_hi[i] <= 0]
+    keep = [i for i in range(len(fs)) if np.sign(f_lo[i]) * np.sign(f_hi[i]) <= 0]
+    for i in set(range(len(fs))) - set(keep):
+        with pytest.raises(ValueError, match="different signs"):
+            scipy.optimize.bisect(fs[i], lo[i], hi[i], xtol=tol, maxiter=200)
+        with pytest.raises(NoBracketError):
+            analysis.bisect(lambda x, rows: [fs[i](v) for v in x], lo[i], hi[i],
+                            f_lo[i], f_hi[i], tol, guess[i])
     if not keep:
         return
     fs, lo, hi, guess, f_lo, f_hi = ([v[i] for i in keep] for v in (fs, lo, hi, guess, f_lo, f_hi))
