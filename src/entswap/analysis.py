@@ -22,8 +22,7 @@ bracket. ``_outcome_values`` gives the quantifiers of all outcomes of one
 ``SweepRecord`` rows in bulk, column by column. The scalar 16-dimensional
 pipeline, ``run_swap`` plus ``measures``, stays the oracle: it re-checks
 the last point of every grid scan, both ends of every bisected root's final
-bracket and one pair state of every ``_outcome_values`` call, and it runs
-the golden-section refinement of ``find_extremum``.
+bracket and one pair state of every ``_outcome_values`` call.
 """
 
 from __future__ import annotations
@@ -43,8 +42,10 @@ from .errors import (
     InvalidPovmError,
     NoBracketError,
     NonMonotoneWarning,
+    check_choice,
     check_tolerance,
     check_unit_array,
+    outside_unit,
 )
 from .povm import (
     Povm,
@@ -89,28 +90,35 @@ _CLAMPED = {
 
 
 def _resolve_x(case: str, x: float | None) -> float | None:
+    """The mixing weight of a case, after checking the case: None for case
+    I, which takes no x, a float for a preset case (its preset if x is
+    None), and x as given for case "custom"."""
+    check_choice("case", case, CASES)
     if case == "I":
         if x is not None:
             raise BadParamError("case I has no x parameter")
         return None
-    if case in CASE_PRESETS:
-        return CASE_PRESETS[case] if x is None else float(x)
-    return x
+    if case == "custom":
+        return x
+    if x is None:
+        return CASE_PRESETS[case]
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise outside_unit("x", x) from None
 
 
 def _builder_for(
     case: str, x: float | None, povm_builder: Callable[[float], Povm] | None = None
 ) -> Callable[[float], Povm]:
+    weight = _resolve_x(case, x)
     if case == "I":
         return werner_bell_povm
-    if case in CASE_PRESETS:
-        weight = _resolve_x(case, x)
-        return lambda lam: asymmetric_povm(weight, lam)
     if case == "custom":
         if povm_builder is None:
             raise BadParamError("case 'custom' needs a povm_builder")
         return povm_builder
-    raise BadParamError(f"case must be one of {CASES}, got {case!r}")
+    return lambda lam: asymmetric_povm(weight, lam)
 
 
 def _check_grid_size(count: int) -> None:
@@ -148,8 +156,7 @@ class SweepConfig:
     povm_builder: Callable[[float], Povm] | None = None
 
     def __post_init__(self) -> None:
-        if self.case not in CASES:
-            raise BadParamError(f"case must be one of {CASES}, got {self.case!r}")
+        check_choice("case", self.case, CASES)
         if not 0.0 <= self.lambda_start <= self.lambda_stop <= 1.0:
             raise BadParamError(
                 f"need 0 <= start <= stop <= 1, got [{self.lambda_start}, {self.lambda_stop}]"
@@ -728,10 +735,8 @@ def find_threshold(
     17 probes, the ends and the midpoints of the first four bisection
     levels, emits NonMonotoneWarning when it looks violated.
     """
-    if pair not in PAIRS:
-        raise BadParamError(f"pair must be one of {PAIRS}, got {pair!r}")
-    if measure not in MEASURES:
-        raise BadParamError(f"measure must be one of {MEASURES}, got {measure!r}")
+    check_choice("pair", pair, PAIRS)
+    check_choice("measure", measure, MEASURES)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 <= lo < hi <= 1.0:
         raise BadParamError(f"bracket must satisfy 0 <= lo < hi <= 1, got {bracket}")
@@ -831,23 +836,9 @@ def classify_table(
     }
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+# Points of each refinement scan of ``find_extremum``, from one neighbour of
+# the argmax to the other, so each scan brings the neighbours 16 times closer.
+_REFINE_POINTS = 33
 
 
 def find_extremum(
@@ -857,27 +848,31 @@ def find_extremum(
     measure: str,
     grid: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """Locate the maximum of a measure over the sharpness grid.
+    """Locate the maximum of a measure of outcome 1 over the sharpness grid.
 
-    The grid argmax is refined by golden-section search between its
-    neighboring grid points, to 1e-6 in lambda. A boundary argmax is
-    returned as-is.
+    The grid argmax is refined by grid scans of _REFINE_POINTS points, each
+    from one neighbour of the current argmax to the other, re-centred on the
+    scan's argmax held one point inside its ends, until the neighbours are
+    within 1e-6 in lambda. Returns the best point of the last scan and its
+    value; a boundary argmax of the grid is returned as-is. Every scan runs
+    on the batched engine, and the scalar pipeline checks its last point.
     """
-    grid = _grid_points(grid)
-    if pair not in PAIRS:
-        raise BadParamError(f"pair must be one of {PAIRS}, got {pair!r}")
-    if measure not in MEASURES:
-        raise BadParamError(f"measure must be one of {MEASURES}, got {measure!r}")
+    lams = _grid_points(grid)
+    check_choice("pair", pair, PAIRS)
+    check_choice("measure", measure, MEASURES)
     x = _resolve_x(case, x)
     builder = _builder_for(case, x)
-    _, values, _ = _grid_values(case, x, builder, grid, 1e-9)
-    values = values[:, 0, PAIRS.index(pair), measures.QUANTITIES.index(measure)]
-    peak = int(np.argmax(values))
-    if peak in (0, len(grid) - 1):
-        return float(grid[peak]), float(values[peak])
-    f = lambda lam: _CLAMPED[measure](run_swap(builder(float(lam)))[0].pair_state(pair))
-    lam_star = _golden_max(f, float(grid[peak - 1]), float(grid[peak + 1]), xtol=1e-6)
-    return lam_star, f(lam_star)
+    p, q = PAIRS.index(pair), measures.QUANTITIES.index(measure)
+    values = _grid_values(case, x, builder, lams, 1e-9, outcomes=1)[1][:, 0, p, q]
+    best = peak = int(np.argmax(values))
+    if peak in (0, len(lams) - 1):
+        return float(lams[peak]), float(values[peak])
+    while abs(lams[peak + 1] - lams[peak - 1]) > 1e-6:
+        lams = np.linspace(lams[peak - 1], lams[peak + 1], _REFINE_POINTS)
+        values = _grid_values(case, x, builder, lams, 1e-9, outcomes=1)[1][:, 0, p, q]
+        best = int(np.argmax(values))
+        peak = min(max(best, 1), _REFINE_POINTS - 2)
+    return float(lams[best]), float(values[best])
 
 
 @dataclass(frozen=True)
@@ -906,7 +901,7 @@ def verify(
     The report passes iff the worst absolute deviation stays below
     VERIFY_TOL.
     """
-    if case not in ("I", "II", "III", "IV"):
+    if not isinstance(case, str) or case not in ("I", "II", "III", "IV"):
         raise BadParamError(f"verification needs a preset case, got {case!r}")
     grid = _grid_points(grid)
     x = _resolve_x(case, x)

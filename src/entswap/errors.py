@@ -57,30 +57,55 @@ class NonMonotoneWarning(UserWarning):
 
 
 def check_tolerance(tol: float) -> None:
-    """Raise BadParamError unless ``tol`` is finite and above 0.
+    """Raise BadParamError unless ``tol`` is a finite number above 0.
 
     A NaN tolerance makes every ``> tol`` test false and an infinite one makes
-    them all false too, so both would give vacuous answers, not errors.
+    them all false too, so both would give vacuous answers, not errors. A
+    value that is no real number (a str, a list) is rejected the same way.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise BadParamError(f"tolerance must be positive and finite, got {tol}")
+    try:
+        if math.isfinite(tol) and tol > 0:
+            return
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BadParamError(f"tolerance must be positive and finite, got {tol}")
 
 
-_OUTSIDE_UNIT = "{} must be in [0, 1], got {}"
+def check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """Raise BadParamError unless ``value`` is a str among ``choices``; any
+    other type is rejected before it is compared, so an array or a list
+    cannot pass as a choice."""
+    if not (isinstance(value, str) and value in choices):
+        raise BadParamError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def outside_unit(name: str, value) -> BadParamError:
+    """The error for a ``name`` that is not a number in [0, 1]."""
+    return BadParamError(f"{name} must be in [0, 1], got {value}")
 
 
 def check_unit(name: str, value) -> None:
     """Raise BadParamError unless the scalar ``value`` is in [0, 1] (NaN is
-    not); plain Python, as a numpy check costs about 100 times as much."""
-    if not 0.0 <= value <= 1.0:
-        raise BadParamError(_OUTSIDE_UNIT.format(name, value))
+    not, nor is a value that does not compare as one scalar, such as a str,
+    a list or an array of two); plain Python, as a numpy check costs about
+    100 times as much."""
+    try:
+        if 0.0 <= value <= 1.0:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise outside_unit(name, value)
 
 
 def check_unit_array(name: str, values) -> np.ndarray:
     """``values`` as a float array, or BadParamError naming the first entry
-    outside [0, 1] (NaN is), as the input gives it."""
-    values = np.asarray(values)
-    outside = ~((0.0 <= values) & (values <= 1.0))
+    outside [0, 1] (NaN is), as the input gives it, or the whole input if it
+    is no array of numbers."""
+    try:
+        array = np.asarray(values)
+        outside = ~((0.0 <= array) & (array <= 1.0))
+    except (TypeError, ValueError):
+        raise outside_unit(name, values) from None
     if outside.any():
-        raise BadParamError(_OUTSIDE_UNIT.format(name, values[outside][0]))
-    return np.asarray(values, dtype=float)
+        raise outside_unit(name, array[outside][0])
+    return np.asarray(array, dtype=float)

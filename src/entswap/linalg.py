@@ -72,12 +72,15 @@ def invariant_residuals(m: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """Return (m + m†)/2, rejecting asymmetry beyond HERMITIAN_ATOL."""
+    """Return (m + m†)/2, rejecting asymmetry beyond HERMITIAN_ATOL and,
+    through their NaN or infinite residual, non-finite entries."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise BadDimError(f"expected a square matrix, got shape {m.shape}")
     residual = float(np.abs(m - _adjoint(m)).max())
-    if residual >= HERMITIAN_ATOL:
+    if not residual < HERMITIAN_ATOL:
+        if not np.isfinite(m).all():
+            raise NotHermitianError("matrix has a non-finite entry")
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {residual:.3e} "
             f"(allowed {HERMITIAN_ATOL:.0e})"

@@ -54,6 +54,10 @@ class Povm:
                 raise InvalidPovmError(f"effect {i}: expected a 4x4 matrix, got shape {m.shape}")
         object.__setattr__(self, "effects", tuple(freeze(np.array(effects))))
 
+    def __reduce__(self):
+        # Pickles and copies are rebuilt by the initializer, with frozen effects.
+        return type(self), (self.effects, self.label)
+
     def __len__(self) -> int:
         return len(self.effects)
 
@@ -113,7 +117,12 @@ _BELL_PROJECTORS = np.array([np.outer(bell_state(k), bell_state(k).conj()) for k
 
 def werner_bell_effects(lams) -> np.ndarray:
     """Effects of ``werner_bell_povm`` for every sharpness in ``lams``, shape (n, 4, 4, 4)."""
-    lam = check_unit_array("sharpness", lams)[:, None, None, None]
+    return _werner_bell(check_unit_array("sharpness", lams))
+
+
+def _werner_bell(lams: np.ndarray) -> np.ndarray:
+    """``werner_bell_effects`` of a float array of checked sharpnesses."""
+    lam = lams[:, None, None, None]
     return lam * _BELL_PROJECTORS + (1.0 - lam) / 4.0 * np.eye(4)
 
 
@@ -122,9 +131,11 @@ def werner_bell_povm(lam: float) -> Povm:
 
     Effect i is lam |b_i><b_i| + (1-lam)/4 * I. The measurement is projective
     at lam = 1 and trivial at lam = 0. This is the one-point view of
-    ``werner_bell_effects``.
+    ``werner_bell_effects``, with lam checked as one number.
     """
-    return Povm(tuple(werner_bell_effects([lam])[0]), label=f"werner-bell(lam={lam:g})")
+    check_unit("sharpness", lam)
+    effects = _werner_bell(np.array([lam], dtype=float))[0]
+    return Povm(tuple(effects), label=f"werner-bell(lam={lam:g})")
 
 
 def _asymmetric_weights(x, lam):
@@ -192,7 +203,11 @@ _PRODUCT_PROJECTORS = np.array([np.outer(product_basis(k), product_basis(k)) for
 def asymmetric_effects(x: float, lams) -> np.ndarray:
     """Effects of ``asymmetric_povm(x, lam)`` for every lam in ``lams``, shape (n, 4, 4, 4)."""
     check_unit("x", x)
-    lam = check_unit_array("sharpness", lams)
+    return _asymmetric(x, check_unit_array("sharpness", lams))
+
+
+def _asymmetric(x: float, lam: np.ndarray) -> np.ndarray:
+    """``asymmetric_effects`` of a checked x and a float array of checked sharpnesses."""
     _, _, w1, w2 = _asymmetric_weights(x, lam)
     basis = lambda_basis_rows(lam)
     projectors = basis[..., :, None] * basis[..., None, :]
@@ -209,9 +224,12 @@ def asymmetric_povm(x: float, lam: float) -> Povm:
     The three components of every effect are mutually orthogonal, so each
     effect has eigenvalues {x, w1, w2, 0}, and the four effects sum to the
     identity for every (x, lam). This is the one-point view of
-    ``asymmetric_effects``.
+    ``asymmetric_effects``, with lam checked as one number.
     """
-    return Povm(tuple(asymmetric_effects(x, [lam])[0]), label=f"asymmetric(x={x:g}, lam={lam:g})")
+    check_unit("x", x)
+    check_unit("sharpness", lam)
+    effects = _asymmetric(x, np.array([lam], dtype=float))[0]
+    return Povm(tuple(effects), label=f"asymmetric(x={x:g}, lam={lam:g})")
 
 
 def unit_trace_effect(p: Povm, i: int) -> np.ndarray:

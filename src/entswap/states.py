@@ -86,6 +86,10 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", freeze(check_density_matrix(self.matrix, self.qubits)))
 
+    def __reduce__(self):
+        # Pickles and copies are rebuilt by the initializer: checked and frozen.
+        return type(self), (self.qubits, self.matrix)
+
     @classmethod
     def _checked(cls, qubits: int, m: np.ndarray) -> DensityMatrix:
         """Wrap a matrix that ``check_density_matrix`` has already passed,

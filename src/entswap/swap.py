@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParamError, DegenerateEffectError, InvalidPovmError, check_unit
+from .errors import DegenerateEffectError, InvalidPovmError, check_choice, check_unit
 from .linalg import freeze, partial_trace, psd_sqrt
 from .measures import CorrelationReport
 from .povm import DEGENERATE_PROBABILITY, AsymmetricPovmParams, Povm, unit_trace_effect, validate
@@ -54,8 +54,7 @@ class SwapOutcome:
     degenerate: bool = False
 
     def pair_state(self, pair: str) -> DensityMatrix:
-        if pair not in PAIRS:
-            raise BadParamError(f"pair must be one of {PAIRS}, got {pair!r}")
+        check_choice("pair", pair, PAIRS)
         state = getattr(self, f"rho{pair}")
         if state is None:
             raise DegenerateEffectError(
@@ -200,8 +199,7 @@ class Case1ClosedForms:
         return self.nonlocality_12
 
     def report(self, pair: str, tol: float = 1e-9) -> CorrelationReport:
-        if pair not in PAIRS:
-            raise BadParamError(f"pair must be one of {PAIRS}, got {pair!r}")
+        check_choice("pair", pair, PAIRS)
         strength = self.lam if pair == "14" else self.s
         negativity = self.negativity_14 if pair == "14" else self.negativity_12
         # T^T T has the triple (w^2, w^2, w^2) at strength w.
@@ -246,8 +244,7 @@ class Case2ClosedForms:
     t_34: tuple[float, float, float]
 
     def report(self, pair: str, tol: float = 1e-9) -> CorrelationReport:
-        if pair not in PAIRS:
-            raise BadParamError(f"pair must be one of {PAIRS}, got {pair!r}")
+        check_choice("pair", pair, PAIRS)
         negativity = getattr(self, f"negativity_{pair}")
         t = sorted(getattr(self, f"t_{pair}"), reverse=True)
         return CorrelationReport.from_quantities(

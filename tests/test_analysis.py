@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import bisect
+from scipy.optimize import bisect, minimize_scalar
 
 from entswap import (
     BadParamError,
@@ -9,6 +9,7 @@ from entswap import (
     NoBracketError,
     NonMonotoneWarning,
     SweepConfig,
+    case2_closed_forms,
     classify_table,
     find_extremum,
     find_threshold,
@@ -229,8 +230,75 @@ def test_find_extremum_interior_peak():
 def test_find_extremum_boundary_peaks():
     lam_star, value = find_extremum("I", None, "14", "negativity", np.linspace(0, 1, 11))
     assert lam_star == 1.0 and abs(value - 1.0) < 1e-12
+    assert type(lam_star) is float and type(value) is float
     lam_star, value = find_extremum("I", None, "12", "negativity", np.linspace(0, 1, 11))
     assert lam_star == 0.0 and abs(value - 1.0) < 1e-12
+
+
+# Interior peaks of (case, pair, measure), each with a lambda within 0.01 of it.
+INTERIOR_PEAKS = [
+    ("II", "14", "negativity", 0.347),
+    ("III", "14", "steering3", 0.995),
+    ("III", "12", "negativity", 0.936),
+    ("III", "12", "steering3", 0.735),
+    ("IV", "14", "nonlocality", 0.948),
+    ("IV", "12", "negativity", 0.818),
+]
+
+
+@pytest.mark.parametrize("case, pair, measure, near", INTERIOR_PEAKS)
+def test_find_extremum_matches_closed_form_argmax(case, pair, measure, near):
+    x = analysis.CASE_PRESETS[case]
+
+    def closed_form(lam):
+        return case2_closed_forms(x, lam).report(pair).values()[measure]
+
+    best = minimize_scalar(
+        lambda lam: -closed_form(lam), bounds=(near - 0.01, min(near + 0.01, 1.0)),
+        method="bounded", options={"xatol": 1e-12},
+    )
+    lam_star, value = find_extremum(case, None, pair, measure)
+    assert type(lam_star) is float and type(value) is float
+    distance = abs(lam_star - best.x)
+    assert distance <= 1e-6, f"lambda* {lam_star!r} is {distance:.2e} from {best.x!r}"
+    assert abs(value - closed_form(best.x)) <= analysis.VERIFY_TOL
+
+
+def test_find_extremum_runs_one_scalar_check_per_scan(monkeypatch):
+    scans, scalar_runs = [], []
+    grid_values, run_swap = analysis._grid_values, analysis.run_swap
+
+    def counted_grid_values(case, x, builder, lams, tol, outcomes=None):
+        scans.append(lams.size)
+        return grid_values(case, x, builder, lams, tol, outcomes)
+
+    def counted_run_swap(p):
+        scalar_runs.append(p)
+        return run_swap(p)
+
+    monkeypatch.setattr(analysis, "_grid_values", counted_grid_values)
+    monkeypatch.setattr(analysis, "run_swap", counted_run_swap)
+    find_extremum("II", None, "14", "negativity")
+    # The 101-point grid, then scans whose neighbours close in 16-fold each
+    # time, from 0.02 apart to within 1e-6.
+    assert scans == [101] + [analysis._REFINE_POINTS] * 4
+    assert len(scalar_runs) == len(scans) < 25
+
+
+def test_find_extremum_checks_the_last_point_of_each_refinement_scan(monkeypatch):
+    report_values, calls = analysis._report_values, []
+
+    def perturbed(states, kept, tol, where):
+        values = report_values(states, kept, tol, where)
+        calls.append(len(states))
+        if len(calls) == 3:  # the second refinement scan
+            values[-1, 0, 0] += 1e-6
+        return values
+
+    monkeypatch.setattr(analysis, "_report_values", perturbed)
+    with pytest.raises(EntswapError, match="batched engine deviates from the scalar pipeline"):
+        find_extremum("II", None, "14", "negativity")
+    assert calls == [101, analysis._REFINE_POINTS, analysis._REFINE_POINTS]
 
 
 def test_verify_passes_all_cases_small_grid():

@@ -236,3 +236,19 @@ def test_partial_trace_stack_matches_each_matrix(keep):
         assert np.array_equal(reduced[index], partial_trace(stack[index], 4, keep))
     with pytest.raises(BadDimError):
         partial_trace(stack[..., :8], 4, keep)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+@pytest.mark.parametrize("solver", [psd_sqrt, hermitian_eig, linalg.hermitian_eigvals, trace_norm])
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def test_eigensolvers_reject_non_finite_entries(solver, entry):
+    for row, column in ((0, 0), (0, 1)):
+        m = I4.astype(complex)
+        m[row, column] = entry
+        with pytest.raises(NotHermitianError, match="matrix has a non-finite entry"):
+            solver(m)
+
+
+def test_finite_asymmetry_keeps_its_message():
+    with pytest.raises(NotHermitianError, match=r"deviates from Hermitian by 1.000e\+00"):
+        psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,8 @@ from entswap import (
     partial_trace,
     product_basis,
     pure_density_matrix,
+    run_swap,
+    werner_bell_povm,
     werner_state,
 )
 from entswap.measures import report_stack
@@ -217,3 +222,40 @@ def test_initial_four_qubit_is_one_read_only_state():
     assert not rho0.matrix.flags.writeable
     with pytest.raises(ValueError):
         rho0.matrix[0, 0] = 0.0
+
+
+def _round_trips(obj):
+    return [pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)]
+
+
+def test_pickles_and_copies_stay_frozen():
+    state = werner_state(0.5, 1)
+    for twin in _round_trips(state):
+        assert not twin.matrix.flags.writeable
+        assert twin.qubits == 2 and twin.matrix.tobytes() == state.matrix.tobytes()
+    povm = werner_bell_povm(0.3)
+    for twin in _round_trips(povm):
+        assert twin.label == povm.label
+        for effect, original in zip(twin.effects, povm.effects, strict=True):
+            assert not effect.flags.writeable and effect.tobytes() == original.tobytes()
+    outcome = run_swap(povm)[0]
+    for twin in _round_trips(outcome):
+        assert twin.probability == outcome.probability
+        for pair in ("14", "12", "34"):
+            matrix = twin.pair_state(pair).matrix
+            assert not matrix.flags.writeable
+            assert matrix.tobytes() == outcome.pair_state(pair).matrix.tobytes()
+
+
+class _NonHermitianPickle:
+    """Pickles as a DensityMatrix whose matrix is not Hermitian."""
+
+    def __reduce__(self):
+        matrix = np.eye(4, dtype=complex) / 4
+        matrix[0, 1] = 0.1
+        return DensityMatrix, (2, matrix)
+
+
+def test_loading_a_pickled_non_hermitian_matrix_raises():
+    with pytest.raises(NotAStateError, match="not Hermitian"):
+        pickle.loads(pickle.dumps(_NonHermitianPickle()))
