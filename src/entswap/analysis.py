@@ -27,6 +27,7 @@ bracket and one pair state of every ``_outcome_values`` call.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
@@ -122,7 +123,7 @@ def _builder_for(
 
 
 def _check_grid_size(count: int) -> None:
-    if count < 2:
+    if not (isinstance(count, numbers.Integral) and count >= 2):
         raise BadParamError(f"grid needs at least 2 points, got {count}")
 
 
@@ -157,14 +158,13 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         check_choice("case", self.case, CASES)
-        if not 0.0 <= self.lambda_start <= self.lambda_stop <= 1.0:
-            raise BadParamError(
-                f"need 0 <= start <= stop <= 1, got [{self.lambda_start}, {self.lambda_stop}]"
-            )
+        start, stop = self.lambda_start, self.lambda_stop
+        reals = isinstance(start, numbers.Real) and isinstance(stop, numbers.Real)
+        if not (reals and 0.0 <= start <= stop <= 1.0):
+            raise BadParamError(f"need 0 <= start <= stop <= 1, got [{start}, {stop}]")
         _check_grid_size(self.count)
         check_tolerance(self.tol)
-        if self.pipeline not in ("numeric", "analytic", "both"):
-            raise BadParamError(f"unknown pipeline {self.pipeline!r}")
+        check_choice("pipeline", self.pipeline, ("numeric", "analytic", "both"))
         if self.case == "custom" and self.pipeline != "numeric":
             raise BadParamError("custom POVMs have no analytic closed forms")
 

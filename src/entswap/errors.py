@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checks of parameters."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -77,6 +78,13 @@ def check_choice(name: str, value, choices: tuple[str, ...]) -> None:
     cannot pass as a choice."""
     if not (isinstance(value, str) and value in choices):
         raise BadParamError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def check_index(name: str, value, count: int) -> int:
+    """``value`` as an int in 1..count, or BadIndexError (2.0 passes; 1.5, "2", [2] do not)."""
+    if isinstance(value, numbers.Real) and value in range(1, count + 1):
+        return int(value)
+    raise BadIndexError(f"{name} must be 1..{count}, got {value}")
 
 
 def outside_unit(name: str, value) -> BadParamError:

@@ -72,15 +72,15 @@ def invariant_residuals(m: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """Return (m + m†)/2, rejecting asymmetry beyond HERMITIAN_ATOL and,
-    through their NaN or infinite residual, non-finite entries."""
+    """Return (m + m†)/2, rejecting non-finite entries, before they reach
+    any arithmetic, and asymmetry beyond HERMITIAN_ATOL."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise BadDimError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotHermitianError("matrix has a non-finite entry")
     residual = float(np.abs(m - _adjoint(m)).max())
     if not residual < HERMITIAN_ATOL:
-        if not np.isfinite(m).all():
-            raise NotHermitianError("matrix has a non-finite entry")
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {residual:.3e} "
             f"(allowed {HERMITIAN_ATOL:.0e})"

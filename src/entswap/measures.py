@@ -12,10 +12,11 @@ T_ij = Tr[rho (sigma_i x sigma_j)] and the partial transpose:
 
 The *_signed variants return the expression before the max{0, .} clamp; the
 sign change marks the classification boundary and is what root finders
-should bisect on. ``_signed_stack`` computes the signed quantifiers, M and
-Lambda3 of a whole stack of states with one eigensolver call per spectrum;
-``report_stack`` (``report`` on a stack) and the threshold bisection of
-``analysis`` read it.
+should bisect on. Each is computed once, on a (..., 4, 4) stack, by
+``_spectrum_stack``, ``_negativity_stack`` and the elementwise N and S3
+formulas: ``correlation_spectrum`` and ``negativity_signed`` are their
+one-point views, and ``_signed_stack`` (``report_stack``, the bisection of
+``analysis``) reads them on a whole stack, one eigensolver call per spectrum.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAStateError, check_tolerance
-from .linalg import hermitian_eig, hermitian_eigvals, kron, partial_transpose
-from .states import DensityMatrix, check_density_matrix, is_density_matrix
+from .linalg import hermitian_eigvals, kron, partial_transpose
+from .states import DensityMatrix, check_density_matrix, is_density_matrix, one_matrix
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT3 = np.sqrt(3.0)
@@ -51,12 +52,28 @@ def _as_state(rho) -> DensityMatrix:
     # A two-qubit DensityMatrix was checked when it was built.
     if isinstance(rho, DensityMatrix) and rho.qubits == 2:
         return rho
-    return DensityMatrix._checked(2, check_density_matrix(np.asarray(rho, dtype=complex), qubits=2))
+    return DensityMatrix._checked(2, check_density_matrix(one_matrix(rho), qubits=2))
 
 
-def _correlation_matrix(m: np.ndarray) -> np.ndarray:
-    """Tr[rho (sigma_i x sigma_j)] for a (..., 4, 4) stack, still complex."""
-    return np.einsum("...ab,ijba->...ij", m, _PAULI_STACK)
+def _clamped(v: np.ndarray) -> np.ndarray:
+    # max(0, v) elementwise; unlike np.maximum it turns -0.0 into 0.0.
+    return np.where(v > 0.0, v, 0.0)
+
+
+def _spectrum_stack(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """T, the largest imaginary residue of T, the clamped descending
+    eigenvalues t of T^T T and their sums M and Lambda3, of each state of a
+    (..., 4, 4) stack."""
+    raw = np.einsum("...ab,ijba->...ij", m, _PAULI_STACK)  # Tr[rho (sigma_i x sigma_j)]
+    T = raw.real
+    t = _clamped(hermitian_eigvals(T.swapaxes(-1, -2) @ T)[..., ::-1])
+    m_value = t[..., 0] + t[..., 1]
+    return T, np.abs(raw.imag).max(axis=(-2, -1)), t, m_value, m_value + t[..., 2]
+
+
+def _negativity_stack(m: np.ndarray) -> np.ndarray:
+    """Signed negativity of each state of a (..., 4, 4) stack."""
+    return -2.0 * np.linalg.eigvalsh(partial_transpose(m, "second")).min(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -71,24 +88,20 @@ class CorrelationSpectrum:
 
 def correlation_spectrum(rho) -> CorrelationSpectrum:
     """Correlation matrix and the derived pair-sum / total eigenvalue data."""
-    raw = _correlation_matrix(_as_state(rho).matrix)
-    residue = float(np.abs(raw.imag).max())
+    T, residue, t, m_value, lambda3 = _spectrum_stack(_as_state(rho).matrix)
     if residue > _IMAG_RESIDUE:
         raise NotAStateError(f"correlation matrix has imaginary residue {residue:.3e}")
-    T = raw.real
-    eig = hermitian_eig(T.T @ T)
-    t = tuple(float(max(0.0, v)) for v in eig.eigenvalues[::-1])
-    return CorrelationSpectrum(T=T, t=t, M=t[0] + t[1], Lambda3=t[0] + t[1] + t[2])
+    return CorrelationSpectrum(T=T, t=tuple(t.tolist()), M=float(m_value), Lambda3=float(lambda3))
 
 
-def nonlocality_from_pair_sum(m_value: float) -> float:
-    """Signed CHSH quantifier from the largest eigenvalue pair sum."""
-    return (np.sqrt(max(m_value, 0.0)) - 1.0) / (_SQRT2 - 1.0)
+def nonlocality_from_pair_sum(m_value):
+    """Signed CHSH quantifier from the largest eigenvalue pair sum, elementwise."""
+    return (np.sqrt(np.maximum(m_value, 0.0)) - 1.0) / (_SQRT2 - 1.0)
 
 
-def steering3_from_total(lambda3: float) -> float:
-    """Signed three-setting steering quantifier from the eigenvalue total."""
-    return (np.sqrt(max(lambda3, 0.0)) - 1.0) / (_SQRT3 - 1.0)
+def steering3_from_total(lambda3):
+    """Signed three-setting steering quantifier from the eigenvalue total, elementwise."""
+    return (np.sqrt(np.maximum(lambda3, 0.0)) - 1.0) / (_SQRT3 - 1.0)
 
 
 def nonlocality_signed(rho) -> float:
@@ -101,9 +114,7 @@ def steering3_signed(rho) -> float:
 
 def negativity_signed(rho) -> float:
     """Twice the negated smallest partial-transpose eigenvalue, unclamped."""
-    m = _as_state(rho).matrix
-    mu = float(np.linalg.eigvalsh(partial_transpose(m, "second")).min())
-    return -2.0 * mu
+    return float(_negativity_stack(_as_state(rho).matrix))
 
 
 def bell_nonlocality(rho) -> float:
@@ -189,11 +200,6 @@ def report(rho, tol: float = 1e-9) -> CorrelationReport:
     )
 
 
-def _clamped(v: np.ndarray) -> np.ndarray:
-    # max(0, v) elementwise; unlike np.maximum it turns -0.0 into 0.0.
-    return np.where(v > 0.0, v, 0.0)
-
-
 def _signed_stack(states) -> tuple[np.ndarray, ...]:
     """Signed negativity, nonlocality and steering3, with M and Lambda3, of
     every state of a (..., 4, 4) stack.
@@ -206,16 +212,10 @@ def _signed_stack(states) -> tuple[np.ndarray, ...]:
     ok = is_density_matrix(m)
     # Zeroing the states that are not ok keeps non-finite ones from the eigensolvers.
     m = np.where(ok[..., None, None], m, 0.0)
-    raw = _correlation_matrix(m)
-    ok &= np.abs(raw.imag).max(axis=(-2, -1)) <= _IMAG_RESIDUE
-    T = raw.real
-    t = _clamped(hermitian_eigvals(T.swapaxes(-1, -2) @ T)[..., ::-1])
-    m_value = t[..., 0] + t[..., 1]
-    lambda3 = m_value + t[..., 2]
-    neg = -2.0 * np.linalg.eigvalsh(partial_transpose(m, "second")).min(axis=-1)
-    n = (np.sqrt(m_value) - 1.0) / (_SQRT2 - 1.0)
-    s3 = (np.sqrt(lambda3) - 1.0) / (_SQRT3 - 1.0)
-    return neg, n, s3, m_value, lambda3, ok
+    _, residue, _, m_value, lambda3 = _spectrum_stack(m)
+    ok &= residue <= _IMAG_RESIDUE
+    n, s3 = nonlocality_from_pair_sum(m_value), steering3_from_total(lambda3)
+    return _negativity_stack(m), n, s3, m_value, lambda3, ok
 
 
 def report_stack(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:

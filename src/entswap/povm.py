@@ -16,9 +16,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import (
-    BadIndexError,
     DegenerateEffectError,
     InvalidPovmError,
+    check_index,
     check_unit,
     check_unit_array,
 )
@@ -241,8 +241,7 @@ def unit_trace_effect(p: Povm, i: int) -> np.ndarray:
     DegenerateEffectError. An effect with a non-finite entry raises
     InvalidPovmError, with the message ``validate`` gives it.
     """
-    if not 1 <= i <= len(p.effects):
-        raise BadIndexError(f"effect index must be 1..{len(p.effects)}, got {i}")
+    i = check_index("effect index", i, len(p.effects))
     effect = p.effects[i - 1]
     if not np.isfinite(effect).all():
         problem = f"effect {i}: non-finite entry"

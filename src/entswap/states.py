@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadIndexError, NotAStateError, check_unit
+from .errors import NotAStateError, check_index, check_unit
 from .linalg import freeze, invariant_residuals, kron
 
 # Density-matrix invariants: Hermitian and unit trace within STATE_ATOL,
@@ -32,6 +32,15 @@ def _passes(finite, herm, tr, low) -> tuple[np.ndarray, ...]:
     """The four checks, in order, from ``_residuals``: finite, Hermitian and
     of unit trace within STATE_ATOL, no eigenvalue below -STATE_ATOL."""
     return finite, herm <= STATE_ATOL, np.abs(tr - 1.0) <= STATE_ATOL, low >= -STATE_ATOL
+
+
+def one_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a complex array, or NotAStateError unless it has two axes:
+    ``check_density_matrix`` takes stacks, but a stack, even of one, is no state."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2:
+        raise NotAStateError(f"expected one matrix, got an array of shape {m.shape}")
+    return m
 
 
 def check_density_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
@@ -84,7 +93,8 @@ class DensityMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", freeze(check_density_matrix(self.matrix, self.qubits)))
+        m = check_density_matrix(one_matrix(self.matrix), self.qubits)
+        object.__setattr__(self, "matrix", freeze(m))
 
     def __reduce__(self):
         # Pickles and copies are rebuilt by the initializer: checked and frozen.
@@ -122,15 +132,8 @@ def bell_state(k: int) -> np.ndarray:
     1: (|00> + |11>)/sqrt2    2: (|00> - |11>)/sqrt2
     3: (|01> + |10>)/sqrt2    4: (|01> - |10>)/sqrt2
     """
-    table = {
-        1: (1, 0, 0, 1),
-        2: (1, 0, 0, -1),
-        3: (0, 1, 1, 0),
-        4: (0, 1, -1, 0),
-    }
-    if k not in table:
-        raise BadIndexError(f"Bell index must be 1..4, got {k}")
-    return np.array(table[k], dtype=complex) / _SQRT2
+    rows = ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))
+    return np.array(rows[check_index("Bell index", k, 4) - 1], dtype=complex) / _SQRT2
 
 
 def werner_state(w: float, k: int) -> DensityMatrix:
@@ -160,18 +163,13 @@ def lambda_basis(lam: float, k: int) -> np.ndarray:
     3: a|01> - b|10>    4: b|01> + a|10>
     """
     check_unit("sharpness", lam)
-    if k not in (1, 2, 3, 4):
-        raise BadIndexError(f"basis index must be 1..4, got {k}")
-    return lambda_basis_rows(lam)[int(k) - 1]
+    return lambda_basis_rows(lam)[check_index("basis index", k, 4) - 1]
 
 
 def product_basis(k: int) -> np.ndarray:
     """Computational product vectors in the order |00>, |11>, |01>, |10>."""
-    table = {1: 0, 2: 3, 3: 1, 4: 2}
-    if k not in table:
-        raise BadIndexError(f"basis index must be 1..4, got {k}")
     v = np.zeros(4, dtype=complex)
-    v[table[k]] = 1.0
+    v[(0, 3, 1, 2)[check_index("basis index", k, 4) - 1]] = 1.0
     return v
 
 

@@ -27,9 +27,6 @@ from .measures import CorrelationReport
 from .povm import DEGENERATE_PROBABILITY, AsymmetricPovmParams, Povm, unit_trace_effect, validate
 from .states import DensityMatrix, check_density_matrix, initial_four_qubit
 
-_SQRT2 = np.sqrt(2.0)
-_SQRT3 = np.sqrt(3.0)
-
 PAIRS = ("14", "12", "34")
 
 _I2 = np.eye(2, dtype=complex)
@@ -161,11 +158,15 @@ def s_of_lambda(lam: float) -> float:
     return 0.5 * (1.0 - lam + np.sqrt((1.0 - lam) * (1.0 + 3.0 * lam)))
 
 
-def _werner_measures(strength: float) -> tuple[float, float, float]:
-    negativity = max(0.0, (3.0 * strength - 1.0) / 2.0)
-    steering = max(0.0, (_SQRT3 * strength - 1.0) / (_SQRT3 - 1.0))
-    nonlocality = max(0.0, (_SQRT2 * strength - 1.0) / (_SQRT2 - 1.0))
-    return negativity, steering, nonlocality
+def _closed_form_report(negativity: float, t, tol: float = 1e-9) -> CorrelationReport:
+    """A pair state's report from its signed negativity and its T^T T eigenvalues t."""
+    t = sorted(t, reverse=True)
+    return CorrelationReport.from_quantities(negativity, t[0] + t[1], t[0] + t[1] + t[2], tol=tol)
+
+
+def _werner_report(w: float, tol: float = 1e-9) -> CorrelationReport:
+    # Strength w: signed negativity (3w - 1)/2, and T^T T has the triple (w^2, w^2, w^2).
+    return _closed_form_report((3.0 * w - 1.0) / 2.0, (w * w,) * 3, tol)
 
 
 @dataclass(frozen=True)
@@ -200,27 +201,22 @@ class Case1ClosedForms:
 
     def report(self, pair: str, tol: float = 1e-9) -> CorrelationReport:
         check_choice("pair", pair, PAIRS)
-        strength = self.lam if pair == "14" else self.s
-        negativity = self.negativity_14 if pair == "14" else self.negativity_12
-        # T^T T has the triple (w^2, w^2, w^2) at strength w.
-        w2 = strength * strength
-        return CorrelationReport.from_quantities(negativity, 2.0 * w2, 3.0 * w2, tol=tol)
+        return _werner_report(self.lam if pair == "14" else self.s, tol)
 
 
 def case1_closed_forms(lam: float) -> Case1ClosedForms:
     """All six closed-form measures of the Bell-projector family."""
     s = s_of_lambda(lam)
-    e14, s14, n14 = _werner_measures(lam)
-    e12, s12, n12 = _werner_measures(s)
+    r14, r12 = _werner_report(lam), _werner_report(s)
     return Case1ClosedForms(
         lam=lam,
         s=s,
-        negativity_14=e14,
-        steering3_14=s14,
-        nonlocality_14=n14,
-        negativity_12=e12,
-        steering3_12=s12,
-        nonlocality_12=n12,
+        negativity_14=r14.negativity,
+        steering3_14=r14.S3,
+        nonlocality_14=r14.N,
+        negativity_12=r12.negativity,
+        steering3_12=r12.S3,
+        nonlocality_12=r12.N,
     )
 
 
@@ -245,10 +241,8 @@ class Case2ClosedForms:
 
     def report(self, pair: str, tol: float = 1e-9) -> CorrelationReport:
         check_choice("pair", pair, PAIRS)
-        negativity = getattr(self, f"negativity_{pair}")
-        t = sorted(getattr(self, f"t_{pair}"), reverse=True)
-        return CorrelationReport.from_quantities(
-            max(0.0, negativity), t[0] + t[1], sum(t), tol=tol
+        return _closed_form_report(
+            getattr(self, f"negativity_{pair}"), getattr(self, f"t_{pair}"), tol
         )
 
 

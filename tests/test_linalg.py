@@ -240,7 +240,6 @@ def test_partial_trace_stack_matches_each_matrix(keep):
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
 @pytest.mark.parametrize("solver", [psd_sqrt, hermitian_eig, linalg.hermitian_eigvals, trace_norm])
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_eigensolvers_reject_non_finite_entries(solver, entry):
     for row, column in ((0, 0), (0, 1)):
         m = I4.astype(complex)

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entswap import (
     BadParamError,
@@ -14,6 +18,7 @@ from entswap import (
     negativity,
     partial_transpose,
     report,
+    run_swap,
     steering2,
     steering3,
     trace_norm,
@@ -22,7 +27,7 @@ from entswap import (
 from entswap import measures
 from entswap.measures import negativity_signed, report_stack
 from entswap.states import check_density_matrix
-from helpers import random_density_matrix, random_unitary, rng
+from helpers import random_density_matrix, random_povm, random_unitary, rng
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -195,3 +200,42 @@ def test_bad_tolerances_are_rejected(tol):
     for call in calls:
         with pytest.raises(BadParamError, match="tolerance must be positive and finite"):
             call()
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 4, 4), (2, 4, 4), (16,)], ids=["stack-of-one", "stack-of-two", "vector"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [lambda m: DensityMatrix(2, m), report, correlation_spectrum, negativity, negativity_signed],
+    ids=["DensityMatrix", "report", "correlation_spectrum", "negativity", "negativity_signed"],
+)
+def test_one_state_means_exactly_one_4x4_matrix(call, shape):
+    message = f"expected one matrix, got an array of shape {shape}"
+    with pytest.raises(NotAStateError, match=re.escape(message)):
+        call(np.zeros(shape))
+
+
+def _random_states(seed: int) -> np.ndarray:
+    """Random full-rank states and the run_swap pair states of a random POVM."""
+    gen = np.random.default_rng(seed)
+    random = [random_density_matrix(gen) for _ in range(4)]
+    paired = [o.pair_state(p).matrix for o in run_swap(random_povm(gen)) for p in ("14", "12", "34")]
+    return np.array(random + paired)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scalar_views_equal_the_stacked_kernel_bit_for_bit(seed):
+    states = _random_states(seed)
+    T, _, t, _, _ = measures._spectrum_stack(states)
+    neg, n, s3, m_value, lambda3, ok = measures._signed_stack(states)
+    assert ok.all()
+    for i, rho in enumerate(states):
+        spectrum = correlation_spectrum(rho)
+        assert np.array_equal(spectrum.T, T[i])
+        assert spectrum.t == tuple(t[i].tolist())
+        assert (spectrum.M, spectrum.Lambda3) == (m_value[i], lambda3[i])
+        assert negativity_signed(rho) == neg[i]
+        assert measures.nonlocality_signed(rho) == n[i]
+        assert measures.steering3_signed(rho) == s3[i]

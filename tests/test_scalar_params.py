@@ -1,5 +1,5 @@
-"""Every scalar parameter gives an EntswapError or a valid result, never a
-raw TypeError, ValueError or AttributeError, and no warning."""
+"""Every scalar or index parameter gives an EntswapError or a valid result,
+never a raw TypeError, ValueError or AttributeError, and no warning."""
 
 import warnings
 
@@ -12,13 +12,17 @@ from entswap import (
     NonMonotoneWarning,
     SweepConfig,
     asymmetric_povm,
+    bell_state,
     case1_closed_forms,
     case2_closed_forms,
     classify_table,
+    effect_entanglement,
     find_extremum,
     find_threshold,
     lambda_basis,
+    product_basis,
     report,
+    rho14_spectral,
     run_swap,
     s_of_lambda,
     verify,
@@ -28,7 +32,8 @@ from entswap import (
 
 GRID = np.linspace(0.0, 1.0, 5)
 STATE = werner_state(0.5, 1)
-OUTCOME = run_swap(werner_bell_povm(0.5))[0]
+POVM = werner_bell_povm(0.5)
+OUTCOME = run_swap(POVM)[0]
 
 # Each scalar parameter with the calls that take it, the value in for v.
 CALLS = {
@@ -67,6 +72,18 @@ CALLS = {
         lambda v: find_threshold("I", None, "14", v, (0.2, 0.9)),
         lambda v: find_extremum("I", None, "14", v, GRID),
     ],
+    "lambda_start": [lambda v: SweepConfig(case="I", lambda_start=v)],
+    "lambda_stop": [lambda v: SweepConfig(case="I", lambda_stop=v)],
+    "count": [lambda v: SweepConfig(case="I", count=v)],
+    "pipeline": [lambda v: SweepConfig(case="I", pipeline=v)],
+    "index": [
+        lambda v: bell_state(v),
+        lambda v: product_basis(v),
+        lambda v: lambda_basis(0.5, v),
+        lambda v: werner_state(0.5, v),
+        lambda v: rho14_spectral(POVM, v),
+        lambda v: effect_entanglement(POVM, v),
+    ],
     "case": [
         lambda v: SweepConfig(case=v),
         lambda v: verify(v, grid=GRID),
@@ -89,6 +106,8 @@ CALLS = {
 @example(value=[0.5])
 @example(value=np.float32(0.5))
 @example(value=np.array([0.5, 0.6]))
+@example(value=np.array([1, 2]))
+@example(value=1.5)
 def test_scalar_parameters_raise_only_entswap_errors(value):
     for name, calls in CALLS.items():
         for call in calls:
