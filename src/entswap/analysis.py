@@ -3,6 +3,7 @@
 A "case" selects a measurement family: case I is the Bell-projector family,
 cases II, III and IV are the asymmetric family at the preset mixing weights
 x = 0.3, 0.725 and 0.8. Case "custom" sweeps a caller-supplied POVM builder.
+Each public call resolves its case once, to the ``_Family`` the engine takes.
 
 Every scan of a lambda grid (sweeps, verification, and the grid scans of
 classification and extremum search) runs the whole grid as stacked arrays
@@ -31,6 +32,7 @@ import numbers
 import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -109,17 +111,31 @@ def _resolve_x(case: str, x: float | None) -> float | None:
         raise outside_unit("x", x) from None
 
 
-def _builder_for(
-    case: str, x: float | None, povm_builder: Callable[[float], Povm] | None = None
-) -> Callable[[float], Povm]:
-    weight = _resolve_x(case, x)
+class _Family(NamedTuple):
+    """A case's measurement family: its resolved x, its POVM at one lambda, its
+    effects on a lambda grid, shape (n, k, 4, 4), not yet validated, and its
+    closed forms at one lambda (None for case "custom")."""
+
+    x: float | None
+    povm: Callable[[float], Povm]
+    effects: Callable[[np.ndarray], np.ndarray]
+    closed_forms: Callable[[float], object] | None
+
+
+def _family(case: str, x: float | None, povm_builder=None) -> _Family:
+    """The family of ``case`` at x (see ``_resolve_x``), built once per
+    public call from this module's globals; case "custom" is ``povm_builder``."""
+    x = _resolve_x(case, x)
     if case == "I":
-        return werner_bell_povm
+        return _Family(x, werner_bell_povm, werner_bell_effects, case1_closed_forms)
     if case == "custom":
         if povm_builder is None:
             raise BadParamError("case 'custom' needs a povm_builder")
-        return povm_builder
-    return lambda lam: asymmetric_povm(weight, lam)
+        return _Family(x, povm_builder, partial(_built_effects, povm_builder), None)
+    return _Family(
+        x, partial(asymmetric_povm, x), partial(asymmetric_effects, x),
+        partial(case2_closed_forms, x),
+    )
 
 
 def _check_grid_size(count: int) -> None:
@@ -128,10 +144,20 @@ def _check_grid_size(count: int) -> None:
 
 
 def _grid_points(grid) -> np.ndarray:
-    """A scan's lambda grid as floats, 101 points on [0, 1] by default."""
-    grid = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float)
-    _check_grid_size(grid.size)
-    return grid
+    """A scan's lambda grid as floats, 101 points on [0, 1] by default; any
+    grid but one axis of real numbers raises BadParamError."""
+    if grid is None:
+        return np.linspace(0.0, 1.0, 101)
+    try:
+        points = np.asarray(grid)
+    except ValueError:  # a ragged nesting of sequences
+        raise BadParamError("grid must be one axis of real numbers") from None
+    _check_grid_size(points.size)
+    if points.ndim != 1 or points.dtype.kind not in "biuf":
+        raise BadParamError(
+            f"grid must be one axis of real numbers, got shape {points.shape} of {points.dtype}"
+        )
+    return np.asarray(points, dtype=float)
 
 
 @contextmanager
@@ -202,19 +228,18 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     in bulk: each column is one list from the stacked arrays, and each
     record's fields are set at once by ``_records``.
     """
-    x = _resolve_x(cfg.case, cfg.x)
+    family = _family(cfg.case, cfg.x, cfg.povm_builder)
     lams = cfg.grid()
     if cfg.pipeline == "analytic":
         # The built-in families give every outcome probability 1/4.
-        values = np.repeat(_closed_form_values(cfg.case, x, lams, cfg.tol)[:, None], 4, axis=1)
+        values = np.repeat(_closed_form_values(family, lams, cfg.tol)[:, None], 4, axis=1)
         probabilities = np.full(values.shape[:2], 0.25)
         kept = np.ones(values.shape[:2], dtype=bool)
     else:
-        builder = _builder_for(cfg.case, cfg.x, cfg.povm_builder)
-        probabilities, values, kept = _grid_values(cfg.case, x, builder, lams, cfg.tol)
+        probabilities, values, kept = _grid_values(family, lams, cfg.tol)
     if cfg.pipeline == "both":
         deviation, lam, outcome, pair, quantity = _worst_deviation(
-            lams, probabilities, values, kept, _closed_form_values(cfg.case, x, lams, cfg.tol)
+            lams, probabilities, values, kept, _closed_form_values(family, lams, cfg.tol)
         )
         if deviation > VERIFY_TOL:
             raise EntswapError(
@@ -226,7 +251,7 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     i, j = np.nonzero(kept)
     per_pair = len(PAIRS)
     return _records(zip(
-        repeat(cfg.case), repeat(x),
+        repeat(cfg.case), repeat(family.x),
         np.repeat(lams[i], per_pair).tolist(), np.repeat(j + 1, per_pair).tolist(),
         PAIRS * len(i), np.repeat(probabilities[i, j], per_pair).tolist(),
         *values[i, j].reshape(-1, len(measures.QUANTITIES)).T.tolist(),
@@ -251,24 +276,25 @@ def _records(rows) -> list[SweepRecord]:
     return records
 
 
-def _grid_effects(case: str, x, builder, lams: np.ndarray) -> np.ndarray:
+def _built_effects(builder, lams: np.ndarray) -> np.ndarray:
+    """The effects of the POVMs ``builder`` gives at every lambda, shape
+    (n, k, 4, 4); each POVM must have as many effects as the first."""
+    stacks = []
+    for lam in lams.tolist():
+        with _at_lambda(lam):
+            povm = builder(lam)
+            if stacks and len(povm.effects) != len(stacks[0]):
+                raise InvalidPovmError(
+                    f"builder returned {len(povm.effects)} effects here "
+                    f"but {len(stacks[0])} at lambda={lams[0]:.12g}"
+                )
+        stacks.append(povm.effects)
+    return np.array(stacks)
+
+
+def _grid_effects(family: _Family, lams: np.ndarray) -> np.ndarray:
     """Effects at every grid point, shape (n, k, 4, 4), validated."""
-    if case == "I":
-        effects = werner_bell_effects(lams)
-    elif case in CASE_PRESETS:
-        effects = asymmetric_effects(x, lams)
-    else:
-        stacks = []
-        for lam in lams.tolist():
-            with _at_lambda(lam):
-                povm = builder(lam)
-                if stacks and len(povm.effects) != len(stacks[0]):
-                    raise InvalidPovmError(
-                        f"builder returned {len(povm.effects)} effects here "
-                        f"but {len(stacks[0])} at lambda={lams[0]:.12g}"
-                    )
-            stacks.append(povm.effects)
-        effects = np.array(stacks)
+    effects = family.effects(lams)
     # validate() on a point the stacked check rejects gives the messages.
     for i in np.flatnonzero(~is_povm(effects)):
         problems = validate(Povm(tuple(effects[i])))
@@ -277,9 +303,7 @@ def _grid_effects(case: str, x, builder, lams: np.ndarray) -> np.ndarray:
     return effects
 
 
-def _grid_values(
-    case: str, x, builder, lams: np.ndarray, tol: float, outcomes: int | None = None
-):
+def _grid_values(family: _Family, lams: np.ndarray, tol: float, outcomes: int | None = None):
     """Evaluate a family on a lambda grid as stacked arrays.
 
     Returns the outcome probabilities, shape (n, k), the QUANTITIES columns
@@ -289,14 +313,16 @@ def _grid_values(
     are evaluated (k = outcomes). The last grid point is checked against
     the scalar pipeline.
     """
-    effects = _grid_effects(case, x, builder, lams)[:, :outcomes]
+    effects = _grid_effects(family, lams)[:, :outcomes]
     probabilities, states = swap_stack(effects)
     kept = probabilities >= DEGENERATE_PROBABILITY
     values = _report_values(
         states, kept, tol,
         lambda i, j, p: _at_lambda(lams[i], f"outcome {j + 1}, pair {PAIRS[p]}: "),
     )
-    _check_scalar(builder, float(lams[-1]), probabilities[-1], values[-1], tol)
+    lam = float(lams[-1])
+    with _at_lambda(lam):
+        _check_outcome(run_swap(family.povm(lam)), values[-1], tol, probabilities[-1])
     return probabilities, values, kept
 
 
@@ -322,9 +348,8 @@ def _outcome_values(outcomes: list[SwapOutcome], tol: float) -> np.ndarray:
     """The QUANTITIES columns of every pair state of ``run_swap`` outcomes.
 
     Returns shape (k, 3, 6), pairs in PAIRS order, zero for degenerate
-    outcomes, from ``_report_values`` on the stacked states. ``report`` on
-    the (1,4) state of the first non-degenerate outcome must give its six
-    values within VERIFY_TOL.
+    outcomes, from ``_report_values`` on the stacked states, whose (1,4)
+    state of the first non-degenerate outcome ``_check_outcome`` checks.
     """
     kept = np.array([not o.degenerate for o in outcomes])
     states = np.zeros((len(outcomes), len(PAIRS), 4, 4), dtype=complex)
@@ -332,18 +357,16 @@ def _outcome_values(outcomes: list[SwapOutcome], tol: float) -> np.ndarray:
         [o.pair_state(pair).matrix for pair in PAIRS] for o in outcomes if not o.degenerate
     ]
     values = _report_values(states, kept, tol)
-    first = next(o for o in outcomes if not o.degenerate)
-    batched = values[first.outcome_index - 1, 0]
-    _compare(first.outcome_index, _report_checks("14", batched, first.pair_state("14"), tol))
+    _check_outcome(outcomes, values, tol, pairs=("14",))
     return values
 
 
-def _closed_form_values(case: str, x, lams: np.ndarray, tol: float) -> np.ndarray:
+def _closed_form_values(family: _Family, lams: np.ndarray, tol: float) -> np.ndarray:
     """The QUANTITIES columns of every pair from the closed forms, shape (n, 3, 6)."""
     rows = []
     for lam in lams.tolist():
         with _at_lambda(lam):
-            forms = case1_closed_forms(lam) if case == "I" else case2_closed_forms(x, lam)
+            forms = family.closed_forms(lam)
             rows.append([list(forms.report(pair, tol).values().values()) for pair in PAIRS])
     return np.array(rows)
 
@@ -370,29 +393,21 @@ def _worst_deviation(lams, probabilities, values, kept, expected):
     return float(deviation[i, j, c]), float(lams[i]), int(j) + 1, pair, quantity
 
 
-def _check_scalar(builder, lam: float, probabilities, values, tol: float) -> None:
-    """Compare one point of a grid scan with ``run_swap`` and ``report``.
-
-    The first non-degenerate outcome among those in ``probabilities``: its
-    probability and all six quantities of its three pair states must agree
-    within VERIFY_TOL.
-    """
-    with _at_lambda(lam):
-        scalar_outcomes = run_swap(builder(lam))[: len(probabilities)]
-        outcome = next(o for o in scalar_outcomes if not o.degenerate)
-        j = outcome.outcome_index - 1
-        checks = [("probability", probabilities[j], outcome.probability)]
-        for pair, batched in zip(PAIRS, values[j]):
-            checks += _report_checks(pair, batched, outcome.pair_state(pair), tol)
-        _compare(j + 1, checks)
-
-
-def _report_checks(pair: str, batched, state, tol: float) -> list[tuple]:
-    """(name, batched, scalar) of the six QUANTITIES of one pair state, the
-    batched values against those of ``report``."""
-    scalar = measures.report(state, tol).values()
-    return [(f"pair {pair} {name}", batched[q], scalar[name])
-            for q, name in enumerate(measures.QUANTITIES)]
+def _check_outcome(outcomes, values, tol: float, probabilities=None, pairs=PAIRS) -> None:
+    """Compare the first non-degenerate of the first k ``run_swap``
+    ``outcomes`` with its row of the batched ``values``, shape (k, 3, 6):
+    its probability, if ``probabilities`` are given, then the six QUANTITIES
+    of each pair in ``pairs`` against ``report``, within VERIFY_TOL."""
+    outcome = next(o for o in outcomes[: len(values)] if not o.degenerate)
+    j = outcome.outcome_index - 1
+    checks = []
+    if probabilities is not None:
+        checks.append(("probability", probabilities[j], outcome.probability))
+    for pair in pairs:
+        scalar = measures.report(outcome.pair_state(pair), tol).values()
+        checks += [(f"pair {pair} {name}", values[j, PAIRS.index(pair), q], scalar[name])
+                   for q, name in enumerate(measures.QUANTITIES)]
+    _compare(j + 1, checks)
 
 
 def _compare(outcome: int, checks: list[tuple]) -> None:
@@ -598,14 +613,14 @@ def _not_nan(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return values
 
 
-def _signed_values(case: str, x, builder, lams, pairs, columns) -> np.ndarray:
+def _signed_values(family: _Family, lams, pairs, columns) -> np.ndarray:
     """Signed quantities of outcome 1 at each lambda, on the batched engine.
 
     Row i reads pair PAIRS[pairs[i]] and measure MEASURES[columns[i]]. A
     degenerate outcome or a state the stacked checks reject goes to
     ``_signed_pair_value``, which raises its error or gives the value.
     """
-    effects = _grid_effects(case, x, builder, lams)
+    effects = _grid_effects(family, lams)
     probabilities, states = swap_stack(effects[:, :1])
     rows = np.arange(lams.size)
     neg, n, s3, _, _, ok = measures._signed_stack(states[rows, 0, pairs])
@@ -614,11 +629,11 @@ def _signed_values(case: str, x, builder, lams, pairs, columns) -> np.ndarray:
     for i in np.flatnonzero(~ok):
         lam, pair, measure = float(lams[i]), PAIRS[pairs[i]], MEASURES[columns[i]]
         with _at_lambda(lam):
-            values[i] = _signed_pair_value(builder, lam, pair, measure)
+            values[i] = _signed_pair_value(family.povm, lam, pair, measure)
     return values
 
 
-def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float]:
+def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[float]:
     """Bisect, on the batched engine, where each query's signed measure of
     outcome 1 crosses its offset; a query is (pair, measure, lo, hi, offset).
 
@@ -633,7 +648,6 @@ def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float
     ends of each root's final bracket the scalar pipeline must give the
     engine's signed value within VERIFY_TOL.
     """
-    builder = _builder_for(case, x)
     pairs = np.array([PAIRS.index(q[0]) for q in queries])
     columns = np.array([MEASURES.index(q[1]) for q in queries])
     lo, hi, offsets = (np.array([q[k] for q in queries], dtype=float) for k in (2, 3, 4))
@@ -647,7 +661,7 @@ def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float
         new = list(dict.fromkeys(key for key in keys if key not in known))
         if new:
             at, points = (np.array(v) for v in zip(*new))
-            values = _signed_values(case, x, builder, points, pairs[at], columns[at]) - offsets[at]
+            values = _signed_values(family, points, pairs[at], columns[at]) - offsets[at]
             known.update(zip(new, values.tolist()))
         return [known[key] for key in keys]
 
@@ -682,7 +696,7 @@ def _bisect_signed(case: str, x, queries: list[tuple], tol: float) -> list[float
     for i, (pair, measure, _, _, offset) in enumerate(queries):
         for lam, value in ((result.a[i], result.fa[i]), (result.b[i], result.fb[i])):
             with _at_lambda(lam):
-                scalar = _signed_pair_value(builder, float(lam), pair, measure)
+                scalar = _signed_pair_value(family.povm, float(lam), pair, measure)
                 _compare(1, [(f"pair {pair} {measure}", value + offset, scalar)])
     return result.root.tolist()
 
@@ -737,12 +751,16 @@ def find_threshold(
     """
     check_choice("pair", pair, PAIRS)
     check_choice("measure", measure, MEASURES)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 <= lo < hi <= 1.0:
+    try:
+        lo, hi = bracket
+        ok = isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and 0 <= lo < hi <= 1
+    except (TypeError, ValueError):  # not a pair
+        ok = False
+    if not ok:
         raise BadParamError(f"bracket must satisfy 0 <= lo < hi <= 1, got {bracket}")
+    lo, hi = float(lo), float(hi)
     check_tolerance(tol)
-    x = _resolve_x(case, x)
-    [root] = _bisect_signed(case, x, [(pair, measure, lo, hi, 0.0)], tol)
+    [root] = _bisect_signed(_family(case, x), [(pair, measure, lo, hi, 0.0)], tol)
     return ThresholdResult(
         measure=measure, pair=pair, bracket=(lo, hi), root=root, achieved_tol=tol
     )
@@ -795,8 +813,8 @@ def classify_table(
     lams = grid[grid > 0.0]
     if lams.size == 0:
         raise BadParamError("classification needs a grid point with lambda > 0")
-    x = _resolve_x(case, x)
-    _, values, _ = _grid_values(case, x, _builder_for(case, x), lams, tol, outcomes=1)
+    family = _family(case, x)
+    _, values, _ = _grid_values(family, lams, tol, outcomes=1)
 
     kinds: dict[tuple[str, str], str] = {}
     queries: list[tuple] = []  # (pair, measure, lo, hi, offset) of each interval end
@@ -829,7 +847,7 @@ def classify_table(
             rows[key] = shared.setdefault((pair, _SIGNED[measure], lo, hi, offset), len(queries))
             if rows[key] == len(queries):
                 queries.append((pair, measure, lo, hi, offset))
-    roots = _bisect_signed(case, x, queries, root_tol) if queries else []
+    roots = _bisect_signed(family, queries, root_tol) if queries else []
     return {
         key: MeasureRange(kind, threshold=roots[rows[key]] if key in rows else None)
         for key, kind in kinds.items()
@@ -860,16 +878,15 @@ def find_extremum(
     lams = _grid_points(grid)
     check_choice("pair", pair, PAIRS)
     check_choice("measure", measure, MEASURES)
-    x = _resolve_x(case, x)
-    builder = _builder_for(case, x)
+    family = _family(case, x)
     p, q = PAIRS.index(pair), measures.QUANTITIES.index(measure)
-    values = _grid_values(case, x, builder, lams, 1e-9, outcomes=1)[1][:, 0, p, q]
+    values = _grid_values(family, lams, 1e-9, outcomes=1)[1][:, 0, p, q]
     best = peak = int(np.argmax(values))
     if peak in (0, len(lams) - 1):
         return float(lams[peak]), float(values[peak])
     while abs(lams[peak + 1] - lams[peak - 1]) > 1e-6:
         lams = np.linspace(lams[peak - 1], lams[peak + 1], _REFINE_POINTS)
-        values = _grid_values(case, x, builder, lams, 1e-9, outcomes=1)[1][:, 0, p, q]
+        values = _grid_values(family, lams, 1e-9, outcomes=1)[1][:, 0, p, q]
         best = int(np.argmax(values))
         peak = min(max(best, 1), _REFINE_POINTS - 2)
     return float(lams[best]), float(values[best])
@@ -904,11 +921,9 @@ def verify(
     if not isinstance(case, str) or case not in ("I", "II", "III", "IV"):
         raise BadParamError(f"verification needs a preset case, got {case!r}")
     grid = _grid_points(grid)
-    x = _resolve_x(case, x)
+    family = _family(case, x)
     tol = 1e-9  # report()'s default classification tolerance
     worst = _worst_deviation(
-        grid,
-        *_grid_values(case, x, _builder_for(case, x), grid, tol),
-        _closed_form_values(case, x, grid, tol),
+        grid, *_grid_values(family, grid, tol), _closed_form_values(family, grid, tol)
     )
-    return VerificationReport(case, x, len(grid), *worst, passed=worst[0] < VERIFY_TOL)
+    return VerificationReport(case, family.x, len(grid), *worst, passed=worst[0] < VERIFY_TOL)

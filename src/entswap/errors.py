@@ -81,10 +81,12 @@ def check_choice(name: str, value, choices: tuple[str, ...]) -> None:
 
 
 def check_index(name: str, value, count: int) -> int:
-    """``value`` as an int in 1..count, or BadIndexError (2.0 passes; 1.5, "2", [2] do not)."""
+    """``value`` as an int in 1..count, or BadIndexError (2.0 passes; 1.5, "2", [2] do not),
+    which shows a value that is no number by its ``repr``, so "2" does not read as 2."""
     if isinstance(value, numbers.Real) and value in range(1, count + 1):
         return int(value)
-    raise BadIndexError(f"{name} must be 1..{count}, got {value}")
+    shown = value if isinstance(value, numbers.Number) else repr(value)
+    raise BadIndexError(f"{name} must be 1..{count}, got {shown}")
 
 
 def outside_unit(name: str, value) -> BadParamError:
@@ -103,6 +105,16 @@ def check_unit(name: str, value) -> None:
     except (TypeError, ValueError):
         pass
     raise outside_unit(name, value)
+
+
+def complex_array(values, error: type[EntswapError]) -> np.ndarray:
+    """``values`` as a complex array, or ``error`` where numpy cannot convert
+    it: an entry that is no number (a str such as "a"), a ragged nesting, or
+    an int beyond float range."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"expected an array of numbers: {exc}") from None
 
 
 def check_unit_array(name: str, values) -> np.ndarray:

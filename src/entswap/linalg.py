@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadDimError, BadIndexError, NotHermitianError, NotPsdError
+from .errors import BadDimError, BadIndexError, NotHermitianError, NotPsdError, complex_array
 
 # Asymmetry beyond this is an input error; below it is rounding noise that
 # gets symmetrized away.
@@ -31,7 +31,7 @@ EIG_CLAMP = 1e-10
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor (Kronecker) product, left factor most significant."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.kron(complex_array(a, BadDimError), complex_array(b, BadDimError))
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,13 @@ def invariant_residuals(m: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """Return (m + m†)/2, rejecting non-finite entries, before they reach
-    any arithmetic, and asymmetry beyond HERMITIAN_ATOL."""
-    m = np.asarray(m, dtype=complex)
+    """Return (m + m†)/2, rejecting an empty matrix, non-finite entries
+    (before they reach any arithmetic) and asymmetry beyond HERMITIAN_ATOL."""
+    m = complex_array(m, BadDimError)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise BadDimError(f"expected a square matrix, got shape {m.shape}")
+    if not m.size:
+        raise BadDimError(f"expected a nonempty matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NotHermitianError("matrix has a non-finite entry")
     residual = float(np.abs(m - _adjoint(m)).max())
@@ -85,7 +87,8 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
             f"matrix deviates from Hermitian by {residual:.3e} "
             f"(allowed {HERMITIAN_ATOL:.0e})"
         )
-    return (m + _adjoint(m)) / 2
+    half = m / 2  # halved before adding, so huge entries stay finite
+    return half + _adjoint(half)
 
 
 def hermitian_eig(m: np.ndarray) -> HermitianEig:
@@ -128,7 +131,7 @@ def partial_trace(m: np.ndarray, qubits_total: int, keep: Iterable[int]) -> np.n
     ``keep`` must be a nonempty strict subset of {1..qubits_total}; kept
     qubits retain their relative order. The total trace is preserved.
     """
-    m = np.asarray(m, dtype=complex)
+    m = complex_array(m, BadDimError)
     dim = 2**qubits_total
     if m.shape[-2:] != (dim, dim):
         raise BadDimError(f"expected shape {(dim, dim)} for {qubits_total} qubits, got {m.shape}")
@@ -173,7 +176,7 @@ def _trace_plan(lead: int, qubits_total: int, keep: tuple | frozenset) -> tuple:
 
 def partial_transpose(m: np.ndarray, subsystem: str) -> np.ndarray:
     """Transpose one qubit of a two-qubit operator (``"first"`` or ``"second"``)."""
-    m = np.asarray(m, dtype=complex)
+    m = complex_array(m, BadDimError)
     if m.shape[-2:] != (4, 4):
         raise BadDimError(f"partial transpose is defined for 4x4 matrices, got {m.shape}")
     if subsystem not in ("first", "second"):

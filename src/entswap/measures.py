@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAStateError, check_tolerance
+from .errors import NotAStateError, check_tolerance, complex_array
 from .linalg import hermitian_eigvals, kron, partial_transpose
 from .states import DensityMatrix, check_density_matrix, is_density_matrix, one_matrix
 
@@ -208,7 +208,7 @@ def _signed_stack(states) -> tuple[np.ndarray, ...]:
     density-matrix invariants or the imaginary-residue check of T fail; the
     values of a state that is not ok are those of the zero matrix.
     """
-    m = np.asarray(states, dtype=complex)
+    m = complex_array(states, NotAStateError)
     ok = is_density_matrix(m)
     # Zeroing the states that are not ok keeps non-finite ones from the eigensolvers.
     m = np.where(ok[..., None, None], m, 0.0)

@@ -21,6 +21,7 @@ from .errors import (
     check_index,
     check_unit,
     check_unit_array,
+    complex_array,
 )
 from .linalg import freeze, invariant_residuals
 from .states import bell_state, lambda_basis_rows, product_basis
@@ -48,7 +49,7 @@ class Povm:
     def __post_init__(self) -> None:
         if len(self.effects) < 1:
             raise InvalidPovmError("a POVM needs at least one effect")
-        effects = [np.asarray(effect, dtype=complex) for effect in self.effects]
+        effects = [complex_array(effect, InvalidPovmError) for effect in self.effects]
         for i, m in enumerate(effects, start=1):
             if m.shape != (4, 4):
                 raise InvalidPovmError(f"effect {i}: expected a 4x4 matrix, got shape {m.shape}")
@@ -68,7 +69,7 @@ class Povm:
 def _residuals(effects) -> tuple[np.ndarray, ...]:
     """Per effect of a (..., k, 4, 4) stack: finite or not, the Hermitian residual, the
     extreme eigenvalues and whether all pass; per list: the completeness residual."""
-    e = np.asarray(effects, dtype=complex)
+    e = complex_array(effects, InvalidPovmError)
     finite, _, herm, eigs = invariant_residuals(e)
     low, high = eigs[..., 0], eigs[..., -1]
     ok = finite & (herm <= POVM_ATOL) & (low >= -POVM_ATOL) & (high <= 1.0 + POVM_ATOL)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAStateError, check_index, check_unit
+from .errors import NotAStateError, check_index, check_unit, complex_array
 from .linalg import freeze, invariant_residuals, kron
 
 # Density-matrix invariants: Hermitian and unit trace within STATE_ATOL,
@@ -25,7 +25,9 @@ def _residuals(m: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per matrix of a complex (..., d, d) stack: finite or not, the Hermitian
     residual, the trace and the smallest eigenvalue."""
     finite, m, herm, eigs = invariant_residuals(m)
-    return finite, herm, m.diagonal(0, -2, -1).sum(axis=-1), eigs[..., 0]
+    with np.errstate(over="ignore"):  # a trace beyond float range fails as inf
+        trace = m.diagonal(0, -2, -1).sum(axis=-1)
+    return finite, herm, trace, eigs[..., 0]
 
 
 def _passes(finite, herm, tr, low) -> tuple[np.ndarray, ...]:
@@ -37,7 +39,7 @@ def _passes(finite, herm, tr, low) -> tuple[np.ndarray, ...]:
 def one_matrix(matrix) -> np.ndarray:
     """``matrix`` as a complex array, or NotAStateError unless it has two axes:
     ``check_density_matrix`` takes stacks, but a stack, even of one, is no state."""
-    m = np.asarray(matrix, dtype=complex)
+    m = complex_array(matrix, NotAStateError)
     if m.ndim != 2:
         raise NotAStateError(f"expected one matrix, got an array of shape {m.shape}")
     return m
@@ -52,7 +54,7 @@ def check_density_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
     eigenvalue is below -STATE_ATOL. In a stack, the first failing matrix in
     C order is named, with the message it would raise alone.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = complex_array(matrix, NotAStateError)
     dim = 2**qubits
     if m.shape[-2:] != (dim, dim):
         raise NotAStateError(f"expected a {dim}x{dim} matrix for {qubits} qubits, got {m.shape}")
@@ -78,7 +80,7 @@ def is_density_matrix(stack: np.ndarray) -> np.ndarray:
     matrix is finite, Hermitian and of unit trace within STATE_ATOL and has
     no eigenvalue below -STATE_ATOL.
     """
-    return np.logical_and.reduce(_passes(*_residuals(np.asarray(stack, dtype=complex))))
+    return np.logical_and.reduce(_passes(*_residuals(complex_array(stack, NotAStateError))))
 
 
 @dataclass(frozen=True)
@@ -119,11 +121,10 @@ class DensityMatrix:
 
 def pure_density_matrix(amplitudes: np.ndarray) -> DensityMatrix:
     """Rank-1 density matrix |v><v| from a unit-norm amplitude vector."""
-    v = np.asarray(amplitudes, dtype=complex)
-    qubits = int(round(np.log2(v.size)))
-    if 2**qubits != v.size:
+    v = complex_array(amplitudes, NotAStateError)
+    if not v.size or v.size & (v.size - 1):
         raise NotAStateError(f"amplitude vector length {v.size} is not a power of two")
-    return DensityMatrix(qubits, np.outer(v, v.conj()))
+    return DensityMatrix(v.size.bit_length() - 1, np.outer(v, v.conj()))
 
 
 def bell_state(k: int) -> np.ndarray:

@@ -108,10 +108,21 @@ def test_sweep_config_validation():
         sweep(SweepConfig(case="I", x=0.3))  # case I has no x
 
 
+@pytest.mark.parametrize("call", [
+    lambda: find_threshold("custom", None, "14", "negativity", (0.2, 0.9)),
+    lambda: classify_table("custom", grid=np.linspace(0.0, 1.0, 5)),
+    lambda: find_extremum("custom", None, "14", "negativity"),
+    lambda: sweep(SweepConfig(case="custom")),
+], ids=["find_threshold", "classify_table", "find_extremum", "sweep"])
+def test_custom_case_needs_a_povm_builder(call):
+    with pytest.raises(BadParamError, match=r"^case 'custom' needs a povm_builder$"):
+        call()
+
+
 def test_find_threshold_root_is_bracketed():
     result = find_threshold("I", None, "14", "negativity", (0.0, 1.0), tol=1e-9)
     f = lambda lam: analysis._signed_pair_value(
-        analysis._builder_for("I", None), lam, "14", "negativity"
+        analysis._family("I", None).povm, lam, "14", "negativity"
     )
     assert f(result.root - result.achieved_tol) < 0.0 < f(result.root + result.achieved_tol)
 
@@ -268,9 +279,9 @@ def test_find_extremum_runs_one_scalar_check_per_scan(monkeypatch):
     scans, scalar_runs = [], []
     grid_values, run_swap = analysis._grid_values, analysis.run_swap
 
-    def counted_grid_values(case, x, builder, lams, tol, outcomes=None):
+    def counted_grid_values(family, lams, tol, outcomes=None):
         scans.append(lams.size)
-        return grid_values(case, x, builder, lams, tol, outcomes)
+        return grid_values(family, lams, tol, outcomes)
 
     def counted_run_swap(p):
         scalar_runs.append(p)

@@ -184,6 +184,17 @@ def test_sweep_writes_file_atomically(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_emit_removes_its_temp_file_when_the_write_or_rename_fails(tmp_path):
+    target = tmp_path / "out.csv"
+    with pytest.raises(UnicodeEncodeError):
+        cli._emit("\ud800", str(target))  # a lone surrogate cannot be encoded
+    assert list(tmp_path.iterdir()) == []
+    with mock.patch.object(cli.os, "replace", side_effect=OSError(errno.EIO, "replace failed")):
+        with pytest.raises(OSError, match="replace failed"):
+            cli._emit("text\n", str(target))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_into_a_missing_directory_names_the_out_path(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     code, out, err = run_cli(capsys, "sweep", "--case", "I", "--grid", "2", "--out", str(target))

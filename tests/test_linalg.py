@@ -248,6 +248,11 @@ def test_eigensolvers_reject_non_finite_entries(solver, entry):
             solver(m)
 
 
+def test_psd_sqrt_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(BadDimError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        psd_sqrt(np.ones((2, 3)))
+
+
 def test_finite_asymmetry_keeps_its_message():
     with pytest.raises(NotHermitianError, match=r"deviates from Hermitian by 1.000e\+00"):
         psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))

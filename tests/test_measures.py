@@ -189,6 +189,13 @@ def test_report_checks_a_raw_array_once(monkeypatch):
     assert rep == report(werner_state(0.77, 1))
 
 
+def test_closed_form_quantities_that_break_the_hierarchy_are_rejected():
+    # M = 2 is nonlocal and Lambda3 = 3 steerable, with no negativity.
+    message = r"N=1\.000e\+00, S3=1\.000e\+00, negativity=0\.000e\+00$"
+    with pytest.raises(NotAStateError, match=r"^correlation hierarchy violated: " + message):
+        CorrelationReport.from_quantities(0.0, 2.0, 3.0)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_tolerances_are_rejected(tol):
     state = werner_state(0.5, 1)

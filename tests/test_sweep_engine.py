@@ -43,7 +43,7 @@ def shrinking_family(seed: int, outcomes: int):
 
 def scalar_rows(cfg: SweepConfig):
     """The sweep rows from run_swap and report, grid point by grid point."""
-    builder = analysis._builder_for(cfg.case, cfg.x, cfg.povm_builder)
+    builder = analysis._family(cfg.case, cfg.x, cfg.povm_builder).povm
     rows = []
     for lam in cfg.grid().tolist():
         for outcome in run_swap(builder(lam)):

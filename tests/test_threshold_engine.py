@@ -336,6 +336,15 @@ def test_bisect_equals_the_stepwise_algorithm(brackets, tol):
         assert expected[0] == scipy.optimize.bisect(f, lo[i], hi[i], xtol=tol, maxiter=200)
 
 
+def test_bisect_raises_on_nan_at_an_end():
+    g = counted(lambda lam: lam - 0.3)
+    for fa, fb, x in ((np.nan, 0.7, 0.0), (-0.3, np.nan, 1.0)):
+        with pytest.raises(EntswapError) as raised:
+            analysis.bisect(g, 0.0, 1.0, fa, fb, 1e-12, np.nan)
+        assert str(raised.value) == f"the function value at x={x!r} is NaN"
+    assert g.calls == []
+
+
 def test_bisect_ignores_nan_off_the_path():
     # The first step moves b to 0.5, so the walk never reaches 0.75.
     f = lambda lam: lam - 0.3
@@ -474,7 +483,7 @@ def test_find_threshold_makes_at_most_four_engine_calls_per_root(monkeypatch):
     real = analysis._signed_values
 
     def counted_values(*args):
-        calls.append(args[3].size)
+        calls.append(args[1].size)
         return real(*args)
 
     monkeypatch.setattr(analysis, "_signed_values", counted_values)
@@ -485,11 +494,10 @@ def test_find_threshold_makes_at_most_four_engine_calls_per_root(monkeypatch):
     assert len(calls) / len(draws) <= 4.0, (len(calls), len(draws))
     # Each root is scipy's bisection of the engine at one point per call.
     for (case, pair, measure, (lo, hi), tol), root in zip(draws, roots):
-        x = analysis._resolve_x(case, None)
-        builder = analysis._builder_for(case, x)
+        family = analysis._family(case, None)
         pairs, columns = [analysis.PAIRS.index(pair)], [analysis.MEASURES.index(measure)]
         one_point = lambda lam: float(
-            analysis._signed_values(case, x, builder, np.array([lam]), pairs, columns)[0]
+            analysis._signed_values(family, np.array([lam]), pairs, columns)[0]
         )
         assert root == scipy.optimize.bisect(one_point, lo, hi, xtol=tol, maxiter=200)
 
@@ -501,7 +509,7 @@ def engine_points(draws):
     real = analysis._signed_values
 
     def recorded(*args):
-        calls[-1].append(args[3].tolist())
+        calls[-1].append(args[1].tolist())
         return real(*args)
 
     roots = []
@@ -516,11 +524,10 @@ def engine_points(draws):
 
 def one_point_bisect(case, pair, measure, lo, hi, tol):
     """``scipy.optimize.bisect`` on the engine's signed value at one point."""
-    x = analysis._resolve_x(case, None)
-    builder = analysis._builder_for(case, x)
+    family = analysis._family(case, None)
     pairs, columns = [analysis.PAIRS.index(pair)], [analysis.MEASURES.index(measure)]
     one_point = lambda lam: float(
-        analysis._signed_values(case, x, builder, np.array([lam]), pairs, columns)[0]
+        analysis._signed_values(family, np.array([lam]), pairs, columns)[0]
     )
     return scipy.optimize.bisect(one_point, lo, hi, xtol=tol, maxiter=200)
 
@@ -560,10 +567,29 @@ def test_first_estimate_falls_back_where_the_probes_are_not_monotone():
     assert root == one_point_bisect("III", "34", "steering3", 0.5, 1.0, 1e-9)
 
 
+def test_rows_the_stacked_checks_reject_go_to_the_scalar_pipeline(monkeypatch):
+    real = analysis.measures._signed_stack
+
+    def second_rejected(states):
+        *values, ok = real(states)
+        ok[1] = False
+        return (*values, ok)
+
+    family = analysis._family("II", None)
+    lams, pairs, columns = np.array([0.2, 0.5, 0.8]), np.array([0, 1, 2]), np.array([0, 0, 2])
+    expected = analysis._signed_values(family, lams, pairs, columns)
+    monkeypatch.setattr(analysis.measures, "_signed_stack", second_rejected)
+    values = analysis._signed_values(family, lams, pairs, columns)
+    # The two pipelines differ in the last bits here, so the row shows its source.
+    assert values[1] == analysis._signed_pair_value(family.povm, 0.5, "12", "negativity")
+    assert 0.0 < abs(values[1] - expected[1]) <= analysis.VERIFY_TOL
+    assert values[[0, 2]].tolist() == expected[[0, 2]].tolist()
+
+
 def patch_engine(monkeypatch, f):
     """Let the engine and the scalar pipeline both evaluate f(lambda)."""
     monkeypatch.setattr(
-        analysis, "_signed_values", lambda *args: np.array([f(lam) for lam in args[3].tolist()])
+        analysis, "_signed_values", lambda *args: np.array([f(lam) for lam in args[1].tolist()])
     )
     monkeypatch.setattr(analysis, "_signed_pair_value", lambda builder, lam, *_: f(lam))
 
