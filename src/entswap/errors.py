@@ -89,6 +89,18 @@ def check_index(name: str, value, count: int) -> int:
     raise BadIndexError(f"{name} must be 1..{count}, got {shown}")
 
 
+def check_qubits(value, error: type[EntswapError]) -> int:
+    """``value`` as a qubit count, an int in 0..62, or ``error`` (2.0, True,
+    "2", -1 and 63 are none): no array has 2**63 rows, and a shape message
+    cannot show 2**n for a huge n."""
+    # The exact type test goes first: ``partial_trace`` is on the hot path,
+    # and the ABC test costs 20 times as much.
+    whole = type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
+    if whole and 0 <= value <= 62:
+        return int(value)
+    raise error(f"qubit count must be an int in 0..62, got {value!r}")
+
+
 def outside_unit(name: str, value) -> BadParamError:
     """The error for a ``name`` that is not a number in [0, 1]."""
     return BadParamError(f"{name} must be in [0, 1], got {value}")

@@ -12,12 +12,20 @@ b1*8 + b2*4 + b3*2 + b4. Qubit indices are 1-based.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import BadDimError, BadIndexError, NotHermitianError, NotPsdError, complex_array
+from .errors import (
+    BadDimError,
+    BadIndexError,
+    NotHermitianError,
+    NotPsdError,
+    check_qubits,
+    complex_array,
+)
 
 # Asymmetry beyond this is an input error; below it is rounding noise that
 # gets symmetrized away.
@@ -61,14 +69,16 @@ def freeze(m: np.ndarray) -> np.ndarray:
 def invariant_residuals(m: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per matrix of a complex (..., d, d) stack: finite or not, the matrix
     with the non-finite ones zeroed, its Hermitian residual max |m - m†| and
-    the ascending eigenvalues of its Hermitian part."""
+    its Hermitian part (m + m†)/2, which the floor checks factor or solve."""
     finite = np.isfinite(m).all(axis=(-2, -1))
-    # The eigensolver fails on non-finite entries, so those matrices are
-    # zeroed; halving before adding keeps the Hermitian part of huge entries finite.
-    m = np.where(finite[..., None, None], m, 0.0)
+    # Factorizations and eigensolvers fail on non-finite entries, so those
+    # matrices are zeroed; halving before adding keeps the Hermitian part of
+    # huge entries finite.
+    if not finite.all():
+        m = np.where(finite[..., None, None], m, 0.0)
     herm = np.abs(m - _adjoint(m)).max(axis=(-2, -1))
     half = m / 2
-    return finite, m, herm, np.linalg.eigvalsh(half + _adjoint(half))
+    return finite, m, herm, half + _adjoint(half)
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
@@ -132,16 +142,25 @@ def partial_trace(m: np.ndarray, qubits_total: int, keep: Iterable[int]) -> np.n
     qubits retain their relative order. The total trace is preserved.
     """
     m = complex_array(m, BadDimError)
-    dim = 2**qubits_total
+    dim = 2 ** check_qubits(qubits_total, BadDimError)
     if m.shape[-2:] != (dim, dim):
         raise BadDimError(f"expected shape {(dim, dim)} for {qubits_total} qubits, got {m.shape}")
     if not isinstance(keep, (tuple, frozenset)):
-        keep = tuple(keep)
+        try:
+            keep = tuple(keep)
+        except TypeError:
+            raise BadIndexError(f"keep must be a set of qubit numbers, got {keep!r}") from None
     lead = m.shape[:-2]
-    perm, dim_keep, dim_traced = _trace_plan(len(lead), qubits_total, keep)
+    try:
+        perm, dim_keep, dim_traced = _trace_plan(len(lead), qubits_total, keep)
+    except TypeError:  # the cache cannot hash an entry such as a list
+        raise BadIndexError(_NOT_WHOLE.format(list(keep))) from None
     tensor = m.reshape(lead + (2,) * (2 * qubits_total)).transpose(perm)
     tensor = tensor.reshape(lead + (dim_keep, dim_keep, dim_traced, dim_traced))
     return np.trace(tensor, axis1=-2, axis2=-1)
+
+
+_NOT_WHOLE = "keep set entries must be whole numbers, got {}"
 
 
 @functools.lru_cache(maxsize=256)
@@ -151,6 +170,8 @@ def _trace_plan(lead: int, qubits_total: int, keep: tuple | frozenset) -> tuple:
     column qubits) tensor that puts the kept qubits first, with the kept and
     traced dimensions. A rejected ``keep`` raises on every call, since
     ``lru_cache`` keeps no exception."""
+    if not all(_whole(q) for q in keep):
+        raise BadIndexError(_NOT_WHOLE.format(list(keep)))
     keep_set = set(int(q) for q in keep)
     if not keep_set:
         raise BadIndexError("keep set is empty")
@@ -172,6 +193,12 @@ def _trace_plan(lead: int, qubits_total: int, keep: tuple | frozenset) -> tuple:
         + [col + q for q in traced]
     )
     return tuple(perm), 2 ** len(kept), 2 ** len(traced)
+
+
+def _whole(q) -> bool:
+    """True for an int, or a real number equal to one (2.0 is; 1.5, NaN and "2" are not)."""
+    real = isinstance(q, numbers.Real)
+    return isinstance(q, numbers.Integral) or (real and float(q).is_integer())
 
 
 def partial_transpose(m: np.ndarray, subsystem: str) -> np.ndarray:

@@ -211,7 +211,8 @@ def _signed_stack(states) -> tuple[np.ndarray, ...]:
     m = complex_array(states, NotAStateError)
     ok = is_density_matrix(m)
     # Zeroing the states that are not ok keeps non-finite ones from the eigensolvers.
-    m = np.where(ok[..., None, None], m, 0.0)
+    if not ok.all():
+        m = np.where(ok[..., None, None], m, 0.0)
     _, residue, _, m_value, lambda3 = _spectrum_stack(m)
     ok &= residue <= _IMAG_RESIDUE
     n, s3 = nonlocality_from_pair_sum(m_value), steering3_from_total(lambda3)

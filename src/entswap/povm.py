@@ -47,7 +47,14 @@ class Povm:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.effects) < 1:
+        if not isinstance(self.label, str):
+            raise InvalidPovmError("'label' must be a string")
+        try:
+            count = len(self.effects)
+        except TypeError:  # no sequence: an int, None, a 0-d array
+            got = self.effects
+            raise InvalidPovmError(f"effects must be a sequence of matrices, got {got!r}") from None
+        if count < 1:
             raise InvalidPovmError("a POVM needs at least one effect")
         effects = [complex_array(effect, InvalidPovmError) for effect in self.effects]
         for i, m in enumerate(effects, start=1):
@@ -70,7 +77,8 @@ def _residuals(effects) -> tuple[np.ndarray, ...]:
     """Per effect of a (..., k, 4, 4) stack: finite or not, the Hermitian residual, the
     extreme eigenvalues and whether all pass; per list: the completeness residual."""
     e = complex_array(effects, InvalidPovmError)
-    finite, _, herm, eigs = invariant_residuals(e)
+    finite, _, herm, sym = invariant_residuals(e)
+    eigs = np.linalg.eigvalsh(sym)
     low, high = eigs[..., 0], eigs[..., -1]
     ok = finite & (herm <= POVM_ATOL) & (low >= -POVM_ATOL) & (high <= 1.0 + POVM_ATOL)
     # The raw sum is NaN for a NaN entry, which gets no completeness message.

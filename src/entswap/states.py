@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAStateError, check_index, check_unit, complex_array
+from .errors import NotAStateError, check_index, check_qubits, check_unit, complex_array
 from .linalg import freeze, invariant_residuals, kron
 
 # Density-matrix invariants: Hermitian and unit trace within STATE_ATOL,
@@ -23,17 +23,33 @@ _SQRT2 = np.sqrt(2.0)
 
 def _residuals(m: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per matrix of a complex (..., d, d) stack: finite or not, the Hermitian
-    residual, the trace and the smallest eigenvalue."""
-    finite, m, herm, eigs = invariant_residuals(m)
+    residual, the trace and the smallest eigenvalue, or None for the whole
+    stack where ``_floor`` shows that no eigenvalue is below -STATE_ATOL."""
+    finite, m, herm, sym = invariant_residuals(m)
     with np.errstate(over="ignore"):  # a trace beyond float range fails as inf
         trace = m.diagonal(0, -2, -1).sum(axis=-1)
-    return finite, herm, trace, eigs[..., 0]
+    return finite, herm, trace, _floor(sym)
+
+
+def _floor(sym: np.ndarray) -> np.ndarray | None:
+    """None if one Cholesky factorization of the Hermitian stack ``sym`` plus
+    (STATE_ATOL / 2) I succeeds: every eigenvalue is then at least
+    -STATE_ATOL / 2, up to rounding of about 1e-15 of the matrix norm, far
+    inside the other half of the margin for a unit-trace matrix (one that
+    factors and has a huge norm fails the trace check). Else the smallest
+    eigenvalue of each matrix, which flags and words a failure."""
+    try:
+        np.linalg.cholesky(sym + STATE_ATOL / 2 * np.eye(sym.shape[-1]))
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(sym)[..., 0]
+    return None
 
 
 def _passes(finite, herm, tr, low) -> tuple[np.ndarray, ...]:
     """The four checks, in order, from ``_residuals``: finite, Hermitian and
     of unit trace within STATE_ATOL, no eigenvalue below -STATE_ATOL."""
-    return finite, herm <= STATE_ATOL, np.abs(tr - 1.0) <= STATE_ATOL, low >= -STATE_ATOL
+    above = np.full(finite.shape, True) if low is None else low >= -STATE_ATOL
+    return finite, herm <= STATE_ATOL, np.abs(tr - 1.0) <= STATE_ATOL, above
 
 
 def one_matrix(matrix) -> np.ndarray:
@@ -55,7 +71,7 @@ def check_density_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
     C order is named, with the message it would raise alone.
     """
     m = complex_array(matrix, NotAStateError)
-    dim = 2**qubits
+    dim = 2 ** check_qubits(qubits, NotAStateError)
     if m.shape[-2:] != (dim, dim):
         raise NotAStateError(f"expected a {dim}x{dim} matrix for {qubits} qubits, got {m.shape}")
     finite, herm, tr, low = _residuals(m)
@@ -65,11 +81,12 @@ def check_density_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
         return m
     first = np.unravel_index(np.argmin(ok), np.shape(ok))
     failed = [bool(p[first]) for p in passes].index(False)
+    if failed == 3:  # only the eigenvalue path fails the floor, so ``low`` is set
+        raise NotAStateError(f"negative eigenvalue {low[first]:.3e}")
     raise NotAStateError((
         "non-finite entry",
         f"not Hermitian: residual {herm[first]:.3e}",
         f"trace is {complex(tr[first]):.12g}, expected 1",
-        f"negative eigenvalue {low[first]:.3e}",
     )[failed])
 
 

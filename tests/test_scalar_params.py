@@ -11,11 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entswap import (
+    BadDimError,
     BadIndexError,
     BadParamError,
     DensityMatrix,
     EntswapError,
+    InvalidPovmError,
     NonMonotoneWarning,
+    NotAStateError,
     Povm,
     SweepConfig,
     asymmetric_povm,
@@ -34,6 +37,8 @@ from entswap import (
     negativity,
     partial_trace,
     partial_transpose,
+    povm_from_dict,
+    povm_to_dict,
     product_basis,
     psd_sqrt,
     pure_density_matrix,
@@ -211,3 +216,55 @@ def test_matrix_arguments_raise_only_entswap_errors(matrix, exempt):
                 pass
             except Exception as exc:
                 raise AssertionError(f"{name}: {exc!r}") from exc
+
+
+HALF = np.eye(4) / 4
+
+# Each structural argument that is no array, with the error and message it raises.
+STRUCTURAL = [
+    (lambda: Povm(5), InvalidPovmError, "effects must be a sequence of matrices, got 5"),
+    (lambda: Povm(None), InvalidPovmError, "effects must be a sequence of matrices, got None"),
+    (lambda: Povm((np.eye(4),), label=5), InvalidPovmError, "'label' must be a string"),
+    (lambda: DensityMatrix("2", HALF), NotAStateError,
+     "qubit count must be an int in 0..62, got '2'"),
+    (lambda: DensityMatrix(2.0, HALF), NotAStateError,
+     "qubit count must be an int in 0..62, got 2.0"),
+    (lambda: DensityMatrix(-1, HALF), NotAStateError,
+     "qubit count must be an int in 0..62, got -1"),
+    (lambda: partial_trace(HALF, "2", [1]), BadDimError,
+     "qubit count must be an int in 0..62, got '2'"),
+    (lambda: partial_trace(HALF, 2, 5), BadIndexError,
+     "keep must be a set of qubit numbers, got 5"),
+    (lambda: partial_trace(HALF, 2, None), BadIndexError,
+     "keep must be a set of qubit numbers, got None"),
+    (lambda: partial_trace(HALF, 2, ["a"]), BadIndexError,
+     "keep set entries must be whole numbers, got ['a']"),
+    (lambda: partial_trace(HALF, 2, [1.5]), BadIndexError,
+     "keep set entries must be whole numbers, got [1.5]"),
+    (lambda: partial_trace(HALF, 2, ([1],)), BadIndexError,
+     "keep set entries must be whole numbers, got [[1]]"),
+    (lambda: DensityMatrix(20000, HALF), NotAStateError,
+     "qubit count must be an int in 0..62, got 20000"),
+    (lambda: partial_trace(HALF, 63, [1]), BadDimError,
+     "qubit count must be an int in 0..62, got 63"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", STRUCTURAL)
+def test_structural_arguments_raise_entswap_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_whole_qubit_numbers_of_any_int_type_are_kept():
+    want = partial_trace(HALF, 2, [1])
+    for qubits, keep in ((np.int64(2), [1]), (2, [1.0]), (2, {np.int64(1)})):
+        assert partial_trace(HALF, qubits, keep).tobytes() == want.tobytes()
+    assert DensityMatrix(np.int64(2), HALF).dim == 4
+
+
+def test_a_povm_label_round_trips_through_its_dict():
+    povm = Povm(tuple(werner_bell_povm(0.5).effects), label="mine")
+    assert povm_from_dict(povm_to_dict(povm)).label == "mine"
+    with pytest.raises(InvalidPovmError, match="^'label' must be a string$"):
+        povm_from_dict({**povm_to_dict(povm), "label": 5})
