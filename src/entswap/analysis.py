@@ -144,8 +144,9 @@ def _check_grid_size(count: int) -> None:
 
 
 def _grid_points(grid) -> np.ndarray:
-    """A scan's lambda grid as floats, 101 points on [0, 1] by default; any
-    grid but one axis of real numbers raises BadParamError."""
+    """A scan's lambda grid as ascending floats, 101 points on [0, 1] by
+    default. Any grid but one axis of real numbers raises BadParamError, as
+    does a point outside [0, 1], named in the order the grid gives it."""
     if grid is None:
         return np.linspace(0.0, 1.0, 101)
     try:
@@ -157,7 +158,7 @@ def _grid_points(grid) -> np.ndarray:
         raise BadParamError(
             f"grid must be one axis of real numbers, got shape {points.shape} of {points.dtype}"
         )
-    return np.asarray(points, dtype=float)
+    return np.sort(check_unit_array("sharpness", points))
 
 
 @contextmanager
@@ -666,8 +667,7 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
         return [known[key] for key in keys]
 
     probes = [
-        sorted([a, b, *(s for level in _subtree(a, b - a, _LEVELS) for s in level)],
-               reverse=b < a)
+        sorted([a, b, *(s for level in _subtree(a, b - a, _LEVELS) for s in level)])
         for a, b in zip(lo.tolist(), hi.tolist())
     ]
     rows = np.repeat(np.arange(len(queries)), [len(p) for p in probes])
@@ -809,7 +809,7 @@ def classify_table(
     """
     check_tolerance(tol)
     check_tolerance(root_tol)
-    grid = check_unit_array("sharpness", _grid_points(grid))
+    grid = _grid_points(grid)
     lams = grid[grid > 0.0]
     if lams.size == 0:
         raise BadParamError("classification needs a grid point with lambda > 0")

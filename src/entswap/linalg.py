@@ -76,7 +76,8 @@ def invariant_residuals(m: np.ndarray) -> tuple[np.ndarray, ...]:
     # huge entries finite.
     if not finite.all():
         m = np.where(finite[..., None, None], m, 0.0)
-    herm = np.abs(m - _adjoint(m)).max(axis=(-2, -1))
+    with np.errstate(over="ignore"):  # a residual beyond float range is inf
+        herm = np.abs(m - _adjoint(m)).max(axis=(-2, -1))
     half = m / 2
     return finite, m, herm, half + _adjoint(half)
 
@@ -91,14 +92,25 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
         raise BadDimError(f"expected a nonempty matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NotHermitianError("matrix has a non-finite entry")
-    residual = float(np.abs(m - _adjoint(m)).max())
+    # Halved first, so huge entries stay finite; a float doubled beyond range is inf.
+    half = m / 2
+    adjoint = _adjoint(half)
+    residual = 2 * float(np.abs(half - adjoint).max())
     if not residual < HERMITIAN_ATOL:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {residual:.3e} "
             f"(allowed {HERMITIAN_ATOL:.0e})"
         )
-    half = m / 2  # halved before adding, so huge entries stay finite
-    return half + _adjoint(half)
+    return half + adjoint
+
+
+def _in_range(values, what: str):
+    """``values``, computed from a finite matrix, or NotHermitianError if one is
+    beyond float range. Next to an eigenvalue beyond range the solver gives the
+    others as rounding noise of that size, which could call a PSD matrix non-PSD."""
+    if not np.isfinite(values).all():
+        raise NotHermitianError(f"{what} beyond float range")
+    return values
 
 
 def hermitian_eig(m: np.ndarray) -> HermitianEig:
@@ -107,14 +119,13 @@ def hermitian_eig(m: np.ndarray) -> HermitianEig:
     The input is symmetrized as (m + m†)/2 before solving; eigenvalues come
     back sorted ascending with matching orthonormal eigenvector columns.
     """
-    sym = _symmetrized(m)
-    values, vectors = np.linalg.eigh(sym)
-    return HermitianEig(eigenvalues=values, eigenvectors=vectors)
+    values, vectors = np.linalg.eigh(_symmetrized(m))
+    return HermitianEig(eigenvalues=_in_range(values, "eigenvalue"), eigenvectors=vectors)
 
 
 def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, symmetrized as in ``hermitian_eig``."""
-    return np.linalg.eigvalsh(_symmetrized(m))
+    return _in_range(np.linalg.eigvalsh(_symmetrized(m)), "eigenvalue")
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -157,7 +168,11 @@ def partial_trace(m: np.ndarray, qubits_total: int, keep: Iterable[int]) -> np.n
         raise BadIndexError(_NOT_WHOLE.format(list(keep))) from None
     tensor = m.reshape(lead + (2,) * (2 * qubits_total)).transpose(perm)
     tensor = tensor.reshape(lead + (dim_keep, dim_keep, dim_traced, dim_traced))
-    return np.trace(tensor, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore"):  # a traced-out sum beyond float range is inf
+        reduced = np.trace(tensor, axis1=-2, axis2=-1)
+    if np.isinf(reduced).any() and np.isfinite(m).all():
+        raise BadDimError("partial trace has an entry beyond float range")
+    return reduced
 
 
 _NOT_WHOLE = "keep set entries must be whole numbers, got {}"
@@ -215,4 +230,6 @@ def partial_transpose(m: np.ndarray, subsystem: str) -> np.ndarray:
 
 def trace_norm(m: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    return float(np.abs(hermitian_eigvals(m)).sum())
+    values = np.abs(hermitian_eigvals(m))
+    with np.errstate(over="ignore"):  # a sum beyond float range is inf
+        return float(_in_range(values.sum(), "trace norm"))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -81,8 +80,10 @@ def _residuals(effects) -> tuple[np.ndarray, ...]:
     eigs = np.linalg.eigvalsh(sym)
     low, high = eigs[..., 0], eigs[..., -1]
     ok = finite & (herm <= POVM_ATOL) & (low >= -POVM_ATOL) & (high <= 1.0 + POVM_ATOL)
-    # The raw sum is NaN for a NaN entry, which gets no completeness message.
-    completeness = np.abs(e.sum(axis=-3) - np.eye(4)).max(axis=(-2, -1))
+    # The raw sum is NaN for a NaN entry, which gets no completeness message,
+    # and inf beyond float range.
+    with np.errstate(over="ignore"):
+        completeness = np.abs(e.sum(axis=-3) - np.eye(4)).max(axis=(-2, -1))
     return finite, herm, low, high, ok, completeness
 
 
@@ -99,6 +100,9 @@ def validate(p: Povm) -> list[str]:
             out.append(f"effect {i + 1}: non-finite entry")
         elif herm[i] > POVM_ATOL:
             out.append(f"effect {i + 1}: not Hermitian, residual {herm[i]:.3e}")
+        elif not np.isfinite([low[i], high[i]]).all():
+            # The other eigenvalues are then rounding noise of that size.
+            out.append(f"effect {i + 1}: eigenvalue beyond float range")
         else:
             if low[i] < -POVM_ATOL:
                 out.append(f"effect {i + 1}: negative eigenvalue {low[i]:.3e}")
@@ -255,7 +259,11 @@ def unit_trace_effect(p: Povm, i: int) -> np.ndarray:
     if not np.isfinite(effect).all():
         problem = f"effect {i}: non-finite entry"
         raise InvalidPovmError(problem, [problem])
-    trace = float(np.trace(effect).real)
+    with np.errstate(over="ignore"):  # a trace beyond float range is inf
+        trace = float(np.trace(effect).real)
+    if trace == math.inf:
+        problem = f"effect {i}: trace beyond float range"
+        raise InvalidPovmError(problem, [problem])
     if trace / 4 < DEGENERATE_PROBABILITY:
         raise DegenerateEffectError(f"effect {i} has trace {trace:.3e}")
     return effect / trace
@@ -294,53 +302,30 @@ def _is_finite_number(v) -> bool:
         return False
 
 
-def _effects_in_one_pass(raw_effects: list) -> np.ndarray | None:
-    """The (k, 4, 4) effects of a well-formed ``effects`` array in one
-    conversion, or None when any container is not exactly a list of the
-    schema's length or any number is not exactly a finite int or float.
-
-    This accepts a subset of what the per-entry walk accepts and yields the
-    same bits: ``view(complex)`` pairs the floats as ``complex(re, im)`` does.
-    """
-    items = raw_effects
-    for length in (4, 4, 2):  # rows per effect, entries per row, [re, im]
-        if set(map(type, items)) != {list} or set(map(len, items)) != {length}:
-            return None
-        items = [*chain.from_iterable(items)]
-    if not set(map(type, items)) <= {float, int}:
-        return None
-    try:
-        values = np.array(items, dtype=float)
-    except OverflowError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return values.view(complex).reshape(-1, 4, 4)
-
-
-def _effects_by_walk(raw_effects: list) -> list[np.ndarray]:
-    """The effects entry by entry; raises InvalidPovmError at the first fault."""
-    effects = []
+def _effects(raw_effects: list) -> np.ndarray:
+    """The (k, 4, 4) effects of the schema's ``effects`` array, each entry
+    checked in document order, so InvalidPovmError names the first fault; the
+    [re, im] pairs convert at once, ``view(complex)`` pairing them as ``complex`` does."""
+    values = []
     for i, raw in enumerate(raw_effects, start=1):
         if not isinstance(raw, list) or len(raw) != 4:
             raise InvalidPovmError(f"effect {i}: expected 4 rows")
-        matrix = np.zeros((4, 4), dtype=complex)
         for r, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != 4:
                 raise InvalidPovmError(f"effect {i}, row {r}: expected 4 entries")
             for c, entry in enumerate(row):
-                if (
-                    not isinstance(entry, list)
-                    or len(entry) != 2
-                    or not all(_is_finite_number(v) for v in entry)
+                if not (
+                    isinstance(entry, list)
+                    and len(entry) == 2
+                    and _is_finite_number(entry[0])
+                    and _is_finite_number(entry[1])
                 ):
                     raise InvalidPovmError(
                         f"effect {i}, row {r}, column {c}: "
                         "expected an [re, im] pair of finite numbers"
                     )
-                matrix[r, c] = complex(entry[0], entry[1])
-        effects.append(matrix)
-    return effects
+                values += entry
+    return np.array(values, dtype=float).view(complex).reshape(-1, 4, 4)
 
 
 def povm_from_dict(data: dict) -> Povm:
@@ -348,9 +333,9 @@ def povm_from_dict(data: dict) -> Povm:
 
     Structural problems raise InvalidPovmError naming the effect index and
     matrix position; use ``validate`` afterwards for the POVM invariants.
-    Well-formed effects are converted in one pass; anything else goes
-    through the per-entry walk, which words the rejection (or accepts
-    subclasses of list, int and float).
+    One walk over the effects checks them in document order, so the first
+    fault is the one named, and converts them all at once (subclasses of
+    list, int and float are accepted).
     """
     if not isinstance(data, dict):
         raise InvalidPovmError(f"expected a JSON object, got {type(data).__name__}")
@@ -360,7 +345,4 @@ def povm_from_dict(data: dict) -> Povm:
     raw_effects = data.get("effects")
     if not isinstance(raw_effects, list) or not raw_effects:
         raise InvalidPovmError("'effects' must be a non-empty array")
-    effects = _effects_in_one_pass(raw_effects)
-    if effects is None:
-        effects = _effects_by_walk(raw_effects)
-    return Povm(tuple(effects), label=label)
+    return Povm(tuple(_effects(raw_effects)), label=label)

@@ -141,7 +141,10 @@ def pure_density_matrix(amplitudes: np.ndarray) -> DensityMatrix:
     v = complex_array(amplitudes, NotAStateError)
     if not v.size or v.size & (v.size - 1):
         raise NotAStateError(f"amplitude vector length {v.size} is not a power of two")
-    return DensityMatrix(v.size.bit_length() - 1, np.outer(v, v.conj()))
+    # Products beyond float range fail the state checks as non-finite entries.
+    with np.errstate(over="ignore", invalid="ignore"):
+        outer = np.outer(v, v.conj())
+    return DensityMatrix(v.size.bit_length() - 1, outer)
 
 
 def bell_state(k: int) -> np.ndarray:

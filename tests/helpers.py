@@ -135,8 +135,9 @@ def _finite_number(v) -> bool:
 
 def povm_from_dict_walk(data: dict) -> Povm:
     """``povm.povm_from_dict`` as one check and one ``complex`` per entry,
-    kept as the reference for its one-pass conversion. An integer beyond
-    float range counts as a number that is not finite."""
+    kept as the reference for its walk, ``povm._effects``, which converts all
+    entries at once. An integer beyond float range counts as a number that
+    is not finite."""
     if not isinstance(data, dict):
         raise InvalidPovmError(f"expected a JSON object, got {type(data).__name__}")
     label = data.get("label", "")

@@ -418,3 +418,27 @@ def test_bad_tolerances_are_rejected(tol):
     for call in calls:
         with pytest.raises(BadParamError, match="tolerance must be positive and finite"):
             call()
+
+
+_ORDERS = {
+    "reversed": lambda grid: grid[::-1],
+    "shuffled": lambda grid: np.random.default_rng(5).permutation(grid),
+}
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_a_grid_in_any_order_gives_the_sorted_grids_answers(order):
+    grid = np.linspace(0.0, 1.0, 21)
+    given = _ORDERS[order](grid)
+    assert not np.array_equal(given, grid)
+    assert classify_table("I", grid=given) == classify_table("I", grid=grid)
+    assert classify_table("III", grid=given) == classify_table("III", grid=grid)
+    extremum = find_extremum("II", None, "14", "negativity", grid=given)
+    assert extremum == find_extremum("II", None, "14", "negativity", grid=grid)
+    assert verify("II", grid=given) == verify("II", grid=grid)
+
+
+def test_find_extremum_on_an_unsorted_grid_refines_between_true_neighbours():
+    lam, value = find_extremum("II", None, "14", "negativity", grid=[0.9, 0.1, 0.5, 0.3])
+    assert (lam, value) == find_extremum("II", None, "14", "negativity", grid=[0.1, 0.3, 0.5, 0.9])
+    assert abs(lam - 0.347244) < 1e-6 and abs(value - 0.140076) < 1e-6

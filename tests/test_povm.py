@@ -469,3 +469,14 @@ def test_validate_messages_and_is_povm_flags():
     for effects, messages in cases:
         assert validate(Povm(effects)) == messages
         assert is_povm(np.array([effects])).tolist() == [messages == []]
+
+
+def test_json_parse_names_the_first_fault_in_document_order():
+    # Effect 1 has a bad entry at row 2, column 1, and effect 2 a row of 3
+    # entries: the walk meets effect 1's fault first.
+    payload = povm_to_dict(werner_bell_povm(0.5))
+    payload["effects"][0][2][1] = [0.25, "x"]
+    payload["effects"][1][3] = payload["effects"][1][3][:3]
+    message = "effect 1, row 2, column 1: expected an [re, im] pair of finite numbers"
+    assert _parsed(povm_from_dict, payload) == (InvalidPovmError, message)
+    assert _parsed(povm_from_dict_walk, payload) == (InvalidPovmError, message)

@@ -1,0 +1,20 @@
+"""Every ```python block of README.md runs as written, under the suite's
+filter that turns every warning into an error."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_the_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(1, len(BLOCKS) + 1)])
+def test_a_readme_python_block_runs(source, capsys):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out

@@ -16,9 +16,11 @@ from entswap import (
     BadParamError,
     DensityMatrix,
     EntswapError,
+    HermitianEig,
     InvalidPovmError,
     NonMonotoneWarning,
     NotAStateError,
+    NotHermitianError,
     Povm,
     SweepConfig,
     asymmetric_povm,
@@ -168,6 +170,13 @@ def test_grids_that_are_not_one_axis_of_real_numbers_are_rejected(grid):
             call(grid)
 
 
+def test_a_grid_point_outside_the_unit_interval_is_named_in_input_order():
+    # Grids are sorted after the check, so the message names 1.5, not -0.5.
+    for call in GRID_CALLS:
+        with pytest.raises(BadParamError, match=r"^sharpness must be in \[0, 1\], got 1\.5$"):
+            call([0.5, 1.5, -0.5])
+
+
 @pytest.mark.parametrize("bracket", [("a", 0.9), (0.2,), None, (0.2, 0.5, 0.9), ([0.2], [0.9])])
 def test_brackets_that_are_not_a_pair_of_numbers_are_rejected(bracket):
     message = f"bracket must satisfy 0 <= lo < hi <= 1, got {bracket}"
@@ -191,31 +200,79 @@ MATRIX_CALLS = {
     "DensityMatrix": lambda m: DensityMatrix(2, m),
     "pure_density_matrix": pure_density_matrix,
     "Povm": lambda m: Povm((m,)),
+    "rho14_spectral": lambda m: rho14_spectral(Povm((m,)), 1),
+    "effect_entanglement": lambda m: effect_entanglement(Povm((m,)), 1),
+    "violations": lambda m: Povm((m,)).violations(),
 }
-# Sums past float range still warn in these (the trace norm, the traced-out
-# blocks, the outer product of the amplitudes).
-OVERFLOWING = {"trace_norm", "partial_trace", "pure_density_matrix"}
+
+_ANTISYMMETRIC = np.zeros((4, 4))
+_ANTISYMMETRIC[0, 1], _ANTISYMMETRIC[1, 0] = 1e308, -1e308
 
 
-@pytest.mark.parametrize("matrix, exempt", [
-    (np.full((4, 4), "a"), set()),
-    (np.zeros((0, 0)), set()),
-    ([[1.0, 0.0], [0.0]], set()),
-    ([[10**400]], set()),
-    (np.eye(4) * 1e308, OVERFLOWING),
-], ids=["str", "empty", "ragged", "int beyond float", "huge"])
-def test_matrix_arguments_raise_only_entswap_errors(matrix, exempt):
+@pytest.mark.parametrize("matrix", [
+    np.full((4, 4), "a"),
+    np.zeros((0, 0)),
+    [[1.0, 0.0], [0.0]],
+    [[10**400]],
+    np.eye(4) * 1e308,
+    np.full((4, 4), 1e308),
+    _ANTISYMMETRIC,
+], ids=["str", "empty", "ragged", "int beyond float", "huge", "huge rank 1", "huge antisymmetric"])
+def test_matrix_arguments_raise_only_entswap_errors(matrix):
     for name, call in MATRIX_CALLS.items():
-        if name in exempt:
-            continue
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                call(matrix)
+                result = call(matrix)
             except EntswapError:
-                pass
+                continue
             except Exception as exc:
                 raise AssertionError(f"{name}: {exc!r}") from exc
+        assert all(np.isfinite(v).all() for v in _numbers(result)), name
+
+
+def _numbers(result) -> tuple:
+    """The arrays of numbers a matrix call returns; violations are messages."""
+    if isinstance(result, HermitianEig):
+        return result.eigenvalues, result.eigenvectors
+    if isinstance(result, Povm):
+        return result.effects
+    return () if isinstance(result, list) else (np.asarray(result),)
+
+
+# The errors of matrices beyond float range, each raised where the overflow was.
+HUGE = [
+    (trace_norm, np.eye(4) * 1e308, NotHermitianError, "trace norm beyond float range"),
+    (lambda m: partial_trace(m, 2, [1]), np.eye(4) * 1e308, BadDimError,
+     "partial trace has an entry beyond float range"),
+    (pure_density_matrix, [1e200, 0, 0, 1e200], NotAStateError, "non-finite entry"),
+    (MATRIX_CALLS["rho14_spectral"], np.eye(4) * 1e308, InvalidPovmError,
+     "effect 1: trace beyond float range"),
+    (psd_sqrt, np.full((4, 4), 1e308), NotHermitianError,
+     "eigenvalue beyond float range"),
+    (hermitian_eig, np.full((4, 4), 1e308), NotHermitianError,
+     "eigenvalue beyond float range"),
+    (hermitian_eig, _ANTISYMMETRIC, NotHermitianError,
+     "matrix deviates from Hermitian by inf (allowed 1e-08)"),
+    (report, _ANTISYMMETRIC, NotAStateError, "not Hermitian: residual inf"),
+]
+
+
+@pytest.mark.parametrize("call, matrix, error, message", HUGE)
+def test_matrices_beyond_float_range_raise_where_they_overflow(call, matrix, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(matrix)
+
+
+def test_violations_beyond_float_range_name_no_eigenvalue_of_rounding_noise():
+    assert Povm((np.full((4, 4), 1e308),)).violations()[0] == (
+        "effect 1: eigenvalue beyond float range"
+    )
+    assert Povm((_ANTISYMMETRIC,)).violations()[0] == "effect 1: not Hermitian, residual inf"
+    huge = np.eye(4) * 1e308
+    assert Povm((huge, huge)).violations()[-1] == (
+        "completeness: effects sum deviates from identity by inf"
+    )
 
 
 HALF = np.eye(4) / 4
