@@ -22,8 +22,11 @@ bracket. ``_outcome_values`` gives the quantifiers of all outcomes of one
 ``measures.report_stack`` call. ``sweep`` turns the stacked values into
 ``SweepRecord`` rows in bulk, column by column. The scalar 16-dimensional
 pipeline, ``run_swap`` plus ``measures``, stays the oracle: it re-checks
-the last point of every grid scan, both ends of every bisected root's final
-bracket and one pair state of every ``_outcome_values`` call.
+the last point of every grid scan, one end of the first root's final
+bracket of every bisection, and one pair state of every ``_outcome_values``
+call. Every engine point of a bisection is also checked against the exact
+identities of the swap (``_check_identities``), which need no second
+pipeline.
 """
 
 from __future__ import annotations
@@ -614,15 +617,66 @@ def _not_nan(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return values
 
 
+# The exact identities of a swap outcome with effect E, in the order
+# ``_check_identities`` checks them.
+_IDENTITIES = (
+    "probability deviates from tr(E)/4",
+    "(1,4) state deviates from conj(E)/tr(E)",
+    "qubit-1 marginal of (1,2) deviates from that of (1,4)",
+    "qubit-4 marginal of (3,4) deviates from that of (1,4)",
+)
+
+
+def _check_identities(lams, effects, probabilities, states) -> None:
+    """Raise unless every non-degenerate outcome of ``swap_stack(effects)``,
+    effects of shape (n, k, 4, 4) at the n lambdas ``lams``, meets the exact
+    identities of the swap within VERIFY_TOL.
+
+    Both pairs start maximally entangled, so effect E has probability
+    tr(E)/4 and (1,4) state conj(E)/tr(E), as ``rho14_spectral`` computes,
+    and the three pair states are marginals of one four-qubit state: the
+    (1,2) and (1,4) states share the state of qubit 1, the (3,4) and (1,4)
+    states that of qubit 4. The error names the first failing outcome, in
+    row order, by lambda and index, then the identity and its deviation.
+    """
+    kept = probabilities >= DEGENERATE_PROBABILITY
+    effects, states = effects[kept], states[kept]
+    trace = np.trace(effects, axis1=-2, axis2=-1).real
+    rho14 = states[:, 0]
+    # The (1,2) and (3,4) states less the (1,4) state; qubit 1 is the first
+    # qubit of (1,2) and (1,4), qubit 4 the second of (3,4) and (1,4).
+    d = states[:, 1:] - rho14[:, None]
+    m = len(trace)
+    residuals = np.abs(np.concatenate([
+        (probabilities[kept] - trace / 4)[:, None],
+        (rho14 - effects.conj() / trace[:, None, None]).reshape(m, 16),
+        (d[:, 0, ::2, ::2] + d[:, 0, 1::2, 1::2]).reshape(m, 4),
+        (d[:, 1, :2, :2] + d[:, 1, 2:, 2:]).reshape(m, 4),
+    ], axis=1))
+    if residuals.max(initial=0.0) <= VERIFY_TOL:  # False for NaN
+        return
+    # The first column of each identity in ``residuals``.
+    deviations = np.maximum.reduceat(residuals, [0, 1, 17, 21], axis=1)
+    row, identity = np.argwhere(~(deviations <= VERIFY_TOL))[0]
+    i, j = np.argwhere(kept)[row]
+    raise EntswapError(
+        f"lambda={float(lams[i]):.12g}: outcome {j + 1}: {_IDENTITIES[identity]} "
+        f"by {deviations[row, identity]:.3e}"
+    )
+
+
 def _signed_values(family: _Family, lams, pairs, columns) -> np.ndarray:
     """Signed quantities of outcome 1 at each lambda, on the batched engine.
 
-    Row i reads pair PAIRS[pairs[i]] and measure MEASURES[columns[i]]. A
-    degenerate outcome or a state the stacked checks reject goes to
-    ``_signed_pair_value``, which raises its error or gives the value.
+    Row i reads pair PAIRS[pairs[i]] and measure MEASURES[columns[i]]. Every
+    non-degenerate row must meet the exact identities of the swap
+    (``_check_identities``). A degenerate outcome or a state the stacked
+    checks reject goes to ``_signed_pair_value``, which raises its error or
+    gives the value.
     """
-    effects = _grid_effects(family, lams)
-    probabilities, states = swap_stack(effects[:, :1])
+    effects = _grid_effects(family, lams)[:, :1]
+    probabilities, states = swap_stack(effects)
+    _check_identities(lams, effects, probabilities, states)
     rows = np.arange(lams.size)
     neg, n, s3, _, _, ok = measures._signed_stack(states[rows, 0, pairs])
     values = np.stack([neg, n, s3, n])[columns, rows]
@@ -645,9 +699,11 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
     them again. A bracket whose ends lie on the same side of the offset
     raises, in query order; one whose 17 probes, ordered from lo to hi, are
     not monotone warns. The first root estimate of each bracket comes from
-    the probes about its first sign change (``_first_estimate``). At both
-    ends of each root's final bracket the scalar pipeline must give the
-    engine's signed value within VERIFY_TOL.
+    the probes about its first sign change (``_first_estimate``). Every
+    engine point meets the exact identities of the swap (see
+    ``_signed_values``), and at the first end of the first query's final
+    bracket the scalar pipeline must give the engine's signed value within
+    VERIFY_TOL: one ``run_swap`` per call.
     """
     pairs = np.array([PAIRS.index(q[0]) for q in queries])
     columns = np.array([MEASURES.index(q[1]) for q in queries])
@@ -693,11 +749,11 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
     crossings = (np.argmax(signs[:, 1:] * signs[:, :1] <= 0.0, axis=-1) + 1).tolist()
     guess = [_first_estimate(*args) for args in zip(probes, values.tolist(), crossings)]
     result = bisect(f, lo, hi, values[:, 0], values[:, -1], tol, guess)
-    for i, (pair, measure, _, _, offset) in enumerate(queries):
-        for lam, value in ((result.a[i], result.fa[i]), (result.b[i], result.fb[i])):
-            with _at_lambda(lam):
-                scalar = _signed_pair_value(family.povm, float(lam), pair, measure)
-                _compare(1, [(f"pair {pair} {measure}", value + offset, scalar)])
+    pair, measure, _, _, offset = queries[0]
+    lam = float(result.a[0])
+    with _at_lambda(lam):
+        scalar = _signed_pair_value(family.povm, lam, pair, measure)
+        _compare(1, [(f"pair {pair} {measure}", result.fa[0] + offset, scalar)])
     return result.root.tolist()
 
 
@@ -743,8 +799,9 @@ def find_threshold(
     ``scipy.optimize.bisect`` at xtol ``tol``, and returns its root bit for
     bit, but evaluates on the batched engine, in stacked calls that take at
     least four steps each on average, and all of them when the root
-    estimate is close (see ``bisect``); the scalar pipeline checks the final
-    bracket's ends.
+    estimate is close (see ``bisect``). Every engine point is checked against
+    the exact identities of the swap, and one ``run_swap`` checks the first
+    end of the final bracket.
     Monotonicity over the bracket is the caller's responsibility; a check on
     17 probes, the ends and the midpoints of the first four bisection
     levels, emits NonMonotoneWarning when it looks violated.

@@ -39,7 +39,14 @@ EIG_CLAMP = 1e-10
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor (Kronecker) product, left factor most significant."""
-    return np.kron(complex_array(a, BadDimError), complex_array(b, BadDimError))
+    a, b = complex_array(a, BadDimError), complex_array(b, BadDimError)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise BadDimError("Kronecker factor has a non-finite entry")
+    with np.errstate(over="ignore", invalid="ignore"):  # a product beyond range is inf or NaN
+        product = np.kron(a, b)
+    if not np.isfinite(product).all():
+        raise BadDimError("Kronecker product has an entry beyond float range")
+    return product
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,10 @@ HUGE = [
     (trace_norm, np.eye(4) * 1e308, NotHermitianError, "trace norm beyond float range"),
     (lambda m: partial_trace(m, 2, [1]), np.eye(4) * 1e308, BadDimError,
      "partial trace has an entry beyond float range"),
+    (lambda m: kron(m, m), np.eye(4) * 1e200, BadDimError,
+     "Kronecker product has an entry beyond float range"),
+    (lambda m: kron(m, np.eye(2)), np.full((4, 4), np.inf), BadDimError,
+     "Kronecker factor has a non-finite entry"),
     (pure_density_matrix, [1e200, 0, 0, 1e200], NotAStateError, "non-finite entry"),
     (MATRIX_CALLS["rho14_spectral"], np.eye(4) * 1e308, InvalidPovmError,
      "effect 1: trace beyond float range"),

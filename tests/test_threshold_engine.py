@@ -26,7 +26,7 @@ from entswap import (
 )
 from entswap import analysis
 from entswap.measures import nonlocality_from_pair_sum, steering3_from_total
-from helpers import rng
+from helpers import random_povm, rng
 
 TOLS = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11)
 
@@ -557,6 +557,136 @@ def test_find_threshold_makes_at_most_three_engine_calls_per_root():
     assert sum(len(lams) for c in calls for lams in c) / len(draws) <= 50.0
     for (case, pair, measure, (lo, hi), tol), root in zip(draws, roots):
         assert root == one_point_bisect(case, pair, measure, lo, hi, tol)
+
+
+def run_swap_calls(monkeypatch, call):
+    """The result of ``call()`` and the number of ``run_swap`` runs it made."""
+    calls = []
+    real = analysis.run_swap
+    monkeypatch.setattr(analysis, "run_swap", lambda p: calls.append(p) or real(p))
+    result = call()
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+def test_find_threshold_runs_the_scalar_pipeline_once(monkeypatch):
+    _, runs = run_swap_calls(
+        monkeypatch, lambda: find_threshold("I", None, "14", "negativity", (0.2, 0.5))
+    )
+    assert runs == 1
+
+
+@pytest.mark.parametrize("case", ["I", "II", "III", "IV"])
+def test_classify_table_runs_the_scalar_pipeline_once_per_scan(monkeypatch, case):
+    # One run for the grid's last point, and one for the bisection if any
+    # interval end is bisected; cases I and III have such ends.
+    table, runs = run_swap_calls(monkeypatch, lambda: classify_table(case))
+    bisected = any(interval.threshold is not None for interval in table.values())
+    assert bisected == (case in ("I", "III"))
+    assert runs == 1 + bisected
+
+
+@pytest.mark.parametrize("call, runs", [
+    (lambda: entswap.sweep(entswap.SweepConfig("III")), 1),
+    (lambda: entswap.verify("III"), 1),
+    # The grid scan and its four refinement scans.
+    (lambda: entswap.find_extremum("II", None, "14", "negativity"), 5),
+], ids=["sweep", "verify", "find_extremum"])
+def test_grid_scans_run_the_scalar_pipeline_once_per_scan(monkeypatch, call, runs):
+    assert run_swap_calls(monkeypatch, call)[1] == runs
+
+
+def mixed_into_noise(state: np.ndarray) -> np.ndarray:
+    return (1 - 1e-6) * state + 1e-6 * np.eye(4) / 4
+
+
+def test_find_threshold_checks_every_engine_point_by_the_identities(monkeypatch):
+    # Row 8 of the first engine call is the bracket's midpoint 0.35, one of
+    # the probes, far from both ends of the final bracket about 1/3. The
+    # noise keeps the sign of the negativity there, so the roots alone would
+    # not show the defect.
+    real = analysis.swap_stack
+    calls = []
+
+    def perturbed(effects):
+        probabilities, states = real(effects)
+        if not calls:
+            states[8, 0, 0] = mixed_into_noise(states[8, 0, 0])
+        calls.append(len(effects))
+        return probabilities, states
+
+    monkeypatch.setattr(analysis, "swap_stack", perturbed)
+    with pytest.raises(
+        EntswapError,
+        match=r"^lambda=0\.35: outcome 1: \(1,4\) state deviates from conj\(E\)/tr\(E\) by "
+        r"\d\.\d{3}e-0[78]$",
+    ):
+        find_threshold("I", None, "14", "negativity", (0.2, 0.5))
+    assert calls == [17]
+
+
+def perturb_probability(probabilities, states):
+    probabilities[1, 2] += 1e-6
+
+
+def perturb_pair(p):
+    def perturb(probabilities, states):
+        states[1, 2, p] = mixed_into_noise(states[1, 2, p])
+    return perturb
+
+
+@pytest.mark.parametrize("perturb, identity", [
+    (perturb_probability, "probability deviates from tr(E)/4"),
+    (perturb_pair(0), "(1,4) state deviates from conj(E)/tr(E)"),
+    (perturb_pair(1), "qubit-1 marginal of (1,2) deviates from that of (1,4)"),
+    (perturb_pair(2), "qubit-4 marginal of (3,4) deviates from that of (1,4)"),
+])
+def test_each_identity_names_its_defect(perturb, identity):
+    # Case III at lambda 0.5: its pair states have marginals other than I/2,
+    # so mixing a (1,2) or (3,4) state with noise moves its marginals.
+    lams = np.array([0.25, 0.5, 0.75])
+    effects = analysis._family("III", None).effects(lams)
+    probabilities, states = analysis.swap_stack(effects)
+    analysis._check_identities(lams, effects, probabilities, states)
+    perturb(probabilities, states)
+    with pytest.raises(EntswapError) as raised:
+        analysis._check_identities(lams, effects, probabilities, states)
+    assert str(raised.value).startswith(f"lambda=0.5: outcome 3: {identity} by ")
+
+
+def assert_identities_hold(lams, effects):
+    """``_check_identities`` passes the stacked swap of valid effects."""
+    assert analysis.is_povm(effects).all()
+    analysis._check_identities(lams, effects, *analysis.swap_stack(effects))
+
+
+_UNIT_WITH_EDGES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_UNIT_WITH_EDGES, lams=st.lists(_UNIT_WITH_EDGES, min_size=1, max_size=8))
+@example(x=0.0, lams=[0.0, 1.0])
+@example(x=1.0, lams=[0.0, 1.0])
+def test_identities_hold_on_the_asymmetric_family(x, lams):
+    lams = np.array(lams)
+    assert_identities_hold(lams, entswap.povm.asymmetric_effects(x, lams))
+
+
+@settings(max_examples=50, deadline=None)
+@given(lams=st.lists(_UNIT_WITH_EDGES, min_size=1, max_size=8))
+def test_identities_hold_on_case_1(lams):
+    lams = np.array(lams)
+    assert_identities_hold(lams, entswap.povm.werner_bell_effects(lams))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), outcomes=st.integers(1, 6), zero=st.booleans())
+def test_identities_hold_on_random_povms(seed, outcomes, zero):
+    # A zero effect is a degenerate outcome, which the check skips.
+    effects = np.array(random_povm(np.random.default_rng(seed), outcomes).effects)
+    if zero:
+        effects = np.concatenate([effects, np.zeros((1, 4, 4))])
+    assert_identities_hold(np.array([0.5]), effects[None])
 
 
 def test_first_estimate_falls_back_where_the_probes_are_not_monotone():
