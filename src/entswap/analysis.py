@@ -11,22 +11,20 @@ through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
 ``measures.report_stack``). Threshold bisection runs on the same engine
 (``_bisect_signed`` with ``bisect``, an in-repo copy of
 ``scipy.optimize.bisect``): each stacked call evaluates, for every open
-bracket, the midpoints of as many of its next four steps as keep it at four
-steps per call, and the path its steps take below them if the root is at an
-estimate, and then takes scipy's steps through them until one leaves the
-path. The midpoints of the first call are the monotonicity probes, which
-are evaluated once; the first estimate is inverse interpolation through the
-probes about the sign change, each later one regula falsi on the new
-bracket. ``_outcome_values`` gives the quantifiers of all outcomes of one
-``run_swap`` call (``entswap analyze``) from one
-``measures.report_stack`` call. ``sweep`` turns the stacked values into
-``SweepRecord`` rows in bulk, column by column. The scalar 16-dimensional
-pipeline, ``run_swap`` plus ``measures``, stays the oracle: it re-checks
-the last point of every grid scan, one end of the first root's final
-bracket of every bisection, and one pair state of every ``_outcome_values``
-call. Every engine point of a bisection is also checked against the exact
-identities of the swap (``_check_identities``), which need no second
-pipeline.
+bracket, the path its steps take if the root is at an estimate, and then
+takes scipy's steps through it until one leaves the path. The ends and the
+midpoints of the first four levels are the monotonicity probes, evaluated
+once; the first estimate is inverse interpolation through the probes about
+the sign change, each later one regula falsi on the new bracket.
+``_outcome_values`` gives the quantifiers of all outcomes of one
+``run_swap`` call (``entswap analyze``) from one ``measures.report_stack``
+call. ``sweep`` turns the stacked values into ``SweepRecord`` rows in bulk,
+column by column. The scalar 16-dimensional pipeline, ``run_swap`` plus
+``measures``, stays the oracle: it re-checks the last point of every grid
+scan, one end of the first root's final bracket of every bisection, and one
+pair state of every ``_outcome_values`` call. Every engine point of a
+bisection is also checked against the exact identities of the swap
+(``_check_identities``), which need no second pipeline.
 """
 
 from __future__ import annotations
@@ -87,6 +85,7 @@ _SIGNED = {
     "nonlocality": measures.nonlocality_signed,
 }
 
+# No code under src/ reads this map; perfbench/tracing.py imports it.
 _CLAMPED = {
     "negativity": measures.negativity,
     "steering2": measures.steering2,
@@ -445,17 +444,9 @@ def _signed_pair_value(builder, lam: float, pair: str, measure: str) -> float:
 _RTOL = 4 * float(np.finfo(float).eps)
 # Steps a bisection may take before it gives up.
 _MAXITER = 200
-# Steps per call a bracket keeps pace with: after c calls it has taken at
-# least _LEVELS * c steps, or stopped, as with a full subtree of _LEVELS
-# levels (2**_LEVELS - 1 midpoints) per call. Each call evaluates as many
-# levels of that subtree as it needs to keep the pace, none when earlier
-# calls are ahead of it, and below them one predicted path.
+# Bisection levels whose midpoints, with the ends, are a bracket's
+# monotonicity probes (``_probes``): 2**_LEVELS - 1 midpoints.
 _LEVELS = 4
-# A call follows the predicted path below its subtree for at most this many
-# times the steps the bracket's previous call took (the first call follows
-# it down to xtol), so a path that keeps failing costs at most 2 points per
-# step taken.
-_REACH = 2
 
 
 class Bisection(NamedTuple):
@@ -479,29 +470,22 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
     to xm when f(xm) is 0 or has the sign of f(a), the value at the first
     end, and stop with xm when f(xm) == 0 or |dm| < xtol + 4 eps |xm|.
 
-    Each call to f evaluates, for every open bracket, the midpoints of the
-    full subtree of its next d steps, d = _LEVELS * (calls + 1) - steps
-    taken (4 on the first call, at most 4, 0 when ahead), and, below them,
-    the path its steps take if the root is at an estimate r, down to the
-    first level where |dm| < xtol, where the steps stop at the latest, and
-    at most _REACH times as many levels as the previous call took steps
-    (see ``_Bracket.speculate``). ``rows`` repeats each bracket's index once
-    per point. Each bracket then gets its call's values as a map from point
-    to value and takes the rule's steps while the next midpoint a + dm/2 is
-    a key. The subtree holds every midpoint of its levels, and below it the
-    only point per level is the predicted one, so a bracket's walk ends for
-    the call at the first step whose sign differs from the prediction below
-    the subtree, or below the last level evaluated. So a root of n steps
-    takes at most ceil(n / 4) calls, as with the full four-level subtree per
-    call, and at most 15 ceil(n / 4) + 3n points however the signs fall; one
-    call suffices when r is close enough. Every value a walk reads is f at
-    the very midpoint the step takes, and points it does not reach are
-    discarded, so the roots, final brackets and values are those of one
-    step per call. r is ``guess`` (one per bracket, NaN for none) at first,
-    or else regula falsi on the ends, and regula falsi on the new bracket
-    after each call, so its error about squares per call on a smooth f.
-    Brackets whose ends have the same sign, a NaN at a point the walk
-    reaches, and brackets still open after _MAXITER steps raise.
+    Each call to f evaluates, for every open bracket, the path its steps
+    take if the root is at an estimate r, one midpoint per step, down to
+    the step where that rule stops or the steps run out (see
+    ``_Bracket.path``). ``rows`` repeats each bracket's index once per
+    point. Each bracket then gets its call's values as a map from point to
+    value and takes the rule's steps while the next midpoint a + dm/2 is a
+    key, so its walk ends for the call at the first step whose sign differs
+    from the prediction. A call thus takes at least one step per open
+    bracket, and all of them when r is close enough. Every value a walk
+    reads is f at the very midpoint the step takes, and points it does not
+    reach are discarded, so the roots, final brackets and values are those
+    of one step per call. r is ``guess`` (one per bracket, NaN for none) at
+    first, or else regula falsi on the ends, and regula falsi on the new
+    bracket after each call, so its error about squares per call on a
+    smooth f. Brackets whose ends have the same sign, a NaN at a point the
+    walk reaches, and brackets still open after _MAXITER steps raise.
     """
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)
@@ -515,7 +499,7 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
     ]
     root = np.where(fa == 0, a, b)
     while walks := [w for w in brackets if w.root is None and w.steps < _MAXITER]:
-        points = [w.speculate(xtol) for w in walks]
+        points = [w.path(xtol) for w in walks]
         rows = np.repeat([w.index for w in walks], [len(x) for x in points])
         values = iter(np.asarray(f(np.concatenate(points), rows), dtype=float).tolist())
         for w, x in zip(walks, points):
@@ -535,41 +519,33 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
 
 class _Bracket:
     """One open bracket of ``bisect``, in Python floats: its ends and their
-    values, the value at the first end, dm, the steps and calls taken, the
-    path levels the next call may follow, the root estimate r, and the root
-    once the steps stop."""
+    values, the value at the first end, dm, the steps taken, the root
+    estimate r, and the root once the steps stop."""
 
     def __init__(self, index: int, a: float, b: float, fa: float, fb: float, guess: float):
         self.index, self.a, self.b, self.fa, self.fb = index, a, b, fa, fb
         self.f_start, self.dm, self.steps, self.root = fa, b - a, 0, None
-        self.calls, self.reach = 0, float("inf")
         self.estimate = _estimate(a, b, guess if guess == guess else _regula_falsi(a, b, fa, fb))
 
-    def speculate(self, xtol: float) -> list[float]:
-        """The points of the next call: the midpoints of the subtree of its
-        next d levels, d = _LEVELS * (calls + 1) - steps (at least 0), level
-        by level, then one midpoint per level on the predicted path, where a
-        moves to a midpoint on the first end's side of r, for ``self.reach``
-        levels below the subtree at most. Stops, in the subtree too, at the
-        first level where |dm| < xtol or the steps run out."""
-        depth = max(0, _LEVELS * (self.calls + 1) - self.steps)
-        subtree = _subtree(self.a, self.dm, depth)
+    def path(self, xtol: float) -> list[float]:
+        """The points of the next call: the midpoints the steps take if the
+        root is at r, where a moves to a midpoint on the first end's side of
+        r, down to the first midpoint x where |dm| < xtol + 4 eps |x| or
+        the steps run out."""
         points, start, dm, r = [], self.a, self.dm, self.estimate
-        for level in range(1, _MAXITER - self.steps + 1):
+        for _ in range(_MAXITER - self.steps):
             dm *= 0.5
             x = start + dm
-            points += subtree[level - 1] if level <= depth else [x]
+            points.append(x)
+            if abs(dm) < xtol + _RTOL * abs(x):
+                break
             if r >= x if dm > 0 else r <= x:
                 start = x
-            if not abs(dm) >= xtol or level >= depth + self.reach:
-                break
         return points
 
     def walk(self, values: dict[float, float], xtol: float) -> None:
         """Take the steps while the next midpoint is a key of ``values``,
         which maps this call's points of the bracket to f, until the root."""
-        before = self.steps
-        self.calls += 1
         while (x := self.a + self.dm * 0.5) in values:
             v = values[x]
             if v != v:
@@ -583,22 +559,19 @@ class _Bracket:
             if v == 0 or abs(self.dm) < xtol + _RTOL * abs(x):
                 self.root = x
                 return
-        self.reach = _REACH * (self.steps - before)
         self.estimate = _estimate(self.a, self.b, _regula_falsi(self.a, self.b, self.fa, self.fb))
 
 
-def _subtree(a: float, dm: float, depth: int) -> list[list[float]]:
-    """The midpoints of the first ``depth`` bisection levels below a
-    bracket with first end a and width dm, one list per level, in the order
-    of their brackets from a: a + dm/2, then a + dm/4 and a + dm/2 + dm/4,
-    and so on, each level halving dm and adding it to the points above."""
-    levels, tree = [], [a]
-    for _ in range(depth):
+def _probes(a: float, b: float) -> list[float]:
+    """The monotonicity probes of the bracket [a, b], sorted: its ends and
+    the midpoints of its first _LEVELS bisection levels, formed as the
+    steps of ``bisect`` form them, each level halving dm and adding it to
+    a and to the midpoints above."""
+    points, dm = [a], b - a
+    for _ in range(_LEVELS):
         dm *= 0.5
-        level = [s + dm for s in tree]
-        tree = [t for pair in zip(tree, level) for t in pair]
-        levels.append(level)
-    return levels
+        points += [s + dm for s in points]
+    return sorted([*points, b])
 
 
 def _regula_falsi(a: float, b: float, fa: float, fb: float) -> float:
@@ -693,17 +666,17 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
     outcome 1 crosses its offset; a query is (pair, measure, lo, hi, offset).
 
     The probes of every bracket are its ends and the 15 midpoints of the
-    first four levels of ``bisect``, the subtree of its first call; they
-    are one stacked engine call, as is each call of ``bisect`` over the
-    open brackets, which gets the probe values back without evaluating
-    them again. A bracket whose ends lie on the same side of the offset
-    raises, in query order; one whose 17 probes, ordered from lo to hi, are
-    not monotone warns. The first root estimate of each bracket comes from
-    the probes about its first sign change (``_first_estimate``). Every
-    engine point meets the exact identities of the swap (see
-    ``_signed_values``), and at the first end of the first query's final
-    bracket the scalar pipeline must give the engine's signed value within
-    VERIFY_TOL: one ``run_swap`` per call.
+    first four levels of ``bisect`` (``_probes``); they are one stacked
+    engine call, as is each call of ``bisect`` over the open brackets,
+    which gets the probe values back without evaluating them again. A
+    bracket whose ends lie on the same side of the offset raises, in query
+    order; one whose 17 probes, ordered from lo to hi, are not monotone
+    warns. The first root estimate of each bracket comes from the probes
+    about its first sign change (``_first_estimate``). Every engine point
+    meets the exact identities of the swap (see ``_signed_values``), and at
+    the first end of the first query's final bracket the scalar pipeline
+    must give the engine's signed value within VERIFY_TOL: one ``run_swap``
+    per call.
     """
     pairs = np.array([PAIRS.index(q[0]) for q in queries])
     columns = np.array([MEASURES.index(q[1]) for q in queries])
@@ -722,10 +695,7 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
             known.update(zip(new, values.tolist()))
         return [known[key] for key in keys]
 
-    probes = [
-        sorted([a, b, *(s for level in _subtree(a, b - a, _LEVELS) for s in level)])
-        for a, b in zip(lo.tolist(), hi.tolist())
-    ]
+    probes = [_probes(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
     rows = np.repeat(np.arange(len(queries)), [len(p) for p in probes])
     values = np.array(f(np.concatenate(probes), rows)).reshape(len(queries), -1)
     for (pair, measure, _, _, offset), (f_lo, f_hi) in zip(queries, values[:, [0, -1]]):
@@ -798,10 +768,10 @@ def find_threshold(
     than the edge of a clamped-to-zero plateau. It takes the steps of
     ``scipy.optimize.bisect`` at xtol ``tol``, and returns its root bit for
     bit, but evaluates on the batched engine, in stacked calls that take at
-    least four steps each on average, and all of them when the root
-    estimate is close (see ``bisect``). Every engine point is checked against
-    the exact identities of the swap, and one ``run_swap`` checks the first
-    end of the final bracket.
+    least one step each, and all of them when the root estimate is close
+    (see ``bisect``). Every engine point is checked against the exact
+    identities of the swap, and one ``run_swap`` checks the first end of the
+    final bracket.
     Monotonicity over the bracket is the caller's responsibility; a check on
     17 probes, the ends and the midpoints of the first four bisection
     levels, emits NonMonotoneWarning when it looks violated.

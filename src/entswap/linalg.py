@@ -173,11 +173,13 @@ def partial_trace(m: np.ndarray, qubits_total: int, keep: Iterable[int]) -> np.n
         perm, dim_keep, dim_traced = _trace_plan(len(lead), qubits_total, keep)
     except TypeError:  # the cache cannot hash an entry such as a list
         raise BadIndexError(_NOT_WHOLE.format(list(keep))) from None
+    if not np.isfinite(m).all():
+        raise BadDimError("partial trace input has a non-finite entry")
     tensor = m.reshape(lead + (2,) * (2 * qubits_total)).transpose(perm)
     tensor = tensor.reshape(lead + (dim_keep, dim_keep, dim_traced, dim_traced))
     with np.errstate(over="ignore"):  # a traced-out sum beyond float range is inf
         reduced = np.trace(tensor, axis1=-2, axis2=-1)
-    if np.isinf(reduced).any() and np.isfinite(m).all():
+    if np.isinf(reduced).any():
         raise BadDimError("partial trace has an entry beyond float range")
     return reduced
 
@@ -230,6 +232,8 @@ def partial_transpose(m: np.ndarray, subsystem: str) -> np.ndarray:
         raise BadDimError(f"partial transpose is defined for 4x4 matrices, got {m.shape}")
     if subsystem not in ("first", "second"):
         raise BadIndexError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
+    if not np.isfinite(m).all():
+        raise BadDimError("partial transpose input has a non-finite entry")
     tensor = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     swapped = tensor.swapaxes(-4, -2) if subsystem == "first" else tensor.swapaxes(-3, -1)
     return swapped.reshape(m.shape)

@@ -248,6 +248,21 @@ def test_eigensolvers_reject_non_finite_entries(solver, entry):
             solver(m)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+@pytest.mark.parametrize("call, name", [
+    (lambda m: partial_trace(m, 2, [1]), "partial trace"),
+    (lambda m: partial_transpose(m, "first"), "partial transpose"),
+], ids=["partial_trace", "partial_transpose"])
+def test_partial_maps_reject_non_finite_entries(call, name, entry):
+    for row, column in ((0, 0), (0, 1)):
+        m = I4.astype(complex)
+        m[row, column] = entry
+        stack = np.stack([I4, m]).astype(complex)
+        for matrix in (m, stack):
+            with pytest.raises(BadDimError, match=f"^{name} input has a non-finite entry$"):
+                call(matrix)
+
+
 def test_psd_sqrt_rejects_a_matrix_that_is_not_square():
     with pytest.raises(BadDimError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
         psd_sqrt(np.ones((2, 3)))

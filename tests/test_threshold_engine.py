@@ -165,11 +165,11 @@ def step_function(c: float):
 
 
 @pytest.mark.parametrize("steps", [1, 4, 5, 30, 199, 200, 201])
-def test_bisect_calls_f_once_per_four_steps(steps):
+def test_bisect_calls_f_at_most_once_per_step(steps):
     # As in the maxiter test: f with the signs of x on [-1, 0.5] converges at
     # step k. Its steps alternate, a moves at every other one, and the
     # estimate next to a predicts that a never moves, so every call leaves
-    # the path inside its subtree: each call takes exactly four steps.
+    # the path within two steps; each still takes at least one.
     f, lo, hi = step_function(0.0), -1.0, 0.5
     tol = 1.5 * (1.5 * 2.0**-steps)
     g = counted(f)
@@ -179,15 +179,15 @@ def test_bisect_calls_f_once_per_four_steps(steps):
     else:
         with pytest.raises(EntswapError, match="did not converge in 200 iterations"):
             analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan)
-    assert len(g.calls) == min(-(-steps // 4), 50)
-    # The first call takes the midpoints of the next four levels, heap-ordered,
-    # then one predicted point per level down to the first level where
-    # |dm| < tol, here level min(steps, 200).
-    heap = (8, 4, 12, 2, 6, 10, 14, 1, 3, 5, 7, 9, 11, 13, 15)[: 2 ** min(4, steps) - 1]
+    assert len(g.calls) <= min(steps, 200)
+    # The first call takes one predicted point per level from the first
+    # midpoint. The path runs next to -1, so it ends where the steps would
+    # stop there: at level steps, or at level 51, where 4 eps |x| outweighs
+    # the smaller tolerances.
     x, rows = g.calls[0]
     assert rows.tolist() == [0] * x.size
-    assert x[: len(heap)].tolist() == [lo + 1.5 * k / 16 for k in heap]
-    assert x.size == len(heap) + max(0, min(steps, 200) - 4)
+    assert x[0] == lo + 0.75
+    assert x.size == min(steps, 51)
 
 
 @pytest.mark.parametrize("steps", [1, 4, 5, 30, 199, 200, 201])
@@ -205,13 +205,12 @@ def test_bisect_linear_f_takes_one_call(steps):
         with pytest.raises(EntswapError, match="did not converge in 200 iterations"):
             analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan)
     assert len(g.calls) == 1
-    # The call takes the four-level subtree, heap-ordered, then scipy's path
-    # below it, down to the first level where |dm| < tol, here min(steps, 200).
+    # The call takes scipy's path, down to the level where its steps stop,
+    # here min(steps, 200).
     path = scipy_path(f, lo, hi, tol)
     assert len(path) == min(steps, 200)
-    heap = (8, 4, 12, 2, 6, 10, 14, 1, 3, 5, 7, 9, 11, 13, 15)[: 2 ** min(4, steps) - 1]
     x, rows = g.calls[0]
-    assert x.tolist() == [lo + 1.5 * k / 16 for k in heap] + path[4:]
+    assert x.tolist() == path
     assert rows.tolist() == [0] * x.size
 
 
@@ -231,17 +230,17 @@ def test_bisect_linear_f_takes_one_call(steps):
         (lambda lam: lam, -1.0, 0.5, 1.5 * 1.5 * 2.0**-200, 0.5),  # the last allowed step
     ],
 )
-def test_bisect_takes_at_least_four_steps_per_call(f, lo, hi, tol, guess):
-    # A wrong estimate costs points, never calls: a root of n steps takes at
-    # most the ceil(n / 4) calls of a full four-level subtree per call, and
-    # at most 15 points per call plus 3 per step.
+def test_bisect_takes_at_least_one_step_per_call(f, lo, hi, tol, guess):
+    # Each call takes at least the step its first point is for, and
+    # evaluates at most one point per step left: a root of n steps takes at
+    # most n calls and n (n + 1) / 2 points.
     root, info = scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200, full_output=True)
     g = counted(f)
     result = analysis.bisect(g, lo, hi, f(lo), f(hi), tol, guess)
     assert result.root[0] == root
-    calls = -(-info.iterations // 4)
-    assert len(g.calls) <= calls
-    assert sum(x.size for x, _ in g.calls) <= 15 * calls + 3 * info.iterations
+    n = info.iterations
+    assert len(g.calls) <= n
+    assert sum(x.size for x, _ in g.calls) <= n * (n + 1) // 2
 
 
 def test_bisect_runs_out_of_iterations_on_a_wrong_guess():
@@ -253,7 +252,7 @@ def test_bisect_runs_out_of_iterations_on_a_wrong_guess():
     with pytest.raises(EntswapError) as raised:
         analysis.bisect(g, lo, hi, f(lo), f(hi), tol, 0.4)
     assert str(raised.value).startswith("bisection did not converge in 200 iterations, bracket [")
-    assert 2 <= len(g.calls) <= 50
+    assert 2 <= len(g.calls) <= 200
 
 
 def stepwise_bisect(f, a, b, fa, fb, xtol):
@@ -345,26 +344,15 @@ def test_bisect_raises_on_nan_at_an_end():
     assert g.calls == []
 
 
-def test_bisect_ignores_nan_off_the_path():
-    # The first step moves b to 0.5, so the walk never reaches 0.75.
-    f = lambda lam: lam - 0.3
-    nan_at_075 = lambda lam: float("nan") if lam == 0.75 else f(lam)
-    g = counted(nan_at_075)
-    root = analysis.bisect(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12, np.nan).root[0]
-    assert 0.75 in g.calls[0][0]
-    assert root == scipy.optimize.bisect(f, 0.0, 1.0, xtol=1e-12)
-
-
-def test_bisect_ignores_nan_on_a_mispredicted_path():
+@pytest.mark.parametrize("nan_at", [0.75, 0.90625])
+def test_bisect_ignores_nan_on_a_mispredicted_path(nan_at):
     # With the estimate at 0.9 the predicted path is 0.5, 0.75, 0.875, 0.9375,
-    # 0.90625, ...; below the four-level subtree the call takes only the path.
-    # f(0.5) > 0 moves b to 0.5, so the walk leaves that path at the first
-    # step, and never reaches 0.90625.
+    # 0.90625, ... f(0.5) > 0 moves b to 0.5, so the walk leaves that path
+    # at the first step, and never reaches the NaN.
     f = lambda lam: lam - 0.3
-    nan_at_090625 = lambda lam: float("nan") if lam == 0.90625 else f(lam)
-    g = counted(nan_at_090625)
+    g = counted(lambda lam: float("nan") if lam == nan_at else f(lam))
     root = analysis.bisect(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12, 0.9).root[0]
-    assert 0.90625 in g.calls[0][0]
+    assert nan_at in g.calls[0][0]
     assert root == scipy.optimize.bisect(f, 0.0, 1.0, xtol=1e-12)
 
 
@@ -532,15 +520,21 @@ def one_point_bisect(case, pair, measure, lo, hi, tol):
     return scipy.optimize.bisect(one_point, lo, hi, xtol=tol, maxiter=200)
 
 
-def test_probes_are_the_first_subtree_and_no_point_is_evaluated_twice():
+def first_four_levels(lo, hi, tol):
+    """The midpoints of the first four steps of ``scipy.optimize.bisect`` on
+    [lo, hi], over a root in each of the 16 intervals between them."""
+    roots = (lo + (k + 0.5) / 16 * (hi - lo) for k in range(16))
+    return {x for r in roots for x in scipy_path(lambda lam: lam - r, lo, hi, tol)[:4]}
+
+
+def test_probes_are_the_first_four_levels_and_no_point_is_evaluated_twice():
     draws = threshold_draws()
     _, calls = engine_points(draws)
     for (_, _, _, (lo, hi), tol), root_calls in zip(draws, calls):
-        # The probes: both ends and the midpoints of bisect's first four levels.
-        g = counted(lambda lam: lam - 0.5 * (lo + hi))
-        analysis.bisect(g, lo, hi, -1.0, 1.0, tol, np.nan)
-        subtree = g.calls[0][0][:15].tolist()
-        assert sorted(root_calls[0]) == sorted([lo, hi] + subtree)
+        # The probes: both ends and the 15 midpoints of the first four levels.
+        midpoints = first_four_levels(lo, hi, tol)
+        assert len(midpoints) == 15
+        assert sorted(root_calls[0]) == sorted([lo, hi, *midpoints])
         points = [lam for lams in root_calls for lam in lams]
         assert len(set(points)) == len(points), (lo, hi, tol)
 
@@ -557,6 +551,38 @@ def test_find_threshold_makes_at_most_three_engine_calls_per_root():
     assert sum(len(lams) for c in calls for lams in c) / len(draws) <= 50.0
     for (case, pair, measure, (lo, hi), tol), root in zip(draws, roots):
         assert root == one_point_bisect(case, pair, measure, lo, hi, tol)
+
+
+def engine_call_sizes(monkeypatch, call):
+    """The number of lambdas of each ``_signed_values`` call that ``call()`` makes."""
+    sizes = []
+    real = analysis._signed_values
+
+    def recorded(*args):
+        sizes.append(args[1].size)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_signed_values", recorded)
+    call()
+    monkeypatch.undo()
+    return sizes
+
+
+@pytest.mark.parametrize("case, calls, points", [
+    ("I", 2, 333), ("II", 0, 0), ("III", 3, 42), ("IV", 0, 0),
+])
+def test_classify_table_makes_few_engine_calls(monkeypatch, case, calls, points):
+    # Guards the bisection's traffic: the probes are one call, and a close
+    # first estimate leaves one path per bracket. Cases II and IV bisect no
+    # interval end.
+    counts = engine_call_sizes(monkeypatch, lambda: classify_table(case))
+    assert len(counts) <= calls and sum(counts) <= points, counts
+
+
+def test_classify_table_x_scan_makes_few_engine_calls(monkeypatch):
+    xs = [k / 20 for k in range(1, 20)]
+    counts = engine_call_sizes(monkeypatch, lambda: [classify_table("II", x) for x in xs])
+    assert len(counts) <= 20 and sum(counts) <= 814, counts
 
 
 def run_swap_calls(monkeypatch, call):
