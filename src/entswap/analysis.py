@@ -55,7 +55,6 @@ from .povm import (
     Povm,
     asymmetric_effects,
     asymmetric_povm,
-    is_povm,
     validate,
     werner_bell_effects,
     werner_bell_povm,
@@ -143,6 +142,8 @@ def _family(case: str, x: float | None, povm_builder=None) -> _Family:
 def _check_grid_size(count: int) -> None:
     if not (isinstance(count, numbers.Integral) and count >= 2):
         raise BadParamError(f"grid needs at least 2 points, got {count}")
+    if count > np.iinfo(np.intp).max // 8:  # more bytes of floats than numpy can index
+        raise BadParamError(f"grid of {count} points is beyond numpy's largest array")
 
 
 def _grid_points(grid) -> np.ndarray:
@@ -295,15 +296,15 @@ def _built_effects(builder, lams: np.ndarray) -> np.ndarray:
     return np.array(stacks)
 
 
-def _grid_effects(family: _Family, lams: np.ndarray) -> np.ndarray:
-    """Effects at every grid point, shape (n, k, 4, 4), validated."""
+def _grid_swap(family: _Family, lams: np.ndarray, outcomes: int | None = None):
+    """Effects on the grid, shape (n, k, 4, 4), and ``swap_stack`` of their first ``outcomes``."""
     effects = family.effects(lams)
-    # validate() on a point the stacked check rejects gives the messages.
-    for i in np.flatnonzero(~is_povm(effects)):
+    ok, probabilities, states = swap_stack(effects, outcomes)
+    # validate() on the first point swap_stack rejects gives the messages.
+    for i in np.flatnonzero(~ok):
         problems = validate(Povm(tuple(effects[i])))
-        if problems:
-            raise InvalidPovmError(f"lambda={lams[i]:.12g}: " + "; ".join(problems))
-    return effects
+        raise InvalidPovmError(f"lambda={lams[i]:.12g}: " + "; ".join(problems))
+    return effects, probabilities, states
 
 
 def _grid_values(family: _Family, lams: np.ndarray, tol: float, outcomes: int | None = None):
@@ -316,8 +317,7 @@ def _grid_values(family: _Family, lams: np.ndarray, tol: float, outcomes: int | 
     are evaluated (k = outcomes). The last grid point is checked against
     the scalar pipeline.
     """
-    effects = _grid_effects(family, lams)[:, :outcomes]
-    probabilities, states = swap_stack(effects)
+    _, probabilities, states = _grid_swap(family, lams, outcomes)
     kept = probabilities >= DEGENERATE_PROBABILITY
     values = _report_values(
         states, kept, tol,
@@ -484,11 +484,13 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
     of one step per call. r is ``guess`` (one per bracket, NaN for none) at
     first, or else regula falsi on the ends, and regula falsi on the new
     bracket after each call, so its error about squares per call on a
-    smooth f. Brackets whose ends have the same sign, a NaN at a point the
-    walk reaches, and brackets still open after _MAXITER steps raise.
+    smooth f. Non-finite ends (before any call of f), same-sign ends, a NaN at
+    a point the walk reaches, and brackets still open after _MAXITER steps raise.
     """
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)
+    for i in np.flatnonzero(~np.isfinite([a, b]).all(axis=0)):
+        raise BadParamError(f"bracket ends must be finite, got {float(a[i])!r} and {float(b[i])!r}")
     fa, fb = (_not_nan(np.array(v, dtype=float, ndmin=1), x) for v, x in ((fa, a), (fb, b)))
     for i in np.flatnonzero(np.sign(fa) * np.sign(fb) > 0):
         raise NoBracketError(f"f has the same sign at {float(a[i])!r} and {float(b[i])!r}")
@@ -647,9 +649,8 @@ def _signed_values(family: _Family, lams, pairs, columns) -> np.ndarray:
     checks reject goes to ``_signed_pair_value``, which raises its error or
     gives the value.
     """
-    effects = _grid_effects(family, lams)[:, :1]
-    probabilities, states = swap_stack(effects)
-    _check_identities(lams, effects, probabilities, states)
+    effects, probabilities, states = _grid_swap(family, lams, 1)
+    _check_identities(lams, effects[:, :1], probabilities, states)
     rows = np.arange(lams.size)
     neg, n, s3, _, _, ok = measures._signed_stack(states[rows, 0, pairs])
     values = np.stack([neg, n, s3, n])[columns, rows]

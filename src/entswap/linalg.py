@@ -145,9 +145,12 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     low = float(eig.eigenvalues.min())
     if low < -EIG_CLAMP:
         raise NotPsdError(f"eigenvalue {low:.3e} below the PSD floor -{EIG_CLAMP:.0e}")
-    roots = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
-    v = eig.eigenvectors
-    out = (v * roots[..., None, :]) @ _adjoint(v)
+    return _root(eig.eigenvalues, eig.eigenvectors)
+
+
+def _root(values: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Hermitian square roots from eigenvalues and eigenvector columns; negative ones count as 0."""
+    out = (v * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ _adjoint(v)
     return (out + _adjoint(out)) / 2
 
 

@@ -4,7 +4,7 @@ A POVM is an ordered list of PSD effects summing to the identity. Both
 builders here produce four two-qubit effects of unit trace, so in the
 swapping protocol every outcome occurs with probability 1/4. The scalar
 builders are one-point views of the array builders, and ``validate`` and
-``is_povm`` read the same stacked ``_residuals``.
+``swap.swap_stack`` read the same stacked ``_residuals``.
 """
 
 from __future__ import annotations
@@ -74,17 +74,19 @@ class Povm:
 
 def _residuals(effects) -> tuple[np.ndarray, ...]:
     """Per effect of a (..., k, 4, 4) stack: finite or not, the Hermitian residual, the
-    extreme eigenvalues and whether all pass; per list: the completeness residual."""
+    extreme eigenvalues and whether all pass; per list: the completeness residual and
+    whether ``validate`` passes it; then the eigenvalues and eigenvectors, by one ``eigh``."""
     e = complex_array(effects, InvalidPovmError)
     finite, _, herm, sym = invariant_residuals(e)
-    eigs = np.linalg.eigvalsh(sym)
+    eigs, vectors = np.linalg.eigh(sym)
     low, high = eigs[..., 0], eigs[..., -1]
     ok = finite & (herm <= POVM_ATOL) & (low >= -POVM_ATOL) & (high <= 1.0 + POVM_ATOL)
     # The raw sum is NaN for a NaN entry, which gets no completeness message,
     # and inf beyond float range.
     with np.errstate(over="ignore"):
         completeness = np.abs(e.sum(axis=-3) - np.eye(4)).max(axis=(-2, -1))
-    return finite, herm, low, high, ok, completeness
+    valid = ok.all(axis=-1) & (completeness <= POVM_ATOL)
+    return finite, herm, low, high, ok, completeness, valid, eigs, vectors
 
 
 def validate(p: Povm) -> list[str]:
@@ -93,7 +95,7 @@ def validate(p: Povm) -> list[str]:
     An empty list means the POVM is valid. Each message names the effect
     index (1-based), the failed check, and the measured residual.
     """
-    finite, herm, low, high, ok, completeness = _residuals(p.effects)
+    finite, herm, low, high, ok, completeness, *_ = _residuals(p.effects)
     out: list[str] = []
     for i in np.flatnonzero(~ok):
         if not finite[i]:
@@ -111,18 +113,6 @@ def validate(p: Povm) -> list[str]:
     if completeness > POVM_ATOL:
         out.append(f"completeness: effects sum deviates from identity by {completeness:.3e}")
     return out
-
-
-def is_povm(effects: np.ndarray) -> np.ndarray:
-    """The checks of ``validate`` on a stack of effect lists at once.
-
-    ``effects`` has shape (..., k, 4, 4); the result is a boolean array of
-    the leading shape, True where ``validate`` gives no message: the k
-    effects are finite, Hermitian, have eigenvalues in [0, 1] and sum to the
-    identity, all within POVM_ATOL.
-    """
-    *_, ok, completeness = _residuals(effects)
-    return ok.all(axis=-1) & (completeness <= POVM_ATOL)
 
 
 _BELL_PROJECTORS = np.array([np.outer(bell_state(k), bell_state(k).conj()) for k in (1, 2, 3, 4)])

@@ -6,9 +6,9 @@ updated with the square-root (Lueders) rule, conditioning on the outcome.
 ``run_swap`` returns, per outcome, the probability and the conditional
 two-qubit states of the pairs (1,4), (1,2) and (3,4). It runs all outcomes
 of one POVM through the full 16-dimensional pipeline as one stack.
-``swap_stack`` computes the same for a whole stack of effects at once,
-without 16x16 matrices; ``run_swap`` does not use it, so each checks the
-other.
+``swap_stack`` computes the same for a stack of effect lists at once, without
+16x16 matrices, from the eigendecomposition that checks them; ``run_swap``
+does not use it, so each checks the other.
 
 The module also carries the closed forms for the two built-in measurement
 families. They are exact and serve as independent oracles for the full
@@ -22,9 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEffectError, InvalidPovmError, check_choice, check_unit
-from .linalg import freeze, partial_trace, psd_sqrt
+from .linalg import _root, freeze, partial_trace, psd_sqrt
 from .measures import CorrelationReport
-from .povm import DEGENERATE_PROBABILITY, AsymmetricPovmParams, Povm, unit_trace_effect, validate
+from .povm import (
+    DEGENERATE_PROBABILITY, AsymmetricPovmParams, Povm, _residuals, unit_trace_effect, validate,
+)
 from .states import DensityMatrix, check_density_matrix, initial_four_qubit
 
 PAIRS = ("14", "12", "34")
@@ -103,20 +105,24 @@ def run_swap(p: Povm) -> list[SwapOutcome]:
 _PAIR_AXES = ((2, 3), (2, 0), (1, 3))
 
 
-def swap_stack(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``run_swap`` for a stack of valid effects, shape (..., 4, 4).
+def swap_stack(effects, outcomes: int | None = None) -> tuple[np.ndarray, ...]:
+    """``run_swap`` for a stack of effect lists, shape (..., k, 4, 4).
 
-    Returns the outcome probabilities, shape (...), and the conditional
-    states of the pairs in PAIRS order, shape (..., 3, 4, 4). States of
-    degenerate outcomes (probability below DEGENERATE_PROBABILITY) are zero.
-    The effects are not validated here; check them with ``povm.is_povm``.
+    Returns ``ok``, shape (...), True where ``validate`` passes a list, and
+    the probabilities and pair states (PAIRS order) of its first ``outcomes``
+    outcomes (all k if None), shapes (..., outcomes) and (..., outcomes, 3,
+    4, 4). Degenerate outcomes (probability below DEGENERATE_PROBABILITY)
+    get zero states, and lists that are not ok zero roots, so zero values. The
+    one ``eigh`` that checks the effects (``povm._residuals``) gives the roots.
 
     Both pairs start in (|00> + |11>)/sqrt2, so after K = I x sqrt(E) x I
     the four-qubit state is pure with amplitudes
     psi[a, b, c, d] = sqrt(E)[(b, c), (a, d)] / 2. Each pair state is
     M M-dagger / probability, where M is psi with the pair's qubits as rows.
     """
-    s = psd_sqrt(effects)
+    *_, ok, values, vectors = _residuals(effects)
+    s = np.zeros_like(vectors[..., :outcomes, :, :])
+    s[ok] = _root(values[ok, :outcomes], vectors[ok, :outcomes])
     lead = s.shape[:-2]
     psi = s.reshape(*lead, 2, 2, 2, 2) / 2.0  # axes: qubits 2, 3, 1, 4
     batch = tuple(range(len(lead)))
@@ -132,7 +138,7 @@ def swap_stack(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     states = np.divide(
         raw, probability[..., None, None, None], out=np.zeros_like(raw), where=kept
     )
-    return probability, states
+    return ok, probability, states
 
 
 def rho14_spectral(p: Povm, i: int) -> DensityMatrix:

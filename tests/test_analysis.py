@@ -348,6 +348,12 @@ def test_verify_rejects_custom_case():
         verify("custom")
 
 
+def test_grid_numpy_cannot_hold_is_rejected_at_once():
+    # 10**20 points fail before anything is allocated; never test a count that allocates.
+    with pytest.raises(BadParamError, match=rf"^grid of {10**20} points is beyond numpy's largest"):
+        sweep(SweepConfig(case="I", count=10**20))
+
+
 def test_find_extremum_rejects_short_grid():
     with pytest.raises(BadParamError, match="grid needs at least 2 points, got 0"):
         find_extremum("II", None, "14", "negativity", grid=np.array([]))
@@ -394,10 +400,10 @@ def test_verify_checks_the_batched_quantities(monkeypatch):
 def test_verify_checks_the_batched_probabilities(monkeypatch):
     real = analysis.swap_stack
 
-    def perturbed(effects):
-        probabilities, states = real(effects)
+    def perturbed(effects, outcomes=None):
+        ok, probabilities, states = real(effects, outcomes)
         probabilities[1, 3] += 1e-6  # lambda = 0.25, outcome 4
-        return probabilities, states
+        return ok, probabilities, states
 
     monkeypatch.setattr(analysis, "swap_stack", perturbed)
     rep = verify("I", grid=np.linspace(0.0, 1.0, 5))

@@ -363,6 +363,48 @@ def test_grid_below_two_points_exits_one(command, grid, capsys):
     assert f"grid needs at least 2 points, got {grid}" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "thresholds", "verify"])
+def test_grid_numpy_cannot_hold_exits_one(command, capsys):
+    # 10**20 points fail before anything is allocated; never test a count that allocates.
+    code, out, err = run_cli(capsys, command, "--case", "I", "--grid", str(10**20))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: grid of {10**20} points is beyond numpy's largest array"]
+
+
+# The numeric flags of each subcommand, after flags that keep a run small.
+_NUMERIC_FLAGS = {
+    ("sweep", "--case", "II", "--grid", "5"): ("--x", "--tol", "--lambda-start",
+                                                "--lambda-stop", "--grid"),
+    ("thresholds", "--case", "II", "--grid", "5"): ("--x", "--tol", "--grid"),
+    ("analyze", "--povm"): ("--tol",),
+    ("verify", "--case", "II", "--grid", "5"): ("--grid",),
+}
+# The (flag, value) pairs in range, which a command accepts.
+_IN_RANGE = {("--x", "0"), ("--lambda-start", "0"), ("--lambda-stop", "0"), ("--tol", str(10**20))}
+
+
+def test_numeric_flags_at_their_extremes_exit_with_an_error_not_a_traceback(tmp_path, capsys):
+    path = tmp_path / "werner.json"
+    path.write_text(json.dumps(povm_to_dict(werner_bell_povm(0.5))))
+    for base, flags in _NUMERIC_FLAGS.items():
+        base = [*base, str(path)] if base[0] == "analyze" else list(base)
+        for flag in flags:
+            for value in ("nan", "inf", "-inf", "-1", "0", str(10**20)):
+                # A later flag overrides the base; "=" keeps "-inf" a value.
+                argv = [*base, f"{flag}={value}"]
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the value
+                    code = exc.code
+                err = capsys.readouterr().err
+                assert "Traceback" not in err, argv
+                if (flag, value) in _IN_RANGE:
+                    assert code == 0, (argv, err)
+                else:
+                    assert code in (1, 2), argv
+                    assert err.splitlines()[-1].startswith(("error: ", "usage: ", "entswap ")), argv
+
+
 @pytest.mark.parametrize(
     "command, tol",
     [

@@ -397,8 +397,8 @@ def test_array_builders_match_scalar_builders():
         assert str(info.value) == message
 
 
-def test_is_povm_agrees_with_validate():
-    from entswap.povm import is_povm
+def test_swap_stack_ok_agrees_with_validate():
+    from entswap.swap import swap_stack
 
     gen = rng(11)
     candidates = [random_povm(gen).effects for _ in range(6)]
@@ -412,13 +412,13 @@ def test_is_povm_agrees_with_validate():
         # Hermitian, but (E + E^dagger)/2 overflows if summed before halving.
         (np.diag([1.7e308, 1.7e308, 0, 0]), I4, 0 * I4, 0 * I4),
     ]
-    flags = is_povm(np.array(candidates))
+    flags = swap_stack(np.array(candidates))[0]
     assert flags.tolist() == [validate(Povm(c)) == [] for c in candidates]
     assert flags.tolist() == [True] * 6 + [False] * 5
 
 
-def test_validate_messages_and_is_povm_flags():
-    from entswap.povm import is_povm
+def test_validate_messages_and_swap_stack_flags():
+    from entswap.swap import swap_stack
 
     nan_effect = I4 / 5
     nan_effect[1, 2] = float("nan")
@@ -468,7 +468,7 @@ def test_validate_messages_and_is_povm_flags():
     ]
     for effects, messages in cases:
         assert validate(Povm(effects)) == messages
-        assert is_povm(np.array([effects])).tolist() == [messages == []]
+        assert swap_stack(np.array([effects]))[0].tolist() == [messages == []]
 
 
 def test_json_parse_names_the_first_fault_in_document_order():

@@ -269,8 +269,8 @@ def test_swap_stack_matches_run_swap():
     gen = rng(13)
     povms = [random_povm(gen, outcomes=5) for _ in range(3)]
     povms.append(Povm((np.zeros((4, 4), dtype=complex), I4, 0 * I4, 0 * I4, 0 * I4)))
-    probabilities, states = swap_stack(np.array([p.effects for p in povms]))
-    assert states.shape == (4, 5, 3, 4, 4)
+    ok, probabilities, states = swap_stack(np.array([p.effects for p in povms]))
+    assert ok.all() and states.shape == (4, 5, 3, 4, 4)
     for p, probs, pair_states in zip(povms, probabilities, states):
         for outcome in run_swap(p):
             j = outcome.outcome_index - 1

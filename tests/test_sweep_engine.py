@@ -96,14 +96,44 @@ def test_batched_rows_match_scalar_pipeline(case, x, ends, count, seed, outcomes
 def test_perturbed_batched_state_fails_the_scalar_cross_check(monkeypatch):
     real = analysis.swap_stack
 
-    def perturbed(effects):
-        probabilities, states = real(effects)
+    def perturbed(effects, outcomes=None):
+        ok, probabilities, states = real(effects, outcomes)
         states[-1] = (1 - 1e-6) * states[-1] + 1e-6 * I4 / 4  # still valid states
-        return probabilities, states
+        return ok, probabilities, states
 
     monkeypatch.setattr(analysis, "swap_stack", perturbed)
     with pytest.raises(EntswapError, match=r"lambda=1: .*outcome 1: pair 14 negativity"):
         sweep(SweepConfig(case="II", count=4))
+
+
+def effect_eigensolves(monkeypatch, call, n: int, k: int) -> list[str]:
+    """The numpy eigensolvers ``call()`` runs on a stack of n lists of k effects."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            if np.shape(a) == (n, k, 4, 4):
+                calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    call()
+    return calls
+
+
+@pytest.mark.parametrize("case", ["I", "III"])
+@pytest.mark.parametrize("engine", ["grid", "grid_outcome1", "signed"])
+def test_one_eigh_checks_and_roots_the_effects_of_an_engine_call(monkeypatch, case, engine):
+    # The same spectrum flags the effects and gives their square roots: no
+    # eigvalsh on the effects, and no second eigh on the outcomes swapped.
+    family = analysis._family(case, None)
+    lams = np.linspace(0.1, 0.9, 7)
+    calls = {
+        "grid": lambda: analysis._grid_values(family, lams, 1e-9),
+        "grid_outcome1": lambda: analysis._grid_values(family, lams, 1e-9, outcomes=1),
+        "signed": lambda: analysis._signed_values(family, lams, np.arange(7) % 3, np.arange(7) % 4),
+    }
+    assert effect_eigensolves(monkeypatch, calls[engine], 7, 4) == ["eigh"]
+    assert effect_eigensolves(monkeypatch, calls[engine], 7, 1) == []
 
 
 def test_custom_builder_changing_effect_count_is_rejected():
@@ -151,10 +181,10 @@ def test_states_failing_the_stacked_checks_go_to_scalar_report(monkeypatch):
 
     real_swap_stack = analysis.swap_stack
 
-    def skewed(effects):
-        probabilities, states = real_swap_stack(effects)
+    def skewed(effects, outcomes=None):
+        ok, probabilities, states = real_swap_stack(effects, outcomes)
         states[1, 1, 1, 0, 1] += 1e-6  # no longer Hermitian
-        return probabilities, states
+        return ok, probabilities, states
 
     monkeypatch.setattr(analysis, "swap_stack", skewed)
     with pytest.raises(NotAStateError, match=r"^lambda=0\.5: outcome 2, pair 12: not Hermitian"):

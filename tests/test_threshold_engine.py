@@ -634,12 +634,12 @@ def test_find_threshold_checks_every_engine_point_by_the_identities(monkeypatch)
     real = analysis.swap_stack
     calls = []
 
-    def perturbed(effects):
-        probabilities, states = real(effects)
+    def perturbed(effects, outcomes=None):
+        ok, probabilities, states = real(effects, outcomes)
         if not calls:
             states[8, 0, 0] = mixed_into_noise(states[8, 0, 0])
         calls.append(len(effects))
-        return probabilities, states
+        return ok, probabilities, states
 
     monkeypatch.setattr(analysis, "swap_stack", perturbed)
     with pytest.raises(
@@ -672,7 +672,7 @@ def test_each_identity_names_its_defect(perturb, identity):
     # so mixing a (1,2) or (3,4) state with noise moves its marginals.
     lams = np.array([0.25, 0.5, 0.75])
     effects = analysis._family("III", None).effects(lams)
-    probabilities, states = analysis.swap_stack(effects)
+    _, probabilities, states = analysis.swap_stack(effects)
     analysis._check_identities(lams, effects, probabilities, states)
     perturb(probabilities, states)
     with pytest.raises(EntswapError) as raised:
@@ -682,8 +682,9 @@ def test_each_identity_names_its_defect(perturb, identity):
 
 def assert_identities_hold(lams, effects):
     """``_check_identities`` passes the stacked swap of valid effects."""
-    assert analysis.is_povm(effects).all()
-    analysis._check_identities(lams, effects, *analysis.swap_stack(effects))
+    ok, probabilities, states = analysis.swap_stack(effects)
+    assert ok.all()
+    analysis._check_identities(lams, effects, probabilities, states)
 
 
 _UNIT_WITH_EDGES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -770,14 +771,43 @@ def test_first_estimate_falls_back_on_nan_at_a_probe_off_the_walk(monkeypatch):
 
 
 def python_output(code: str) -> str:
-    """The stripped stdout of ``code`` run by a fresh interpreter on this package."""
+    """The stripped stdout of ``code`` run by a fresh interpreter on this package;
+    a run that takes over 30 s fails, so a call that loops for ever cannot hang
+    the suite."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(entswap.__file__)))
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+        timeout=30,
     )
     return done.stdout.strip()
+
+
+def test_bisect_rejects_a_non_finite_end_before_calling_f():
+    # A NaN end once made every midpoint NaN, which no walk finds again as a
+    # key, so bisect looped for ever; the subprocess keeps a regression from
+    # hanging the suite.
+    code = (
+        "import entswap\n"
+        "from entswap import analysis\n"
+        "calls = []\n"
+        "def f(x, rows):\n"
+        "    calls.append(len(x))\n"
+        "    return [v - 0.5 for v in x]\n"
+        "for a, b in ((float('nan'), 1.0), (-float('inf'), 1.0), (0.0, float('inf'))):\n"
+        "    try:\n"
+        "        analysis.bisect(f, a, b, -1.0, 1.0, 1e-9, float('nan'))\n"
+        "    except entswap.BadParamError as exc:\n"
+        "        print(exc)\n"
+        "print(calls)\n"
+    )
+    assert python_output(code).splitlines() == [
+        "bracket ends must be finite, got nan and 1.0",
+        "bracket ends must be finite, got -inf and 1.0",
+        "bracket ends must be finite, got 0.0 and inf",
+        "[]",
+    ]
 
 
 def test_import_does_not_load_scipy():
