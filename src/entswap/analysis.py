@@ -142,7 +142,7 @@ def _family(case: str, x: float | None, povm_builder=None) -> _Family:
 def _check_grid_size(count: int) -> None:
     if not (isinstance(count, numbers.Integral) and count >= 2):
         raise BadParamError(f"grid needs at least 2 points, got {count}")
-    if count > np.iinfo(np.intp).max // 8:  # more bytes of floats than numpy can index
+    if count > np.iinfo(np.intp).max // np.dtype(float).itemsize:  # np.linspace raises ValueError
         raise BadParamError(f"grid of {count} points is beyond numpy's largest array")
 
 

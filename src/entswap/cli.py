@@ -280,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (EntswapError, OSError, np.linalg.LinAlgError) as exc:
+    except (EntswapError, OSError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

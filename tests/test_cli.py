@@ -354,21 +354,19 @@ def test_analyze_malformed_povm_exits_three(payload):
         assert os.listdir(tmp) == ["bad.json"]
 
 
-@pytest.mark.parametrize("command", ["thresholds", "verify"])
-@pytest.mark.parametrize("grid", ["0", "1", "-3"])
-def test_grid_below_two_points_exits_one(command, grid, capsys):
+@pytest.mark.parametrize("command", ["sweep", "thresholds", "verify"])
+@pytest.mark.parametrize("grid, message", [
+    pytest.param(g, f"grid needs at least 2 points, got {g}", id=g) for g in ("0", "1", "-3")
+] + [
+    # Also a count numpy cannot hold. 10**20 points fail before anything is
+    # allocated; never test a count that allocates.
+    pytest.param(str(10**20), f"grid of {10**20} points is beyond numpy's largest array", id="1e20"),
+])
+def test_grid_below_two_points_exits_one(command, grid, message, capsys):
     args = [command, "--case", "I", "--grid", grid]
     code, out, err = run_cli(capsys, *args)
     assert code == 1 and out == ""
-    assert f"grid needs at least 2 points, got {grid}" in err
-
-
-@pytest.mark.parametrize("command", ["sweep", "thresholds", "verify"])
-def test_grid_numpy_cannot_hold_exits_one(command, capsys):
-    # 10**20 points fail before anything is allocated; never test a count that allocates.
-    code, out, err = run_cli(capsys, command, "--case", "I", "--grid", str(10**20))
-    assert code == 1 and out == ""
-    assert err.splitlines() == [f"error: grid of {10**20} points is beyond numpy's largest array"]
+    assert err.splitlines() == [f"error: {message}"]
 
 
 # The numeric flags of each subcommand, after flags that keep a run small.
@@ -439,6 +437,16 @@ def test_linalg_error_exits_one(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "sweep", "--case", "I")
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: Eigenvalues did not converge"]
+
+
+def test_out_of_memory_exits_one(monkeypatch, capsys):
+    def fails(args):
+        raise MemoryError("Unable to allocate 8.00 PiB for an array")
+
+    monkeypatch.setattr("entswap.cli._cmd_sweep", fails)
+    code, out, err = run_cli(capsys, "sweep", "--case", "I")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: Unable to allocate 8.00 PiB for an array"]
 
 
 def test_analyze_file_that_is_not_utf8_exits_one(tmp_path, capsys):
