@@ -12,10 +12,12 @@ through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
 (``_bisect_signed`` with ``bisect``, an in-repo copy of
 ``scipy.optimize.bisect``): each stacked call evaluates, for every open
 bracket, the path its steps take if the root is at an estimate, and then
-takes scipy's steps through it until one leaves the path. The ends and the
-midpoints of the first four levels are the monotonicity probes, evaluated
-once; the first estimate is inverse interpolation through the probes about
-the sign change, each later one regula falsi on the new bracket.
+takes scipy's steps through it until one leaves the path. The first
+estimate is the root of the family's closed forms (``_predicted_root``), and
+its path goes into one engine call with the monotonicity probes, the ends
+and the midpoints of the first four levels; each later estimate is regula
+falsi on the new bracket. The closed forms only choose the points: every
+value a step reads is the engine's.
 ``_outcome_values`` gives the quantifiers of all outcomes of one
 ``run_swap`` call (``entswap analyze``) from one ``measures.report_stack``
 call. ``sweep`` turns the stacked values into ``SweepRecord`` rows in bulk,
@@ -29,6 +31,7 @@ bisection is also checked against the exact identities of the swap
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from contextlib import contextmanager, nullcontext
@@ -667,17 +670,19 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
     outcome 1 crosses its offset; a query is (pair, measure, lo, hi, offset).
 
     The probes of every bracket are its ends and the 15 midpoints of the
-    first four levels of ``bisect`` (``_probes``); they are one stacked
-    engine call, as is each call of ``bisect`` over the open brackets,
-    which gets the probe values back without evaluating them again. A
-    bracket whose ends lie on the same side of the offset raises, in query
-    order; one whose 17 probes, ordered from lo to hi, are not monotone
-    warns. The first root estimate of each bracket comes from the probes
-    about its first sign change (``_first_estimate``). Every engine point
-    meets the exact identities of the swap (see ``_signed_values``), and at
-    the first end of the first query's final bracket the scalar pipeline
-    must give the engine's signed value within VERIFY_TOL: one ``run_swap``
-    per call.
+    first four levels of ``bisect`` (``_probes``). The first root estimate
+    of each bracket is the root of the family's closed forms
+    (``_predicted_root``, NaN where it finds none), and one stacked engine
+    call evaluates the probes and the path the steps take if the root is
+    there (``_Bracket.path``). The first call of ``bisect`` reads that path
+    back, so a close estimate finds the root in that one call; each later
+    call evaluates only points not seen before. A bracket whose ends lie on
+    the same side of the offset raises, in query order; one whose 17
+    probes, ordered from lo to hi, are not monotone warns. Every engine
+    point meets the exact identities of the swap (see ``_signed_values``),
+    and at the first end of the first query's final bracket the scalar
+    pipeline must give the engine's signed value within VERIFY_TOL: one
+    ``run_swap`` per call.
     """
     pairs = np.array([PAIRS.index(q[0]) for q in queries])
     columns = np.array([MEASURES.index(q[1]) for q in queries])
@@ -696,9 +701,19 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
             known.update(zip(new, values.tolist()))
         return [known[key] for key in keys]
 
+    # One engine call holds the probes of every bracket and the path its
+    # steps take if the root is at the closed-form guess, so the first call
+    # of bisect reads its path back; a guess that misses costs another call.
+    n = len(queries)
     probes = [_probes(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-    rows = np.repeat(np.arange(len(queries)), [len(p) for p in probes])
-    values = np.array(f(np.concatenate(probes), rows)).reshape(len(queries), -1)
+    guess = [_predicted_root(family.closed_forms, query) for query in queries]
+    paths = [
+        _Bracket(i, a, b, np.nan, np.nan, r).path(tol) if r == r else []
+        for i, (a, b, r) in enumerate(zip(lo.tolist(), hi.tolist(), guess))
+    ]
+    rows = np.repeat(np.tile(np.arange(n), 2), [*map(len, probes), *map(len, paths)])
+    values = f(np.concatenate([*probes, *paths]), rows)[: n * len(probes[0])]
+    values = np.array(values).reshape(n, -1)
     for (pair, measure, _, _, offset), (f_lo, f_hi) in zip(queries, values[:, [0, -1]]):
         if (f_lo > 0.0) == (f_hi > 0.0):
             raise NoBracketError(
@@ -715,10 +730,6 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
                 stacklevel=3,
             )
 
-    # The first probe on the other side of the offset (or on it).
-    signs = np.sign(values)
-    crossings = (np.argmax(signs[:, 1:] * signs[:, :1] <= 0.0, axis=-1) + 1).tolist()
-    guess = [_first_estimate(*args) for args in zip(probes, values.tolist(), crossings)]
     result = bisect(f, lo, hi, values[:, 0], values[:, -1], tol, guess)
     pair, measure, _, _, offset = queries[0]
     lam = float(result.a[0])
@@ -728,30 +739,58 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
     return result.root.tolist()
 
 
-# Probes about a sign change that the first root estimate interpolates.
-_INTERPOLATED = 8
+# Regula falsi steps ``_predicted_root`` may take.
+_PREDICT_STEPS = 100
 
 
-def _first_estimate(lams: list[float], values: list[float], k: int) -> float:
-    """A root estimate between the probes lams[k - 1] and lams[k], where
-    ``values`` changes sign: the inverse Lagrange interpolant at 0 through
-    the _INTERPOLATED probes centred on them if their values are strictly
-    monotone, else regula falsi between the two, clipped into [lams[k - 1],
-    lams[k]], or its midpoint if NaN."""
-    first = min(max(k - _INTERPOLATED // 2, 0), len(lams) - _INTERPOLATED)
-    xs = lams[first:first + _INTERPOLATED]
-    ys = values[first:first + _INTERPOLATED]
-    steps = [v - u for u, v in zip(ys, ys[1:])]
-    if all(d > 0 for d in steps) or all(d < 0 for d in steps):
-        estimate = 0.0
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            for j, other in enumerate(ys):
-                if j != i:
-                    x *= other / (other - y)
-            estimate += x
-    else:
-        estimate = _regula_falsi(lams[k - 1], lams[k], values[k - 1], values[k])
-    return _estimate(lams[k - 1], lams[k], estimate)
+def _closed_signed(forms, pair: str, measure: str) -> float:
+    """The signed measure of a pair from a family's closed forms at one
+    lambda: the value ``_SIGNED[measure]`` gives on the pair state."""
+    negativity, m_value, lambda3 = forms.quantities(pair)
+    if measure == "negativity":
+        return negativity
+    if measure == "steering3":
+        return float(measures.steering3_from_total(lambda3))
+    return float(measures.nonlocality_from_pair_sum(m_value))
+
+
+def _predicted_root(closed_forms, query: tuple) -> float:
+    """Where the signed measure of a query (pair, measure, lo, hi, offset)
+    crosses its offset in [lo, hi] on the family's ``closed_forms(lam)``.
+
+    Regula falsi with the Illinois rule (the value at an end kept twice in a
+    row is halved), each point kept strictly inside the bracket, else its
+    midpoint, until a point is a root, no float lies strictly between the
+    ends, or _PREDICT_STEPS steps are taken. NaN where the ends lie on the
+    same side of the offset (as ``_bisect_signed`` sees sides), or at a
+    value that is not finite.
+    """
+    pair, measure, a, b, offset = query
+    g = lambda lam: _closed_signed(closed_forms(lam), pair, measure) - offset
+    fa, fb = g(a), g(b)
+    if not (math.isfinite(fa) and math.isfinite(fb)) or (fa > 0.0) == (fb > 0.0):
+        return float("nan")
+    side = 0  # 1 where the last point replaced a, -1 where it replaced b
+    for _ in range(_PREDICT_STEPS):
+        x = _regula_falsi(a, b, fa, fb)
+        if not a < x < b:
+            x = a + (b - a) / 2
+            if not a < x < b:
+                break
+        fx = g(x)
+        if not math.isfinite(fx):
+            return float("nan")
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fa > 0.0):
+            a, fa = x, fx
+            fb *= 0.5 if side == 1 else 1.0
+            side = 1
+        else:
+            b, fb = x, fx
+            fa *= 0.5 if side == -1 else 1.0
+            side = -1
+    return a + (b - a) / 2
 
 
 def find_threshold(
@@ -770,7 +809,9 @@ def find_threshold(
     ``scipy.optimize.bisect`` at xtol ``tol``, and returns its root bit for
     bit, but evaluates on the batched engine, in stacked calls that take at
     least one step each, and all of them when the root estimate is close
-    (see ``bisect``). Every engine point is checked against the exact
+    (see ``bisect``). The first estimate is the root of the family's closed
+    forms, whose path shares one engine call with the probes, so a root
+    usually takes one call. Every engine point is checked against the exact
     identities of the swap, and one ``run_swap`` checks the first end of the
     final bracket.
     Monotonicity over the bracket is the caller's responsibility; a check on

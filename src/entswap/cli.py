@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import operator
@@ -42,10 +43,14 @@ def _fmt(value: float | None) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     """Write to stdout, or atomically to a file (temp write, then rename).
-    An error creating the temp file names ``out_path``, not the temp file."""
+    An empty ``out_path`` raises before any temp file is made, and an
+    OSError of the temp file or the rename names ``out_path`` only; a failed
+    write or rename removes the temp file."""
     if out_path is None:
         sys.stdout.write(text)
         return
+    if not out_path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
     directory = os.path.dirname(os.path.abspath(out_path))
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp", text=True)
@@ -55,9 +60,11 @@ def _emit(text: str, out_path: str | None) -> None:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp_path, out_path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            raise type(exc)(exc.errno, exc.strerror, out_path) from exc
         raise
 
 

@@ -137,6 +137,16 @@ def negativity(rho) -> float:
     return max(0.0, negativity_signed(rho))
 
 
+def _clamped_quantifiers(negativity, m_value, lambda3) -> tuple[float, float, float]:
+    """Negativity, N and S3, each clamped at 0 from below, from the signed
+    negativity and the eigenvalue sums M and Lambda3 of T^T T."""
+    return (
+        float(max(0.0, negativity)),
+        float(max(0.0, nonlocality_from_pair_sum(m_value))),
+        float(max(0.0, steering3_from_total(lambda3))),
+    )
+
+
 @dataclass(frozen=True)
 class CorrelationReport:
     """All quantifiers of one state plus threshold classifications.
@@ -162,9 +172,7 @@ class CorrelationReport:
         cls, negativity: float, m_value: float, lambda3: float, tol: float = 1e-9
     ) -> "CorrelationReport":
         check_tolerance(tol)
-        n = float(max(0.0, nonlocality_from_pair_sum(m_value)))
-        s3 = float(max(0.0, steering3_from_total(lambda3)))
-        neg = float(max(0.0, negativity))
+        neg, n, s3 = _clamped_quantifiers(negativity, m_value, lambda3)
         rep = cls(
             negativity=neg,
             M=float(m_value),

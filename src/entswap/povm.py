@@ -23,7 +23,7 @@ from .errors import (
     complex_array,
 )
 from .linalg import freeze, invariant_residuals
-from .states import bell_state, lambda_basis_rows, product_basis
+from .states import bell_state, lambda_amplitudes, lambda_basis_rows, product_basis
 
 # Per-effect eigenvalue window and completeness tolerance.
 POVM_ATOL = 1e-10
@@ -181,19 +181,19 @@ class AsymmetricPovmParams:
         check_unit("x", x)
         check_unit("sharpness", lam)
         y1, y2, w1, w2 = _asymmetric_weights(x, lam)
-        a, b = lambda_basis_rows(lam)[:2, 0].real  # the |00> amplitudes of members 1 and 2
+        a, b = lambda_amplitudes(lam)
+        root_w1, root_x = np.sqrt(w1), np.sqrt(x)
         e = np.sqrt(w2)
-        f = a * a * np.sqrt(w1) + b * b * np.sqrt(x)
-        g = b * b * np.sqrt(w1) + a * a * np.sqrt(x)
-        h = a * b * (np.sqrt(w1) - np.sqrt(x))
+        f = a * a * root_w1 + b * b * root_x
+        g = b * b * root_w1 + a * a * root_x
+        h = a * b * (root_w1 - root_x)
         q = a * b * (y1 * (1.0 - 2.0 * x) - x * y2) / (y1 + y2)
         r = w2
-        for name, value in (
-            ("y1", y1), ("y2", y2), ("w1", w1), ("w2", w2),
-            ("a", a), ("b", b), ("e", e), ("f", f), ("g", g), ("h", h),
-            ("q", q), ("r", r),
-        ):
-            object.__setattr__(self, name, float(value))
+        # The fields at once, where the frozen class takes one __setattr__ each.
+        vars(self).update(zip(
+            ("y1", "y2", "w1", "w2", "a", "b", "e", "f", "g", "h", "q", "r"),
+            map(float, (y1, y2, w1, w2, a, b, e, f, g, h, q, r)),
+        ))
 
 
 # Effect j mixes lam-basis member _MAIN[j] (weight x), its partner _PARTNER[j]

@@ -165,11 +165,17 @@ def werner_state(w: float, k: int) -> DensityMatrix:
     return DensityMatrix(2, matrix)
 
 
+def lambda_amplitudes(lam) -> tuple:
+    """The amplitudes a = sqrt(1 - sqrt(1-lam))/sqrt2 and b = sqrt(1 + sqrt(1-lam))/sqrt2
+    of ``lambda_basis``, elementwise; ``lam`` is not checked."""
+    root = np.sqrt(1.0 - lam)
+    return np.sqrt(1.0 - root) / _SQRT2, np.sqrt(1.0 + root) / _SQRT2
+
+
 def lambda_basis_rows(lam) -> np.ndarray:
     """Members 1-4 of ``lambda_basis`` as the rows of a (..., 4, 4) array, one
     per sharpness; ``lam`` is not checked."""
-    root = np.sqrt(1.0 - lam)
-    a, b = np.sqrt(1.0 - root) / _SQRT2, np.sqrt(1.0 + root) / _SQRT2
+    a, b = lambda_amplitudes(lam)
     o = np.zeros_like(a)
     rows = np.array([[a, o, o, -b], [b, o, o, a], [o, a, -b, o], [o, b, a, o]], dtype=complex)
     return np.moveaxis(rows, (0, 1), (-2, -1))
@@ -177,8 +183,7 @@ def lambda_basis_rows(lam) -> np.ndarray:
 
 def lambda_basis(lam: float, k: int) -> np.ndarray:
     """Member k of the sharpness-parameterized orthonormal basis, the
-    one-point view of ``lambda_basis_rows``. With a = sqrt(1 - sqrt(1-lam))/sqrt2
-    and b = sqrt(1 + sqrt(1-lam))/sqrt2:
+    one-point view of ``lambda_basis_rows``. With a and b from ``lambda_amplitudes``:
 
     1: a|00> - b|11>    2: b|00> + a|11>
     3: a|01> - b|10>    4: b|01> + a|10>

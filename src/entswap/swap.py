@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateEffectError, InvalidPovmError, check_choice, check_unit
 from .linalg import _root, freeze, partial_trace, psd_sqrt
-from .measures import CorrelationReport
+from .measures import CorrelationReport, _clamped_quantifiers
 from .povm import (
     DEGENERATE_PROBABILITY, AsymmetricPovmParams, Povm, _residuals, unit_trace_effect, validate,
 )
@@ -164,15 +164,15 @@ def s_of_lambda(lam: float) -> float:
     return 0.5 * (1.0 - lam + np.sqrt((1.0 - lam) * (1.0 + 3.0 * lam)))
 
 
-def _closed_form_report(negativity: float, t, tol: float = 1e-9) -> CorrelationReport:
-    """A pair state's report from its signed negativity and its T^T T eigenvalues t."""
+def _eigenvalue_sums(t) -> tuple[float, float]:
+    """M and Lambda3 of the T^T T eigenvalues t: the sum of the two largest and of all three."""
     t = sorted(t, reverse=True)
-    return CorrelationReport.from_quantities(negativity, t[0] + t[1], t[0] + t[1] + t[2], tol=tol)
+    return t[0] + t[1], t[0] + t[1] + t[2]
 
 
-def _werner_report(w: float, tol: float = 1e-9) -> CorrelationReport:
+def _werner_quantities(w: float) -> tuple[float, float, float]:
     # Strength w: signed negativity (3w - 1)/2, and T^T T has the triple (w^2, w^2, w^2).
-    return _closed_form_report((3.0 * w - 1.0) / 2.0, (w * w,) * 3, tol)
+    return ((3.0 * w - 1.0) / 2.0, *_eigenvalue_sums((w * w,) * 3))
 
 
 @dataclass(frozen=True)
@@ -205,25 +205,21 @@ class Case1ClosedForms:
     def nonlocality_34(self) -> float:
         return self.nonlocality_12
 
-    def report(self, pair: str, tol: float = 1e-9) -> CorrelationReport:
+    def quantities(self, pair: str) -> tuple[float, float, float]:
+        """The signed negativity, M and Lambda3 of a pair state."""
         check_choice("pair", pair, PAIRS)
-        return _werner_report(self.lam if pair == "14" else self.s, tol)
+        return _werner_quantities(self.lam if pair == "14" else self.s)
+
+    def report(self, pair: str, tol: float = 1e-9) -> CorrelationReport:
+        return CorrelationReport.from_quantities(*self.quantities(pair), tol=tol)
 
 
 def case1_closed_forms(lam: float) -> Case1ClosedForms:
     """All six closed-form measures of the Bell-projector family."""
     s = s_of_lambda(lam)
-    r14, r12 = _werner_report(lam), _werner_report(s)
-    return Case1ClosedForms(
-        lam=lam,
-        s=s,
-        negativity_14=r14.negativity,
-        steering3_14=r14.S3,
-        nonlocality_14=r14.N,
-        negativity_12=r12.negativity,
-        steering3_12=r12.S3,
-        nonlocality_12=r12.N,
-    )
+    neg14, n14, s3_14 = _clamped_quantifiers(*_werner_quantities(lam))
+    neg12, n12, s3_12 = _clamped_quantifiers(*_werner_quantities(s))
+    return Case1ClosedForms(lam, s, neg14, s3_14, n14, neg12, s3_12, n12)
 
 
 @dataclass(frozen=True)
@@ -245,11 +241,13 @@ class Case2ClosedForms:
     t_12: tuple[float, float, float]
     t_34: tuple[float, float, float]
 
-    def report(self, pair: str, tol: float = 1e-9) -> CorrelationReport:
+    def quantities(self, pair: str) -> tuple[float, float, float]:
+        """The signed negativity, M and Lambda3 of a pair state."""
         check_choice("pair", pair, PAIRS)
-        return _closed_form_report(
-            getattr(self, f"negativity_{pair}"), getattr(self, f"t_{pair}"), tol
-        )
+        return (getattr(self, f"negativity_{pair}"), *_eigenvalue_sums(getattr(self, f"t_{pair}")))
+
+    def report(self, pair: str, tol: float = 1e-9) -> CorrelationReport:
+        return CorrelationReport.from_quantities(*self.quantities(pair), tol=tol)
 
 
 def case2_closed_forms(x: float, lam: float) -> Case2ClosedForms:

@@ -203,6 +203,25 @@ def test_sweep_into_a_missing_directory_names_the_out_path(tmp_path, capsys):
     assert list(tmp_path.rglob("*")) == []
 
 
+def test_sweep_onto_a_directory_names_the_out_path(tmp_path, capsys):
+    # The rename of the temp file onto the directory fails.
+    code, out, err = run_cli(capsys, "sweep", "--case", "I", "--grid", "2", "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n"
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_sweep_to_an_empty_out_path_exits_one(tmp_path, monkeypatch, capsys):
+    # The temp file of '' once went to the parent of the working directory.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, out, err = run_cli(capsys, "sweep", "--case", "I", "--grid", "2", "--out", "")
+    assert code == 1 and out == ""
+    assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''\n"
+    assert list(tmp_path.rglob("*")) == [work]
+
+
 def test_sweep_compute_error_leaves_no_file(tmp_path, capsys):
     target = tmp_path / "never.csv"
     code, _, err = run_cli(

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entswap import (
+    AsymmetricPovmParams,
     BadParamError,
     DegenerateEffectError,
     InvalidPovmError,
@@ -19,7 +22,9 @@ from entswap import (
     werner_bell_povm,
     werner_state,
 )
-from entswap import measures
+from entswap import CorrelationReport, measures
+from entswap.povm import _asymmetric_weights
+from entswap.states import lambda_basis_rows
 from entswap.swap import PAIRS
 from helpers import random_povm, rng
 
@@ -215,6 +220,60 @@ def test_case2_trace_identity_via_params():
         for lam in LAMBDA_GRID:
             p = case2_closed_forms(x, lam).params
             assert abs(p.e**2 + p.f**2 + p.g**2 + 2 * p.h**2 - 1.0) < 1e-12
+
+
+def exact(value) -> str:
+    """The fields of a dataclass, or a tuple of floats, as text that tells every bit."""
+    return repr(dataclasses.astuple(value) if dataclasses.is_dataclass(value) else value)
+
+
+def reference_params(x: float, lam: float) -> dict:
+    """The fields of ``AsymmetricPovmParams(x, lam)``, with a and b read from
+    the first column of the lambda basis rows."""
+    y1, y2, w1, w2 = _asymmetric_weights(x, lam)
+    a, b = lambda_basis_rows(lam)[:2, 0].real
+    fields = dict(
+        y1=y1, y2=y2, w1=w1, w2=w2, a=a, b=b, e=np.sqrt(w2),
+        f=a * a * np.sqrt(w1) + b * b * np.sqrt(x),
+        g=b * b * np.sqrt(w1) + a * a * np.sqrt(x),
+        h=a * b * (np.sqrt(w1) - np.sqrt(x)),
+        q=a * b * (y1 * (1.0 - 2.0 * x) - x * y2) / (y1 + y2),
+        r=w2,
+    )
+    return {name: float(value) for name, value in fields.items()}
+
+
+def reference_report(negativity, t) -> CorrelationReport:
+    """The report of a pair from its signed negativity and T^T T eigenvalues t."""
+    t = sorted(t, reverse=True)
+    return CorrelationReport.from_quantities(negativity, t[0] + t[1], t[0] + t[1] + t[2])
+
+
+CLOSED_FORM_LAMBDAS = [*np.linspace(0.0, 1.0, 101).tolist(), 1 / 3, 0.9999579110831897, 5e-324]
+
+
+def test_case2_closed_forms_are_bitwise_the_lambda_basis_reference():
+    for x in (0.0, 0.05, 0.3, 0.5, 0.725, 0.8, 0.95, 1.0):
+        for lam in CLOSED_FORM_LAMBDAS:
+            forms = case2_closed_forms(x, lam)
+            expected = reference_params(x, lam)
+            assert exact(forms.params) == exact(AsymmetricPovmParams(x, lam))
+            got = tuple(getattr(forms.params, name) for name in expected)
+            assert exact(got) == exact(tuple(expected.values())), (x, lam)
+            for pair in PAIRS:
+                negativity, t = getattr(forms, f"negativity_{pair}"), getattr(forms, f"t_{pair}")
+                assert exact(forms.report(pair)) == exact(reference_report(negativity, t))
+
+
+def test_case1_closed_forms_are_bitwise_the_werner_reports():
+    names = ("negativity", "steering3", "nonlocality")
+    for lam in CLOSED_FORM_LAMBDAS:
+        forms = case1_closed_forms(lam)
+        for pair, w in (("14", lam), ("12", forms.s), ("34", forms.s)):
+            expected = reference_report((3.0 * w - 1.0) / 2.0, (w * w,) * 3)
+            got = tuple(getattr(forms, f"{name}_{pair}") for name in names)
+            assert exact(got) == exact((expected.negativity, expected.S3, expected.N)), lam
+            assert exact(forms.report(pair)) == exact(expected)
 
 
 def test_rho14_spectral_index_out_of_range():

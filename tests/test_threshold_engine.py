@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -482,12 +483,7 @@ def test_find_threshold_makes_at_most_four_engine_calls_per_root(monkeypatch):
     assert len(calls) / len(draws) <= 4.0, (len(calls), len(draws))
     # Each root is scipy's bisection of the engine at one point per call.
     for (case, pair, measure, (lo, hi), tol), root in zip(draws, roots):
-        family = analysis._family(case, None)
-        pairs, columns = [analysis.PAIRS.index(pair)], [analysis.MEASURES.index(measure)]
-        one_point = lambda lam: float(
-            analysis._signed_values(family, np.array([lam]), pairs, columns)[0]
-        )
-        assert root == scipy.optimize.bisect(one_point, lo, hi, xtol=tol, maxiter=200)
+        assert root == one_point_bisect(case, pair, measure, lo, hi, tol)
 
 
 def engine_points(draws):
@@ -510,14 +506,16 @@ def engine_points(draws):
     return roots, calls
 
 
-def one_point_bisect(case, pair, measure, lo, hi, tol):
-    """``scipy.optimize.bisect`` on the engine's signed value at one point."""
+def one_point(case, pair, measure):
+    """The engine's signed value of outcome 1 at one lambda, one call per point."""
     family = analysis._family(case, None)
     pairs, columns = [analysis.PAIRS.index(pair)], [analysis.MEASURES.index(measure)]
-    one_point = lambda lam: float(
-        analysis._signed_values(family, np.array([lam]), pairs, columns)[0]
-    )
-    return scipy.optimize.bisect(one_point, lo, hi, xtol=tol, maxiter=200)
+    return lambda lam: float(analysis._signed_values(family, np.array([lam]), pairs, columns)[0])
+
+
+def one_point_bisect(case, pair, measure, lo, hi, tol):
+    """``scipy.optimize.bisect`` on the engine's signed value at one point."""
+    return scipy.optimize.bisect(one_point(case, pair, measure), lo, hi, xtol=tol, maxiter=200)
 
 
 def first_four_levels(lo, hi, tol):
@@ -530,25 +528,32 @@ def first_four_levels(lo, hi, tol):
 def test_probes_are_the_first_four_levels_and_no_point_is_evaluated_twice():
     draws = threshold_draws()
     _, calls = engine_points(draws)
-    for (_, _, _, (lo, hi), tol), root_calls in zip(draws, calls):
+    for (case, pair, measure, (lo, hi), tol), root_calls in zip(draws, calls):
         # The probes: both ends and the 15 midpoints of the first four levels.
         midpoints = first_four_levels(lo, hi, tol)
         assert len(midpoints) == 15
-        assert sorted(root_calls[0]) == sorted([lo, hi, *midpoints])
+        probes = sorted([lo, hi, *midpoints])
+        first = root_calls[0]
+        assert sorted(first[:17]) == probes
+        # The same call holds the path of the closed-form guess; where it is
+        # the only call, that path is every midpoint scipy's steps take.
+        if len(root_calls) == 1:
+            path = scipy_path(one_point(case, pair, measure), lo, hi, tol)
+            assert first[17:] == [x for x in path if x not in probes], (lo, hi, tol)
         points = [lam for lams in root_calls for lam in lams]
         assert len(set(points)) == len(points), (lo, hi, tol)
 
 
 @pytest.mark.filterwarnings("ignore::entswap.NonMonotoneWarning")
 def test_find_threshold_makes_at_most_three_engine_calls_per_root():
-    # Guards the probes shared with bisect's first call and the interpolated
-    # first estimate: without them the same draws took 3.31 calls and 60.8
-    # points per root.
+    # Guards the closed-form guess whose path shares the probes' call: with
+    # a first estimate interpolated through the probes, a call of its own,
+    # the same draws took 2.56 calls and 43.1 points per root.
     draws = threshold_draws()
     roots, calls = engine_points(draws)
     assert len(draws) == 39
-    assert sum(map(len, calls)) / len(draws) <= 3.0
-    assert sum(len(lams) for c in calls for lams in c) / len(draws) <= 50.0
+    assert sum(map(len, calls)) / len(draws) <= 1.1
+    assert sum(len(lams) for c in calls for lams in c) / len(draws) <= 45.0
     for (case, pair, measure, (lo, hi), tol), root in zip(draws, roots):
         assert root == one_point_bisect(case, pair, measure, lo, hi, tol)
 
@@ -569,12 +574,12 @@ def engine_call_sizes(monkeypatch, call):
 
 
 @pytest.mark.parametrize("case, calls, points", [
-    ("I", 2, 333), ("II", 0, 0), ("III", 3, 42), ("IV", 0, 0),
+    ("I", 1, 333), ("II", 0, 0), ("III", 1, 37), ("IV", 0, 0),
 ])
 def test_classify_table_makes_few_engine_calls(monkeypatch, case, calls, points):
-    # Guards the bisection's traffic: the probes are one call, and a close
-    # first estimate leaves one path per bracket. Cases II and IV bisect no
-    # interval end.
+    # Guards the bisection's traffic: the probes and the path of every
+    # bracket's closed-form guess are one call, which holds every step when
+    # the guesses hold. Cases II and IV bisect no interval end.
     counts = engine_call_sizes(monkeypatch, lambda: classify_table(case))
     assert len(counts) <= calls and sum(counts) <= points, counts
 
@@ -582,7 +587,7 @@ def test_classify_table_makes_few_engine_calls(monkeypatch, case, calls, points)
 def test_classify_table_x_scan_makes_few_engine_calls(monkeypatch):
     xs = [k / 20 for k in range(1, 20)]
     counts = engine_call_sizes(monkeypatch, lambda: [classify_table("II", x) for x in xs])
-    assert len(counts) <= 20 and sum(counts) <= 814, counts
+    assert len(counts) <= 10 and sum(counts) <= 814, counts
 
 
 def run_swap_calls(monkeypatch, call):
@@ -627,28 +632,29 @@ def mixed_into_noise(state: np.ndarray) -> np.ndarray:
 
 
 def test_find_threshold_checks_every_engine_point_by_the_identities(monkeypatch):
-    # Row 8 of the first engine call is the bracket's midpoint 0.35, one of
-    # the probes, far from both ends of the final bracket about 1/3. The
-    # noise keeps the sign of the negativity there, so the roots alone would
-    # not show the defect.
-    real = analysis.swap_stack
+    # The bracket's midpoint 0.35 is one of the probes of the first engine
+    # call, far from both ends of the final bracket about 1/3. The noise
+    # keeps the sign of the negativity there, so the roots alone would not
+    # show the defect.
+    real = analysis._grid_swap
     calls = []
 
-    def perturbed(effects, outcomes=None):
-        ok, probabilities, states = real(effects, outcomes)
+    def perturbed(family, lams, outcomes=None):
+        effects, probabilities, states = real(family, lams, outcomes)
         if not calls:
-            states[8, 0, 0] = mixed_into_noise(states[8, 0, 0])
-        calls.append(len(effects))
-        return ok, probabilities, states
+            row = int(np.argmin(np.abs(lams - 0.35)))
+            states[row, 0, 0] = mixed_into_noise(states[row, 0, 0])
+        calls.append(len(lams))
+        return effects, probabilities, states
 
-    monkeypatch.setattr(analysis, "swap_stack", perturbed)
+    monkeypatch.setattr(analysis, "_grid_swap", perturbed)
     with pytest.raises(
         EntswapError,
         match=r"^lambda=0\.35: outcome 1: \(1,4\) state deviates from conj\(E\)/tr\(E\) by "
         r"\d\.\d{3}e-0[78]$",
     ):
         find_threshold("I", None, "14", "negativity", (0.2, 0.5))
-    assert calls == [17]
+    assert len(calls) == 1 and calls[0] > 17
 
 
 def perturb_probability(probabilities, states):
@@ -718,7 +724,8 @@ def test_identities_hold_on_random_povms(seed, outcomes, zero):
 
 def test_first_estimate_falls_back_where_the_probes_are_not_monotone():
     # Steering3 of pair (3,4) in case III dips before it turns up just below
-    # lambda = 1, so the 8 probes about the crossing are not monotone.
+    # lambda = 1, so the probes are not monotone; the closed-form guess
+    # still finds the crossing.
     with pytest.warns(entswap.NonMonotoneWarning, match="steering3 of pair 34 is not monotone"):
         root = find_threshold("III", None, "34", "steering3", (0.5, 1.0)).root
     assert root == one_point_bisect("III", "34", "steering3", 0.5, 1.0, 1e-9)
@@ -752,8 +759,9 @@ def patch_engine(monkeypatch, f):
 
 
 def test_first_estimate_falls_back_on_a_flat_step(monkeypatch):
-    # Every probe below 0.3 gives -1 and every one above 1: equal values
-    # among the 8 interpolated probes, which must not be divided by.
+    # Every probe below 0.3 gives -1 and every one above 1. The closed-form
+    # guess, 1/3, misses the step, so its path leaves the walk and bisect's
+    # regula falsi on the flat values goes on.
     f = lambda lam: 1.0 if lam >= 0.3 else -1.0
     patch_engine(monkeypatch, f)
     root = find_threshold("I", None, "14", "negativity", (0.0, 1.0), 1e-12).root
@@ -761,13 +769,48 @@ def test_first_estimate_falls_back_on_a_flat_step(monkeypatch):
 
 
 def test_first_estimate_falls_back_on_nan_at_a_probe_off_the_walk(monkeypatch):
-    # 0.4375 is among the 8 probes about the crossing at 0.3, but the steps
-    # go 0.5, 0.25, 0.375, 0.3125, ..., so the walk never reaches it.
+    # 0.4375 is a probe, but the steps about the crossing at 0.3 go 0.5,
+    # 0.25, 0.375, 0.3125, ..., so the walk never reaches it; the guess,
+    # 1/3, is not that crossing.
     f = lambda lam: lam - 0.3
     patch_engine(monkeypatch, lambda lam: float("nan") if lam == 0.4375 else f(lam))
     with pytest.warns(entswap.NonMonotoneWarning):
         root = find_threshold("I", None, "14", "negativity", (0.0, 1.0), 1e-12).root
     assert root == scipy.optimize.bisect(f, 0.0, 1.0, xtol=1e-12)
+
+
+def test_predicted_root_is_within_tol_of_the_bisected_root():
+    for case, pair, measure, (lo, hi), tol in threshold_draws():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", entswap.NonMonotoneWarning)
+            root = find_threshold(case, None, pair, measure, (lo, hi), tol).root
+        closed_forms = analysis._family(case, None).closed_forms
+        guess = analysis._predicted_root(closed_forms, (pair, measure, lo, hi, 0.0))
+        assert lo <= guess <= hi and abs(guess - root) <= tol, (case, pair, measure, lo, tol)
+
+
+def test_no_closed_form_sign_change_predicts_nan_and_still_bisects(monkeypatch):
+    # The negativity of pair (1,4) in case I, (3 lam - 1)/2, is positive on
+    # [0.5, 1], where the patched engine changes sign at 0.7.
+    query = ("14", "negativity", 0.5, 1.0, 0.0)
+    assert np.isnan(analysis._predicted_root(analysis._family("I", None).closed_forms, query))
+    f = lambda lam: lam - 0.7
+    patch_engine(monkeypatch, f)
+    root = find_threshold("I", None, "14", "negativity", (0.5, 1.0), 1e-12).root
+    assert root == scipy.optimize.bisect(f, 0.5, 1.0, xtol=1e-12)
+
+
+def stub_forms(at: dict):
+    """Closed forms whose signed negativity is lam - 0.3, or at[lam] where given."""
+    return lambda lam: SimpleNamespace(quantities=lambda pair: (at.get(lam, lam - 0.3), 1.0, 1.0))
+
+
+@pytest.mark.parametrize("at", [{1.0: float("inf")}, {0.0: float("nan")}, {0.3: float("nan")}])
+def test_predicted_root_is_nan_where_the_closed_form_is_not_finite(at):
+    # Regula falsi from the ends 0 and 1 steps to 0.3 first.
+    query = ("14", "negativity", 0.0, 1.0, 0.0)
+    assert analysis._predicted_root(stub_forms({}), query) == 0.3
+    assert np.isnan(analysis._predicted_root(stub_forms(at), query))
 
 
 def python_output(code: str) -> str:
@@ -816,8 +859,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_find_threshold_loads_neither_scipy_nor_numpy_polynomial():
-    # The first root estimate interpolates in Python floats; numpy.polynomial
-    # is imported lazily and would add to every process's first threshold.
+    # The root prediction runs in Python floats; numpy.polynomial is
+    # imported lazily and would add to every process's first threshold.
     code = (
         "import sys, entswap; "
         "entswap.find_threshold('I', None, '14', 'negativity', (0.2, 0.5)); "
