@@ -10,23 +10,20 @@ classification and extremum search) runs the whole grid as stacked arrays
 through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
 ``measures.report_stack``). Threshold bisection runs on the same engine
 (``_bisect_signed`` with ``bisect``, an in-repo copy of
-``scipy.optimize.bisect``): each stacked call evaluates, for every open
-bracket, the path its steps take if the root is at an estimate, and then
-takes scipy's steps through it until one leaves the path. The first
-estimate is the root of the family's closed forms (``_predicted_root``), and
-its path goes into one engine call with the monotonicity probes, the ends
-and the midpoints of the first four levels; each later estimate is regula
-falsi on the new bracket. The closed forms only choose the points: every
-value a step reads is the engine's.
+``scipy.optimize.bisect`` that returns its roots and walks each stacked
+call as its docstring says). The first root estimate comes from the
+family's closed forms (``_predicted_root``), and its path shares one engine
+call with the monotonicity probes. The closed forms only choose the points:
+every value a step reads is the engine's.
 ``_outcome_values`` gives the quantifiers of all outcomes of one
 ``run_swap`` call (``entswap analyze``) from one ``measures.report_stack``
 call. ``sweep`` turns the stacked values into ``SweepRecord`` rows in bulk,
 column by column. The scalar 16-dimensional pipeline, ``run_swap`` plus
 ``measures``, stays the oracle: it re-checks the last point of every grid
-scan, one end of the first root's final bracket of every bisection, and one
-pair state of every ``_outcome_values`` call. Every engine point of a
-bisection is also checked against the exact identities of the swap
-(``_check_identities``), which need no second pipeline.
+scan, the first root of every bisection, and one pair state of every
+``_outcome_values`` call. Every engine point of a bisection is also checked
+against the exact identities of the swap (``_check_identities``), which
+need no second pipeline.
 """
 
 from __future__ import annotations
@@ -51,8 +48,8 @@ from .errors import (
     NonMonotoneWarning,
     check_choice,
     check_tolerance,
+    check_unit,
     check_unit_array,
-    outside_unit,
 )
 from .povm import (
     Povm,
@@ -109,10 +106,7 @@ def _resolve_x(case: str, x: float | None) -> float | None:
         return x
     if x is None:
         return CASE_PRESETS[case]
-    try:
-        return float(x)
-    except (TypeError, ValueError):
-        raise outside_unit("x", x) from None
+    return check_unit("x", x)
 
 
 class _Family(NamedTuple):
@@ -130,12 +124,16 @@ def _family(case: str, x: float | None, povm_builder=None) -> _Family:
     """The family of ``case`` at x (see ``_resolve_x``), built once per
     public call from this module's globals; case "custom" is ``povm_builder``."""
     x = _resolve_x(case, x)
-    if case == "I":
-        return _Family(x, werner_bell_povm, werner_bell_effects, case1_closed_forms)
     if case == "custom":
         if povm_builder is None:
             raise BadParamError("case 'custom' needs a povm_builder")
+        if not callable(povm_builder):
+            raise BadParamError(f"povm_builder must be callable, got {povm_builder!r}")
         return _Family(x, povm_builder, partial(_built_effects, povm_builder), None)
+    if povm_builder is not None:
+        raise BadParamError(f"case {case!r} takes no povm_builder")
+    if case == "I":
+        return _Family(x, werner_bell_povm, werner_bell_effects, case1_closed_forms)
     return _Family(
         x, partial(asymmetric_povm, x), partial(asymmetric_effects, x),
         partial(case2_closed_forms, x),
@@ -235,6 +233,8 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     in bulk: each column is one list from the stacked arrays, and each
     record's fields are set at once by ``_records``.
     """
+    if not isinstance(cfg, SweepConfig):
+        raise BadParamError(f"sweep needs a SweepConfig, got {type(cfg).__name__}")
     family = _family(cfg.case, cfg.x, cfg.povm_builder)
     lams = cfg.grid()
     if cfg.pipeline == "analytic":
@@ -285,11 +285,13 @@ def _records(rows) -> list[SweepRecord]:
 
 def _built_effects(builder, lams: np.ndarray) -> np.ndarray:
     """The effects of the POVMs ``builder`` gives at every lambda, shape
-    (n, k, 4, 4); each POVM must have as many effects as the first."""
+    (n, k, 4, 4); each must be a Povm with as many effects as the first."""
     stacks = []
     for lam in lams.tolist():
         with _at_lambda(lam):
             povm = builder(lam)
+            if not isinstance(povm, Povm):
+                raise InvalidPovmError(f"builder returned {type(povm).__name__}, not a Povm")
             if stacks and len(povm.effects) != len(stacks[0]):
                 raise InvalidPovmError(
                     f"builder returned {len(povm.effects)} effects here "
@@ -452,26 +454,17 @@ _MAXITER = 200
 _LEVELS = 4
 
 
-class Bisection(NamedTuple):
-    """Roots of ``bisect`` with each one's final bracket [a, b], where a is
-    on the side of the first end, and the function values at a and b."""
-
-    root: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    fa: np.ndarray
-    fb: np.ndarray
-
-
-def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
-    """``scipy.optimize.bisect`` step for step, on several brackets at once.
+def bisect(f, a, b, fa, fb, xtol: float, guess) -> np.ndarray:
+    """``scipy.optimize.bisect`` step for step, on several brackets at once:
+    the roots, one per bracket, as scipy returns a root.
 
     ``fa`` and ``fb`` are the function values at the ends ``a`` and ``b``;
     ``f(x, rows)`` gives the function values of the brackets with indices
-    ``rows`` at the points ``x``. Each bracket returns an end where f is
-    exactly 0 (a first), or else repeats: halve dm, set xm = a + dm, move a
+    ``rows`` at the points ``x``. Each bracket's root is an end where f is
+    exactly 0 (a first), or else it repeats: halve dm, set xm = a + dm, move a
     to xm when f(xm) is 0 or has the sign of f(a), the value at the first
-    end, and stop with xm when f(xm) == 0 or |dm| < xtol + 4 eps |xm|.
+    end, and stop with xm when f(xm) == 0 or |dm| < xtol + 4 eps |xm|. So
+    every root is an end or a midpoint that f was called at.
 
     Each call to f evaluates, for every open bracket, the path its steps
     take if the root is at an estimate r, one midpoint per step, down to
@@ -483,19 +476,23 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
     from the prediction. A call thus takes at least one step per open
     bracket, and all of them when r is close enough. Every value a walk
     reads is f at the very midpoint the step takes, and points it does not
-    reach are discarded, so the roots, final brackets and values are those
-    of one step per call. r is ``guess`` (one per bracket, NaN for none) at
-    first, or else regula falsi on the ends, and regula falsi on the new
-    bracket after each call, so its error about squares per call on a
-    smooth f. Non-finite ends (before any call of f), same-sign ends, a NaN at
-    a point the walk reaches, and brackets still open after _MAXITER steps raise.
+    reach are discarded, so the roots are those of one step per call. r is
+    ``guess`` (one per bracket, NaN for none) at first, or else regula
+    falsi on the ends, and regula falsi on the new bracket after each call,
+    so its error about squares per call on a smooth f. Non-finite ends and
+    NaN or same-sign end values (all before any call of f), a NaN at a point
+    the walk reaches, and brackets still open after _MAXITER steps raise.
     """
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)
     for i in np.flatnonzero(~np.isfinite([a, b]).all(axis=0)):
         raise BadParamError(f"bracket ends must be finite, got {float(a[i])!r} and {float(b[i])!r}")
-    fa, fb = (_not_nan(np.array(v, dtype=float, ndmin=1), x) for v, x in ((fa, a), (fb, b)))
-    for i in np.flatnonzero(np.sign(fa) * np.sign(fb) > 0):
+    fa, fb = (np.array(v, dtype=float, ndmin=1) for v in (fa, fb))
+    # The product of the signs is NaN where an end value is.
+    for i in np.flatnonzero(~(np.sign(fa) * np.sign(fb) <= 0)):
+        for v, x in ((fa[i], a[i]), (fb[i], b[i])):
+            if v != v:
+                raise EntswapError(f"the function value at x={float(x)!r} is NaN")
         raise NoBracketError(f"f has the same sign at {float(a[i])!r} and {float(b[i])!r}")
     guesses = np.broadcast_to(np.asarray(guess, dtype=float), a.shape).tolist()
     brackets = [
@@ -516,10 +513,8 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> Bisection:
                 f"bisection did not converge in {_MAXITER} iterations, "
                 f"bracket [{w.a!r}, {w.b!r}]"
             )
-        root[w.index], a[w.index], b[w.index], fa[w.index], fb[w.index] = (
-            w.root, w.a, w.b, w.fa, w.fb
-        )
-    return Bisection(root, a, b, fa, fb)
+        root[w.index] = w.root
+    return root
 
 
 class _Bracket:
@@ -587,12 +582,6 @@ def _regula_falsi(a: float, b: float, fa: float, fb: float) -> float:
 def _estimate(a: float, b: float, x: float) -> float:
     """``x`` clipped into the bracket [a, b], or its midpoint if x is NaN."""
     return min(max(x, min(a, b)), max(a, b)) if x == x else a + (b - a) / 2
-
-
-def _not_nan(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    for i in np.flatnonzero(np.isnan(values)):
-        raise EntswapError(f"the function value at x={float(x[i])!r} is NaN")
-    return values
 
 
 # The exact identities of a swap outcome with effect E, in the order
@@ -673,16 +662,14 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
     first four levels of ``bisect`` (``_probes``). The first root estimate
     of each bracket is the root of the family's closed forms
     (``_predicted_root``, NaN where it finds none), and one stacked engine
-    call evaluates the probes and the path the steps take if the root is
-    there (``_Bracket.path``). The first call of ``bisect`` reads that path
-    back, so a close estimate finds the root in that one call; each later
-    call evaluates only points not seen before. A bracket whose ends lie on
+    call evaluates the probes and that estimate's path (see ``bisect``),
+    which the first call of ``bisect`` reads back; each later call
+    evaluates only points not seen before. A bracket whose ends lie on
     the same side of the offset raises, in query order; one whose 17
     probes, ordered from lo to hi, are not monotone warns. Every engine
     point meets the exact identities of the swap (see ``_signed_values``),
-    and at the first end of the first query's final bracket the scalar
-    pipeline must give the engine's signed value within VERIFY_TOL: one
-    ``run_swap`` per call.
+    and at the first query's root the scalar pipeline must give the
+    engine's signed value within VERIFY_TOL: one ``run_swap`` per call.
     """
     pairs = np.array([PAIRS.index(q[0]) for q in queries])
     columns = np.array([MEASURES.index(q[1]) for q in queries])
@@ -730,13 +717,14 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
                 stacklevel=3,
             )
 
-    result = bisect(f, lo, hi, values[:, 0], values[:, -1], tol, guess)
+    roots = bisect(f, lo, hi, values[:, 0], values[:, -1], tol, guess).tolist()
     pair, measure, _, _, offset = queries[0]
-    lam = float(result.a[0])
+    lam = roots[0]
     with _at_lambda(lam):
         scalar = _signed_pair_value(family.povm, lam, pair, measure)
-        _compare(1, [(f"pair {pair} {measure}", result.fa[0] + offset, scalar)])
-    return result.root.tolist()
+        # The root is a probed end or a midpoint of the walk, so f has its value.
+        _compare(1, [(f"pair {pair} {measure}", known[0, lam] + offset, scalar)])
+    return roots
 
 
 # Regula falsi steps ``_predicted_root`` may take.
@@ -807,13 +795,10 @@ def find_threshold(
     outcome's conditional state, so the root is a genuine sign change rather
     than the edge of a clamped-to-zero plateau. It takes the steps of
     ``scipy.optimize.bisect`` at xtol ``tol``, and returns its root bit for
-    bit, but evaluates on the batched engine, in stacked calls that take at
-    least one step each, and all of them when the root estimate is close
-    (see ``bisect``). The first estimate is the root of the family's closed
-    forms, whose path shares one engine call with the probes, so a root
-    usually takes one call. Every engine point is checked against the exact
-    identities of the swap, and one ``run_swap`` checks the first end of the
-    final bracket.
+    bit, but evaluates on the batched engine (see ``bisect`` and
+    ``_bisect_signed``); a root usually takes one engine call. Every engine
+    point is checked against the exact identities of the swap, and one
+    ``run_swap`` checks the root.
     Monotonicity over the bracket is the caller's responsibility; a check on
     17 probes, the ends and the midpoints of the first four bisection
     levels, emits NonMonotoneWarning when it looks violated.
@@ -885,20 +870,21 @@ def classify_table(
     family = _family(case, x)
     _, values, _ = _grid_values(family, lams, tol, outcomes=1)
 
-    kinds: dict[tuple[str, str], str] = {}
+    found: dict[tuple[str, str], tuple] = {}  # key -> (kind, its query or None)
     queries: list[tuple] = []  # (pair, measure, lo, hi, offset) of each interval end
-    shared: dict[tuple, int] = {}  # (pair, signed function, lo, hi, offset) -> query
-    rows: dict[tuple[str, str], int] = {}  # key -> its query
-    for key in [(pair, measure) for pair in PAIRS for measure in MEASURES]:
+    # Nonlocality reads steering2's column and signed function, so it takes
+    # steering2's range.
+    classified = [measure for measure in MEASURES if measure != "nonlocality"]
+    for key in [(pair, measure) for pair in PAIRS for measure in classified]:
         pair, measure = key
         # Outcome 1; with tol > 0 a clamped value exceeds tol exactly where
         # the signed one does.
         column = values[:, 0, PAIRS.index(pair), measures.QUANTITIES.index(measure)]
         positive = column > tol
         if not positive.any():
-            kinds[key] = "never"
+            found[key] = ("never", None)
         elif positive.all():
-            kinds[key] = "all"
+            found[key] = ("all", None)
         else:
             flips = np.flatnonzero(np.diff(positive.astype(int)))
             if flips.size != 1:
@@ -908,18 +894,19 @@ def classify_table(
                 )
             i = int(flips[0])
             lo, hi = float(lams[i]), float(lams[i + 1])
-            kinds[key] = "above" if positive[-1] else "below"
+            found[key] = ("above" if positive[-1] else "below", len(queries))
             # The zero crossing where the end classified not positive is
             # clamped to 0, else the crossing of tol that the grid saw.
             offset = 0.0 if column[i + 1 if positive[i] else i] == 0.0 else tol
-            # Measures with one signed function (steering2, nonlocality) share a root.
-            rows[key] = shared.setdefault((pair, _SIGNED[measure], lo, hi, offset), len(queries))
-            if rows[key] == len(queries):
-                queries.append((pair, measure, lo, hi, offset))
+            queries.append((pair, measure, lo, hi, offset))
     roots = _bisect_signed(family, queries, root_tol) if queries else []
+    ranges = {
+        key: MeasureRange(kind, threshold=None if query is None else roots[query])
+        for key, (kind, query) in found.items()
+    }
     return {
-        key: MeasureRange(kind, threshold=roots[rows[key]] if key in rows else None)
-        for key, kind in kinds.items()
+        (pair, measure): ranges[pair, "steering2" if measure == "nonlocality" else measure]
+        for pair in PAIRS for measure in MEASURES
     }
 
 

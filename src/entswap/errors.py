@@ -102,18 +102,20 @@ def check_qubits(value, error: type[EntswapError]) -> int:
 
 
 def outside_unit(name: str, value) -> BadParamError:
-    """The error for a ``name`` that is not a number in [0, 1]."""
-    return BadParamError(f"{name} must be in [0, 1], got {value}")
+    """The error for a ``name`` that is not a number in [0, 1], which shows a
+    value that is no number by its ``repr``, so "0.5" does not read as 0.5."""
+    shown = value if isinstance(value, numbers.Number) else repr(value)
+    return BadParamError(f"{name} must be in [0, 1], got {shown}")
 
 
-def check_unit(name: str, value) -> None:
-    """Raise BadParamError unless the scalar ``value`` is in [0, 1] (NaN is
-    not, nor is a value that does not compare as one scalar, such as a str,
-    a list or an array of two); plain Python, as a numpy check costs about
-    100 times as much."""
+def check_unit(name: str, value) -> float:
+    """``value`` as a float, or BadParamError unless it is a scalar in [0, 1]
+    (NaN is not, nor is a value that does not compare as one scalar or
+    convert to a float, such as a str, a list or an array of one or two
+    entries); plain Python, as a numpy check costs about 100 times as much."""
     try:
         if 0.0 <= value <= 1.0:
-            return
+            return float(value)
     except (TypeError, ValueError):
         pass
     raise outside_unit(name, value)

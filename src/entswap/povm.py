@@ -89,12 +89,20 @@ def _residuals(effects) -> tuple[np.ndarray, ...]:
     return finite, herm, low, high, ok, completeness, valid, eigs, vectors
 
 
+def _check_povm(p) -> None:
+    """Raise InvalidPovmError unless ``p`` is a Povm."""
+    if not isinstance(p, Povm):
+        raise InvalidPovmError(f"expected a Povm, got {type(p).__name__}")
+
+
 def validate(p: Povm) -> list[str]:
     """Check the POVM invariants, returning a list of violation messages.
 
     An empty list means the POVM is valid. Each message names the effect
-    index (1-based), the failed check, and the measured residual.
+    index (1-based), the failed check, and the measured residual. An
+    argument that is no Povm raises InvalidPovmError.
     """
+    _check_povm(p)
     finite, herm, low, high, ok, completeness, *_ = _residuals(p.effects)
     out: list[str] = []
     for i in np.flatnonzero(~ok):
@@ -242,8 +250,10 @@ def unit_trace_effect(p: Povm, i: int) -> np.ndarray:
     tr(E_i)/4; where that is below DEGENERATE_PROBABILITY, as for the
     outcomes ``swap.run_swap`` marks degenerate, this raises
     DegenerateEffectError. An effect with a non-finite entry raises
-    InvalidPovmError, with the message ``validate`` gives it.
+    InvalidPovmError, with the message ``validate`` gives it; so does an
+    argument that is no Povm.
     """
+    _check_povm(p)
     i = check_index("effect index", i, len(p.effects))
     effect = p.effects[i - 1]
     if not np.isfinite(effect).all():
@@ -270,8 +280,10 @@ def povm_to_dict(p: Povm) -> dict:
     """Serialize to the JSON schema: entries as [re, im] pairs, row-major.
 
     In the effect's 4-dimensional index, the protocol's qubit 2 is the most
-    significant bit and qubit 3 the least.
+    significant bit and qubit 3 the least. An argument that is no Povm
+    raises InvalidPovmError.
     """
+    _check_povm(p)
     return {
         "label": p.label,
         "effects": [

@@ -6,6 +6,7 @@ from entswap import (
     BadParamError,
     CorrelationReport,
     EntswapError,
+    InvalidPovmError,
     NoBracketError,
     NonMonotoneWarning,
     SweepConfig,
@@ -117,6 +118,29 @@ def test_sweep_config_validation():
 def test_custom_case_needs_a_povm_builder(call):
     with pytest.raises(BadParamError, match=r"^case 'custom' needs a povm_builder$"):
         call()
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (SweepConfig(case="custom", povm_builder=3), r"^povm_builder must be callable, got 3$"),
+    (SweepConfig(case="I", povm_builder=werner_bell_povm), r"^case 'I' takes no povm_builder$"),
+    (SweepConfig(case="II", povm_builder=werner_bell_povm), r"^case 'II' takes no povm_builder$"),
+], ids=["not-callable", "case-I", "case-II"])
+def test_a_povm_builder_is_a_callable_for_case_custom(cfg, message):
+    with pytest.raises(BadParamError, match=message):
+        sweep(cfg)
+
+
+@pytest.mark.parametrize("built, name", [(None, "NoneType"), ([], "list"), (3, "int")])
+def test_a_builder_that_returns_no_povm_is_named(built, name):
+    cfg = SweepConfig(case="custom", lambda_start=0.25, count=3, povm_builder=lambda lam: built)
+    with pytest.raises(InvalidPovmError, match=rf"^lambda=0\.25: builder returned {name}, not a Povm$"):
+        sweep(cfg)
+
+
+@pytest.mark.parametrize("cfg", ["I", None, {"case": "I"}])
+def test_sweep_takes_a_sweep_config(cfg):
+    with pytest.raises(BadParamError, match=rf"^sweep needs a SweepConfig, got {type(cfg).__name__}$"):
+        sweep(cfg)
 
 
 def test_find_threshold_root_is_bracketed():

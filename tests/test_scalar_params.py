@@ -49,11 +49,13 @@ from entswap import (
     run_swap,
     s_of_lambda,
     steering3,
+    sweep,
     trace_norm,
     verify,
     werner_bell_povm,
     werner_state,
 )
+from entswap.povm import validate
 
 GRID = np.linspace(0.0, 1.0, 5)
 STATE = werner_state(0.5, 1)
@@ -132,6 +134,7 @@ CALLS = {
 @example(value=np.float32(0.5))
 @example(value=np.array([0.5, 0.6]))
 @example(value=np.array([1, 2]))
+@example(value=np.array([0.5]))
 @example(value=1.5)
 def test_scalar_parameters_raise_only_entswap_errors(value):
     for name, calls in CALLS.items():
@@ -145,6 +148,15 @@ def test_scalar_parameters_raise_only_entswap_errors(value):
                     pass
                 except Exception as exc:
                     raise AssertionError(f"{name}={value!r}: {exc!r}") from exc
+
+
+@pytest.mark.parametrize("value, shown", [("0.5", "'0.5'"), (np.array([0.5]), "array([0.5])")])
+def test_an_x_that_is_no_number_is_rejected_by_its_repr(value, shown):
+    calls = CALLS["x"] + [lambda v: sweep(SweepConfig(case="II", x=v, count=5))]
+    message = rf"^x must be in \[0, 1\], got {re.escape(shown)}$"
+    for call in calls:
+        with pytest.raises(BadParamError, match=message):
+            call(value)
 
 
 def test_an_index_that_is_no_number_shows_its_repr():
@@ -286,6 +298,11 @@ STRUCTURAL = [
     (lambda: Povm(5), InvalidPovmError, "effects must be a sequence of matrices, got 5"),
     (lambda: Povm(None), InvalidPovmError, "effects must be a sequence of matrices, got None"),
     (lambda: Povm((np.eye(4),), label=5), InvalidPovmError, "'label' must be a string"),
+    (lambda: run_swap(3), InvalidPovmError, "expected a Povm, got int"),
+    (lambda: povm_to_dict(None), InvalidPovmError, "expected a Povm, got NoneType"),
+    (lambda: rho14_spectral(3, 1), InvalidPovmError, "expected a Povm, got int"),
+    (lambda: effect_entanglement("povm", 1), InvalidPovmError, "expected a Povm, got str"),
+    (lambda: validate(None), InvalidPovmError, "expected a Povm, got NoneType"),
     (lambda: DensityMatrix("2", HALF), NotAStateError,
      "qubit count must be an int in 0..62, got '2'"),
     (lambda: DensityMatrix(2.0, HALF), NotAStateError,
