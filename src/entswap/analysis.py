@@ -70,8 +70,9 @@ from .swap import (
     swap_stack,
 )
 
-CASES = ("I", "II", "III", "IV", "custom")
 CASE_PRESETS = {"II": 0.3, "III": 0.725, "IV": 0.8}
+PRESETS = ("I", *CASE_PRESETS)
+CASES = (*PRESETS, "custom")
 MEASURES = ("negativity", "steering2", "steering3", "nonlocality")
 
 # Analytic closed forms must match the numeric pipeline this tightly.
@@ -94,16 +95,14 @@ _CLAMPED = {
 
 
 def _resolve_x(case: str, x: float | None) -> float | None:
-    """The mixing weight of a case, after checking the case: None for case
-    I, which takes no x, a float for a preset case (its preset if x is
-    None), and x as given for case "custom"."""
+    """The mixing weight of a case, after checking the case: None for cases
+    I and "custom", which take no x, and a float for cases II-IV (the
+    preset if x is None)."""
     check_choice("case", case, CASES)
-    if case == "I":
+    if case in ("I", "custom"):
         if x is not None:
-            raise BadParamError("case I has no x parameter")
+            raise BadParamError(f"case {case} has no x parameter")
         return None
-    if case == "custom":
-        return x
     if x is None:
         return CASE_PRESETS[case]
     return check_unit("x", x)
@@ -248,7 +247,7 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
         deviation, lam, outcome, pair, quantity = _worst_deviation(
             lams, probabilities, values, kept, _closed_form_values(family, lams, cfg.tol)
         )
-        if deviation > VERIFY_TOL:
+        if not deviation < VERIFY_TOL:
             raise EntswapError(
                 f"lambda={lam:.12g}: closed form deviates by {deviation:.3e} "
                 f"(outcome {outcome}, pair {pair or '-'}, {quantity})"
@@ -974,7 +973,7 @@ def verify(
     The report passes iff the worst absolute deviation stays below
     VERIFY_TOL.
     """
-    if not isinstance(case, str) or case not in ("I", "II", "III", "IV"):
+    if not isinstance(case, str) or case not in PRESETS:
         raise BadParamError(f"verification needs a preset case, got {case!r}")
     grid = _grid_points(grid)
     family = _family(case, x)

@@ -209,7 +209,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cases = [args.case] if args.case else ["I", "II", "III", "IV"]
+    cases = [args.case] if args.case else analysis.PRESETS
     grid = _unit_grid(args.grid)
     lines = []
     all_passed = True
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, tol_help):
         p.add_argument(
-            "--case", choices=("I", "II", "III", "IV"), required=True,
+            "--case", choices=analysis.PRESETS, required=True,
             help="measurement family preset",
         )
         p.add_argument("--x", type=float, default=None, help="mixing weight override (cases II-IV)")
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="check closed forms against the numeric engine")
-    p_verify.add_argument("--case", choices=("I", "II", "III", "IV"), default=None)
+    p_verify.add_argument("--case", choices=analysis.PRESETS, default=None)
     p_verify.add_argument("--grid", type=int, default=101)
     p_verify.add_argument("--out", default=None)
 

@@ -128,12 +128,7 @@ _BELL_PROJECTORS = np.array([np.outer(bell_state(k), bell_state(k).conj()) for k
 
 def werner_bell_effects(lams) -> np.ndarray:
     """Effects of ``werner_bell_povm`` for every sharpness in ``lams``, shape (n, 4, 4, 4)."""
-    return _werner_bell(check_unit_array("sharpness", lams))
-
-
-def _werner_bell(lams: np.ndarray) -> np.ndarray:
-    """``werner_bell_effects`` of a float array of checked sharpnesses."""
-    lam = lams[:, None, None, None]
+    lam = check_unit_array("sharpness", lams)[:, None, None, None]
     return lam * _BELL_PROJECTORS + (1.0 - lam) / 4.0 * np.eye(4)
 
 
@@ -144,8 +139,7 @@ def werner_bell_povm(lam: float) -> Povm:
     at lam = 1 and trivial at lam = 0. This is the one-point view of
     ``werner_bell_effects``, with lam checked as one number.
     """
-    check_unit("sharpness", lam)
-    effects = _werner_bell(np.array([lam], dtype=float))[0]
+    effects = werner_bell_effects([check_unit("sharpness", lam)])[0]
     return Povm(tuple(effects), label=f"werner-bell(lam={lam:g})")
 
 
@@ -214,11 +208,7 @@ _PRODUCT_PROJECTORS = np.array([np.outer(product_basis(k), product_basis(k)) for
 def asymmetric_effects(x: float, lams) -> np.ndarray:
     """Effects of ``asymmetric_povm(x, lam)`` for every lam in ``lams``, shape (n, 4, 4, 4)."""
     check_unit("x", x)
-    return _asymmetric(x, check_unit_array("sharpness", lams))
-
-
-def _asymmetric(x: float, lam: np.ndarray) -> np.ndarray:
-    """``asymmetric_effects`` of a checked x and a float array of checked sharpnesses."""
+    lam = check_unit_array("sharpness", lams)
     _, _, w1, w2 = _asymmetric_weights(x, lam)
     basis = lambda_basis_rows(lam)
     projectors = basis[..., :, None] * basis[..., None, :]
@@ -238,8 +228,7 @@ def asymmetric_povm(x: float, lam: float) -> Povm:
     ``asymmetric_effects``, with lam checked as one number.
     """
     check_unit("x", x)
-    check_unit("sharpness", lam)
-    effects = _asymmetric(x, np.array([lam], dtype=float))[0]
+    effects = asymmetric_effects(x, [check_unit("sharpness", lam)])[0]
     return Povm(tuple(effects), label=f"asymmetric(x={x:g}, lam={lam:g})")
 
 

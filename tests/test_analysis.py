@@ -130,6 +130,14 @@ def test_a_povm_builder_is_a_callable_for_case_custom(cfg, message):
         sweep(cfg)
 
 
+@pytest.mark.parametrize("x", ["abc", float("nan"), 0.5])
+def test_case_custom_takes_no_x(x):
+    # No builder reads x, so any value would only label the records.
+    cfg = SweepConfig(case="custom", x=x, povm_builder=werner_bell_povm, count=2)
+    with pytest.raises(BadParamError, match=r"^case custom has no x parameter$"):
+        sweep(cfg)
+
+
 @pytest.mark.parametrize("built, name", [(None, "NoneType"), ([], "list"), (3, "int")])
 def test_a_builder_that_returns_no_povm_is_named(built, name):
     cfg = SweepConfig(case="custom", lambda_start=0.25, count=3, povm_builder=lambda lam: built)
@@ -417,6 +425,22 @@ def test_verify_checks_the_batched_quantities(monkeypatch):
     assert abs(rep.max_deviation - 1e-6) < 1e-12
     with pytest.raises(
         EntswapError, match=r"^lambda=0\.5: closed form deviates by 1\.000e-06 \(outcome 2, pair 34, M\)"
+    ):
+        sweep(SweepConfig(case="II", count=5, pipeline="both"))
+
+
+def test_verify_and_sweep_fail_a_nan_deviation(monkeypatch):
+    real = analysis.measures.report_stack
+
+    def poisoned(states, tol):
+        values, ok = real(states, tol)
+        values[2 * 4 + 1, 2, 4] = np.nan  # lambda = 0.5, outcome 2, pair 34, M
+        return values, ok
+
+    monkeypatch.setattr(analysis.measures, "report_stack", poisoned)
+    assert not verify("II", grid=np.linspace(0.0, 1.0, 5)).passed
+    with pytest.raises(
+        EntswapError, match=r"^lambda=0\.5: closed form deviates by nan \(outcome 2, pair 34, M\)"
     ):
         sweep(SweepConfig(case="II", count=5, pipeline="both"))
 

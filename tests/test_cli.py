@@ -326,6 +326,17 @@ def test_verify_all_cases_pass(capsys):
     assert "FAIL" not in out
 
 
+def test_the_preset_cases_are_one_list(capsys):
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for command in ("sweep", "thresholds", "verify"):
+        (case,) = [a for a in commands[command]._actions if a.dest == "case"]
+        assert tuple(case.choices) == analysis.PRESETS
+    code, out, _ = run_cli(capsys, "verify", "--grid", "2")
+    assert code == 0
+    assert tuple(line.split()[1].rstrip(":") for line in out.splitlines()) == analysis.PRESETS
+    assert CASES == (*analysis.PRESETS, "custom")
+
+
 def test_verify_detects_injected_fault(monkeypatch, capsys):
     real = analysis.case1_closed_forms
 
