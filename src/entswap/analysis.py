@@ -14,14 +14,18 @@ through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
 call as its docstring says). The first root estimate comes from the
 family's closed forms (``_predicted_root``), and its path shares one engine
 call with the monotonicity probes. The closed forms only choose the points:
-every value a step reads is the engine's.
+every value a step reads is the engine's. A family's closed forms are the
+plain-float core ``swap._closed_form_core`` at its x, which the root
+prediction and ``_closed_form_values`` (``verify``, analytic sweeps) read
+with no object built per lambda.
 ``_outcome_values`` gives the quantifiers of all outcomes of one
 ``run_swap`` call (``entswap analyze``) from one ``measures.report_stack``
 call. ``sweep`` turns the stacked values into ``SweepRecord`` rows in bulk,
 column by column. The scalar 16-dimensional pipeline, ``run_swap`` plus
 ``measures``, stays the oracle: it re-checks the last point of every grid
 scan, the first root of every bisection, and one pair state of every
-``_outcome_values`` call. Every engine point of a bisection is also checked
+``_outcome_values`` call. Every engine point of a bisection, and every
+outcome of ``_outcome_values`` against its POVM's effects, is also checked
 against the exact identities of the swap (``_check_identities``), which
 need no second pipeline.
 """
@@ -64,8 +68,8 @@ from .swap import (
     DEGENERATE_PROBABILITY,
     PAIRS,
     SwapOutcome,
-    case1_closed_forms,
-    case2_closed_forms,
+    _closed_form_core,
+    _eigenvalue_sums,
     run_swap,
     swap_stack,
 )
@@ -111,12 +115,13 @@ def _resolve_x(case: str, x: float | None) -> float | None:
 class _Family(NamedTuple):
     """A case's measurement family: its resolved x, its POVM at one lambda, its
     effects on a lambda grid, shape (n, k, 4, 4), not yet validated, and its
-    closed forms at one lambda (None for case "custom")."""
+    closed forms at one lambda, each pair's signed negativity and T^T T
+    triple from ``swap._closed_form_core`` (None for case "custom")."""
 
     x: float | None
     povm: Callable[[float], Povm]
     effects: Callable[[np.ndarray], np.ndarray]
-    closed_forms: Callable[[float], object] | None
+    closed_forms: Callable[[float], tuple] | None
 
 
 def _family(case: str, x: float | None, povm_builder=None) -> _Family:
@@ -131,12 +136,10 @@ def _family(case: str, x: float | None, povm_builder=None) -> _Family:
         return _Family(x, povm_builder, partial(_built_effects, povm_builder), None)
     if povm_builder is not None:
         raise BadParamError(f"case {case!r} takes no povm_builder")
+    closed_forms = partial(_closed_form_core, x)
     if case == "I":
-        return _Family(x, werner_bell_povm, werner_bell_effects, case1_closed_forms)
-    return _Family(
-        x, partial(asymmetric_povm, x), partial(asymmetric_effects, x),
-        partial(case2_closed_forms, x),
-    )
+        return _Family(x, werner_bell_povm, werner_bell_effects, closed_forms)
+    return _Family(x, partial(asymmetric_povm, x), partial(asymmetric_effects, x), closed_forms)
 
 
 def _check_grid_size(count: int) -> None:
@@ -351,31 +354,51 @@ def _report_values(states, kept, tol: float, where=lambda *index: nullcontext())
     return values
 
 
-def _outcome_values(outcomes: list[SwapOutcome], tol: float) -> np.ndarray:
-    """The QUANTITIES columns of every pair state of ``run_swap`` outcomes.
+def _outcome_values(p: Povm, outcomes: list[SwapOutcome], tol: float) -> np.ndarray:
+    """The QUANTITIES columns of every pair state of the outcomes of ``run_swap(p)``.
 
     Returns shape (k, 3, 6), pairs in PAIRS order, zero for degenerate
-    outcomes, from ``_report_values`` on the stacked states, whose (1,4)
-    state of the first non-degenerate outcome ``_check_outcome`` checks.
+    outcomes, from ``_report_values`` on the stacked states. The states must
+    meet the exact identities of the swap against the effects of ``p``
+    (``_check_identities``), and the (1,4) state of the first non-degenerate
+    outcome ``_check_outcome``'s scalar check.
     """
     kept = np.array([not o.degenerate for o in outcomes])
     states = np.zeros((len(outcomes), len(PAIRS), 4, 4), dtype=complex)
     states[kept] = [
         [o.pair_state(pair).matrix for pair in PAIRS] for o in outcomes if not o.degenerate
     ]
+    probabilities = np.array([o.probability for o in outcomes])
+    _check_identities(None, np.array(p.effects)[None], probabilities[None], states[None])
     values = _report_values(states, kept, tol)
     _check_outcome(outcomes, values, tol, pairs=("14",))
     return values
 
 
 def _closed_form_values(family: _Family, lams: np.ndarray, tol: float) -> np.ndarray:
-    """The QUANTITIES columns of every pair from the closed forms, shape (n, 3, 6)."""
-    rows = []
-    for lam in lams.tolist():
-        with _at_lambda(lam):
-            forms = family.closed_forms(lam)
-            rows.append([list(forms.report(pair, tol).values().values()) for pair in PAIRS])
-    return np.array(rows)
+    """The QUANTITIES columns of every pair from the closed forms, shape (n, 3, 6).
+
+    One ``family.closed_forms`` call per lambda gives each pair's signed
+    negativity and T^T T triple; ``measures._report_columns``, the stacked
+    rule of ``report_stack``, clamps them, so each row is the
+    ``values()`` of the closed forms' ``report(pair, tol)``. At the first
+    (lambda, pair) that breaks the hierarchy, ``CorrelationReport`` raises
+    the error ``report`` raises, prefixed with lambda.
+    """
+    core = np.array([
+        [(negativity, *t) for negativity, t in family.closed_forms(lam)] for lam in lams.tolist()
+    ])
+    negativity, t = core[..., 0], np.sort(core[..., 1:])  # t ascending
+    m_value = t[..., 2] + t[..., 1]
+    lambda3 = m_value + t[..., 0]
+    n, s3 = measures.nonlocality_from_pair_sum(m_value), measures.steering3_from_total(lambda3)
+    values, ordered = measures._report_columns(negativity, n, s3, m_value, lambda3, tol)
+    for i, p in np.argwhere(~ordered)[:1].tolist():
+        with _at_lambda(float(lams[i])):
+            measures.CorrelationReport.from_quantities(
+                negativity[i, p], m_value[i, p], lambda3[i, p], tol
+            )
+    return values
 
 
 def _worst_deviation(lams, probabilities, values, kept, expected):
@@ -468,12 +491,13 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> np.ndarray:
     Each call to f evaluates, for every open bracket, the path its steps
     take if the root is at an estimate r, one midpoint per step, down to
     the step where that rule stops or the steps run out (see
-    ``_Bracket.path``). ``rows`` repeats each bracket's index once per
-    point. Each bracket then gets its call's values as a map from point to
-    value and takes the rule's steps while the next midpoint a + dm/2 is a
-    key, so its walk ends for the call at the first step whose sign differs
-    from the prediction. A call thus takes at least one step per open
-    bracket, and all of them when r is close enough. Every value a walk
+    ``_Bracket.path``). ``x`` and ``rows`` are lists, and ``rows`` repeats
+    each bracket's index once per point. Each bracket then gets its call's
+    values as a map from point to value and takes the rule's steps while
+    the next midpoint a + dm/2 is a key, so its walk ends for the call at
+    the first step whose sign differs from the prediction. A call thus
+    takes at least one step per open bracket, and all of them when r is
+    close enough. Every value a walk
     reads is f at the very midpoint the step takes, and points it does not
     reach are discarded, so the roots are those of one step per call. r is
     ``guess`` (one per bracket, NaN for none) at first, or else regula
@@ -495,14 +519,15 @@ def bisect(f, a, b, fa, fb, xtol: float, guess) -> np.ndarray:
         raise NoBracketError(f"f has the same sign at {float(a[i])!r} and {float(b[i])!r}")
     guesses = np.broadcast_to(np.asarray(guess, dtype=float), a.shape).tolist()
     brackets = [
-        _Bracket(int(i), *map(float, (a[i], b[i], fa[i], fb[i])), guesses[i])
-        for i in np.flatnonzero((fa != 0) & (fb != 0))
+        _Bracket(i, *ends)
+        for i, ends in enumerate(zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist(), guesses))
+        if ends[2] != 0 and ends[3] != 0
     ]
     root = np.where(fa == 0, a, b)
     while walks := [w for w in brackets if w.root is None and w.steps < _MAXITER]:
         points = [w.path(xtol) for w in walks]
-        rows = np.repeat([w.index for w in walks], [len(x) for x in points])
-        values = iter(np.asarray(f(np.concatenate(points), rows), dtype=float).tolist())
+        rows = [w.index for w, x in zip(walks, points) for _ in x]
+        values = iter(np.asarray(f([v for x in points for v in x], rows), dtype=float).tolist())
         for w, x in zip(walks, points):
             # zip takes len(x) values, the bracket's own, and no more.
             w.walk(dict(zip(x, values)), xtol)
@@ -595,15 +620,20 @@ _IDENTITIES = (
 
 def _check_identities(lams, effects, probabilities, states) -> None:
     """Raise unless every non-degenerate outcome of ``swap_stack(effects)``,
-    effects of shape (n, k, 4, 4) at the n lambdas ``lams``, meets the exact
-    identities of the swap within VERIFY_TOL.
+    effects of shape (n, k, 4, 4) at the n lambdas ``lams`` (None for one
+    POVM that has no lambda), meets the exact identities of the swap within
+    VERIFY_TOL.
 
     Both pairs start maximally entangled, so effect E has probability
     tr(E)/4 and (1,4) state conj(E)/tr(E), as ``rho14_spectral`` computes,
     and the three pair states are marginals of one four-qubit state: the
     (1,2) and (1,4) states share the state of qubit 1, the (3,4) and (1,4)
-    states that of qubit 4. The error names the first failing outcome, in
-    row order, by lambda and index, then the identity and its deviation.
+    states that of qubit 4. The state identities are weighted by tr(E):
+    ``validate`` lets an eigenvalue of E reach -POVM_ATOL and the swap's root
+    clamps it to 0, so the states of an outcome of small tr(E) may deviate
+    by about POVM_ATOL / tr(E); the effects of the built-in families have
+    trace 1. The error names the first failing outcome, in row order, by
+    lambda (if any) and index, then the identity and its deviation.
     """
     kept = probabilities >= DEGENERATE_PROBABILITY
     effects, states = effects[kept], states[kept]
@@ -611,11 +641,11 @@ def _check_identities(lams, effects, probabilities, states) -> None:
     rho14 = states[:, 0]
     # The (1,2) and (3,4) states less the (1,4) state; qubit 1 is the first
     # qubit of (1,2) and (1,4), qubit 4 the second of (3,4) and (1,4).
-    d = states[:, 1:] - rho14[:, None]
+    d = (states[:, 1:] - rho14[:, None]) * trace[:, None, None, None]
     m = len(trace)
     residuals = np.abs(np.concatenate([
         (probabilities[kept] - trace / 4)[:, None],
-        (rho14 - effects.conj() / trace[:, None, None]).reshape(m, 16),
+        (trace[:, None, None] * rho14 - effects.conj()).reshape(m, 16),
         (d[:, 0, ::2, ::2] + d[:, 0, 1::2, 1::2]).reshape(m, 4),
         (d[:, 1, :2, :2] + d[:, 1, 2:, 2:]).reshape(m, 4),
     ], axis=1))
@@ -625,9 +655,9 @@ def _check_identities(lams, effects, probabilities, states) -> None:
     deviations = np.maximum.reduceat(residuals, [0, 1, 17, 21], axis=1)
     row, identity = np.argwhere(~(deviations <= VERIFY_TOL))[0]
     i, j = np.argwhere(kept)[row]
+    where = "" if lams is None else f"lambda={float(lams[i]):.12g}: "
     raise EntswapError(
-        f"lambda={float(lams[i]):.12g}: outcome {j + 1}: {_IDENTITIES[identity]} "
-        f"by {deviations[row, identity]:.3e}"
+        f"{where}outcome {j + 1}: {_IDENTITIES[identity]} by {deviations[row, identity]:.3e}"
     )
 
 
@@ -670,53 +700,55 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
     and at the first query's root the scalar pipeline must give the
     engine's signed value within VERIFY_TOL: one ``run_swap`` per call.
     """
-    pairs = np.array([PAIRS.index(q[0]) for q in queries])
-    columns = np.array([MEASURES.index(q[1]) for q in queries])
-    lo, hi, offsets = (np.array([q[k] for q in queries], dtype=float) for k in (2, 3, 4))
+    pairs = [PAIRS.index(q[0]) for q in queries]
+    columns = [MEASURES.index(q[1]) for q in queries]
 
     # Every (query, lambda) reaches the engine once: f evaluates only the
     # points it has not seen and reads the others back.
     known: dict[tuple[int, float], float] = {}
 
     def f(lams, rows):
-        keys = list(zip(rows.tolist(), lams.tolist()))
+        keys = list(zip(rows, lams))
         new = list(dict.fromkeys(key for key in keys if key not in known))
         if new:
-            at, points = (np.array(v) for v in zip(*new))
-            values = _signed_values(family, points, pairs[at], columns[at]) - offsets[at]
-            known.update(zip(new, values.tolist()))
+            at, points = zip(*new)
+            values = _signed_values(
+                family, np.array(points), [pairs[i] for i in at], [columns[i] for i in at]
+            )
+            known.update(zip(new, [v - queries[i][4] for v, i in zip(values.tolist(), at)]))
         return [known[key] for key in keys]
 
     # One engine call holds the probes of every bracket and the path its
     # steps take if the root is at the closed-form guess, so the first call
     # of bisect reads its path back; a guess that misses costs another call.
     n = len(queries)
-    probes = [_probes(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    lo, hi = [q[2] for q in queries], [q[3] for q in queries]
     guess = [_predicted_root(family.closed_forms, query) for query in queries]
-    paths = [
-        _Bracket(i, a, b, np.nan, np.nan, r).path(tol) if r == r else []
-        for i, (a, b, r) in enumerate(zip(lo.tolist(), hi.tolist(), guess))
+    calls = [_probes(a, b) for a, b in zip(lo, hi)] + [
+        _Bracket(i, a, b, math.nan, math.nan, r).path(tol) if r == r else []
+        for i, (a, b, r) in enumerate(zip(lo, hi, guess))
     ]
-    rows = np.repeat(np.tile(np.arange(n), 2), [*map(len, probes), *map(len, paths)])
-    values = f(np.concatenate([*probes, *paths]), rows)[: n * len(probes[0])]
-    values = np.array(values).reshape(n, -1)
-    for (pair, measure, _, _, offset), (f_lo, f_hi) in zip(queries, values[:, [0, -1]]):
-        if (f_lo > 0.0) == (f_hi > 0.0):
+    values = f([x for points in calls for x in points],
+               [i % n for i, points in enumerate(calls) for _ in points])
+    width = len(calls[0])  # the probes of one bracket
+    values = [values[i * width:(i + 1) * width] for i in range(n)]
+    for (pair, measure, _, _, offset), v in zip(queries, values):
+        if (v[0] > 0.0) == (v[-1] > 0.0):
             raise NoBracketError(
                 f"{measure} of pair {pair} classifies identically at both ends "
-                f"({f_lo + offset:.3e} and {f_hi + offset:.3e})"
+                f"({v[0] + offset:.3e} and {v[-1] + offset:.3e})"
             )
-    steps = np.diff(values, axis=-1)
-    monotone = np.all(steps >= -1e-12, axis=-1) | np.all(steps <= 1e-12, axis=-1)
-    for (pair, measure, a, b, _), ok in zip(queries, monotone):
-        if not ok:
+    for (pair, measure, a, b, _), v in zip(queries, values):
+        steps = [right - left for left, right in zip(v, v[1:])]
+        if not (all(d >= -1e-12 for d in steps) or all(d <= 1e-12 for d in steps)):
             warnings.warn(
                 f"{measure} of pair {pair} is not monotone on [{a:g}, {b:g}]",
                 NonMonotoneWarning,
                 stacklevel=3,
             )
 
-    roots = bisect(f, lo, hi, values[:, 0], values[:, -1], tol, guess).tolist()
+    roots = bisect(f, lo, hi, [v[0] for v in values], [v[-1] for v in values], tol, guess)
+    roots = roots.tolist()
     pair, measure, _, _, offset = queries[0]
     lam = roots[0]
     with _at_lambda(lam):
@@ -730,12 +762,12 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
 _PREDICT_STEPS = 100
 
 
-def _closed_signed(forms, pair: str, measure: str) -> float:
-    """The signed measure of a pair from a family's closed forms at one
-    lambda: the value ``_SIGNED[measure]`` gives on the pair state."""
-    negativity, m_value, lambda3 = forms.quantities(pair)
+def _closed_signed(measure: str, negativity: float, t: tuple) -> float:
+    """The signed measure of a pair from its closed-form signed negativity
+    and T^T T triple t: the value ``_SIGNED[measure]`` gives on the pair state."""
     if measure == "negativity":
         return negativity
+    m_value, lambda3 = _eigenvalue_sums(t)
     if measure == "steering3":
         return float(measures.steering3_from_total(lambda3))
     return float(measures.nonlocality_from_pair_sum(m_value))
@@ -743,7 +775,8 @@ def _closed_signed(forms, pair: str, measure: str) -> float:
 
 def _predicted_root(closed_forms, query: tuple) -> float:
     """Where the signed measure of a query (pair, measure, lo, hi, offset)
-    crosses its offset in [lo, hi] on the family's ``closed_forms(lam)``.
+    crosses its offset in [lo, hi] on the family's ``closed_forms(lam)``
+    (see ``_Family``), which builds no object per step.
 
     Regula falsi with the Illinois rule (the value at an end kept twice in a
     row is halved), each point kept strictly inside the bracket, else its
@@ -753,7 +786,8 @@ def _predicted_root(closed_forms, query: tuple) -> float:
     value that is not finite.
     """
     pair, measure, a, b, offset = query
-    g = lambda lam: _closed_signed(closed_forms(lam), pair, measure) - offset
+    p = PAIRS.index(pair)
+    g = lambda lam: _closed_signed(measure, *closed_forms(lam)[p]) - offset
     fa, fb = g(a), g(b)
     if not (math.isfinite(fa) and math.isfinite(fb)) or (fa > 0.0) == (fb > 0.0):
         return float("nan")

@@ -202,7 +202,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for problem in exc.problems:
             print(f"  {problem}", file=sys.stderr)
         return 3
-    values = analysis._outcome_values(outcomes, args.tol)
+    values = analysis._outcome_values(p, outcomes, args.tol)
     render = _analyze_csv if args.format == "csv" else _analyze_text
     _emit(render(p, outcomes, values, args.tol), args.out)
     return 0

@@ -17,6 +17,9 @@ should bisect on. Each is computed once, on a (..., 4, 4) stack, by
 formulas: ``correlation_spectrum`` and ``negativity_signed`` are their
 one-point views, and ``_signed_stack`` (``report_stack``, the bisection of
 ``analysis``) reads them on a whole stack, one eigensolver call per spectrum.
+``_report_columns`` is the clamping and hierarchy rule of ``report`` on
+stacked values, read by ``report_stack`` and by the closed-form grid of
+``analysis``.
 """
 
 from __future__ import annotations
@@ -238,8 +241,18 @@ def report_stack(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     that is not ok raises the error or gives its values.
     """
     check_tolerance(tol)
-    neg, n, s3, m_value, lambda3, ok = _signed_stack(states)
+    *signed, ok = _signed_stack(states)
+    values, ordered = _report_columns(*signed, tol)
+    return values, ok & ordered
+
+
+def _report_columns(neg, n, s3, m_value, lambda3, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``CorrelationReport.values()``, shape (..., 6), from
+    the signed negativity, N and S3 and the sums M and Lambda3, each of shape
+    (...), and the mask of the values that keep the hierarchy nonlocal =>
+    steerable => entangled at ``tol``, where ``CorrelationReport`` raises:
+    the clamping and hierarchy rule of ``from_quantities``, elementwise."""
     neg, n, s3 = _clamped(neg), _clamped(n), _clamped(s3)
     entangled, steerable, nonlocal_ = neg > tol, s3 > tol, n > tol
-    ok &= ~((nonlocal_ & ~steerable) | (steerable & ~entangled))
-    return np.stack([neg, n, s3, n, m_value, lambda3], axis=-1), ok
+    ordered = ~((nonlocal_ & ~steerable) | (steerable & ~entangled))
+    return np.stack([neg, n, s3, n, m_value, lambda3], axis=-1), ordered

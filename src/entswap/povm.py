@@ -152,6 +152,25 @@ def _asymmetric_weights(x, lam):
     return y1, y2, w1, w2
 
 
+# The derived fields of ``AsymmetricPovmParams``, as ``_asymmetric_parameters`` orders them.
+_PARAMETERS = ("y1", "y2", "w1", "w2", "a", "b", "e", "f", "g", "h", "q", "r")
+
+
+def _asymmetric_parameters(x: float, lam: float) -> tuple[float, ...]:
+    """The _PARAMETERS of the asymmetric family at one (x, lam) in [0, 1], as
+    Python floats: ``_asymmetric_weights`` and ``lambda_amplitudes`` once
+    each, ``math.sqrt`` for the rest."""
+    y1, y2, w1, w2 = map(float, _asymmetric_weights(x, lam))
+    a, b = map(float, lambda_amplitudes(lam))
+    root_w1, root_x = math.sqrt(w1), math.sqrt(x)
+    e = math.sqrt(w2)
+    f = a * a * root_w1 + b * b * root_x
+    g = b * b * root_w1 + a * a * root_x
+    h = a * b * (root_w1 - root_x)
+    q = a * b * (y1 * (1.0 - 2.0 * x) - x * y2) / (y1 + y2)
+    return y1, y2, w1, w2, a, b, e, f, g, h, q, w2
+
+
 @dataclass(frozen=True)
 class AsymmetricPovmParams:
     """Derived quantities of the asymmetric family at a given (x, lam).
@@ -160,7 +179,8 @@ class AsymmetricPovmParams:
     w2 = y2(1-x)/(y1+y2); a, b are the amplitudes of the lam-basis; e, f, g,
     h parameterize the conditional states on pairs (1,2) and (3,4); q, r
     parameterize the pair (1,4) negativity. The combination
-    e^2 + f^2 + g^2 + 2 h^2 is identically 1.
+    e^2 + f^2 + g^2 + 2 h^2 is identically 1. The fields come from
+    ``_asymmetric_parameters``, which the closed forms of ``swap`` read too.
     """
 
     x: float
@@ -179,23 +199,9 @@ class AsymmetricPovmParams:
     r: float = field(init=False)
 
     def __post_init__(self) -> None:
-        x, lam = self.x, self.lam
-        check_unit("x", x)
-        check_unit("sharpness", lam)
-        y1, y2, w1, w2 = _asymmetric_weights(x, lam)
-        a, b = lambda_amplitudes(lam)
-        root_w1, root_x = np.sqrt(w1), np.sqrt(x)
-        e = np.sqrt(w2)
-        f = a * a * root_w1 + b * b * root_x
-        g = b * b * root_w1 + a * a * root_x
-        h = a * b * (root_w1 - root_x)
-        q = a * b * (y1 * (1.0 - 2.0 * x) - x * y2) / (y1 + y2)
-        r = w2
+        x, lam = check_unit("x", self.x), check_unit("sharpness", self.lam)
         # The fields at once, where the frozen class takes one __setattr__ each.
-        vars(self).update(zip(
-            ("y1", "y2", "w1", "w2", "a", "b", "e", "f", "g", "h", "q", "r"),
-            map(float, (y1, y2, w1, w2, a, b, e, f, g, h, q, r)),
-        ))
+        vars(self).update(zip(_PARAMETERS, _asymmetric_parameters(x, lam)))
 
 
 # Effect j mixes lam-basis member _MAIN[j] (weight x), its partner _PARTNER[j]

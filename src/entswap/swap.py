@@ -12,11 +12,15 @@ does not use it, so each checks the other.
 
 The module also carries the closed forms for the two built-in measurement
 families. They are exact and serve as independent oracles for the full
-16-dimensional pipeline.
+16-dimensional pipeline. ``_closed_form_core`` computes them at one (x,
+lambda) in Python floats, with ``povm._asymmetric_parameters``; the public
+``case1_closed_forms`` and ``case2_closed_forms`` wrap it in their objects,
+and ``analysis`` reads it directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +29,8 @@ from .errors import DegenerateEffectError, InvalidPovmError, check_choice, check
 from .linalg import _root, freeze, partial_trace, psd_sqrt
 from .measures import CorrelationReport, _clamped_quantifiers
 from .povm import (
-    DEGENERATE_PROBABILITY, AsymmetricPovmParams, Povm, _residuals, unit_trace_effect, validate,
+    _PARAMETERS, DEGENERATE_PROBABILITY, AsymmetricPovmParams, Povm, _asymmetric_parameters,
+    _residuals, unit_trace_effect, validate,
 )
 from .states import DensityMatrix, check_density_matrix, initial_four_qubit
 
@@ -152,6 +157,11 @@ def rho14_spectral(p: Povm, i: int) -> DensityMatrix:
     return DensityMatrix(2, unit_trace_effect(p, i).conj())
 
 
+def _strength(lam: float) -> float:
+    """s(lam) of ``s_of_lambda`` at a checked lam, as a Python float."""
+    return 0.5 * (1.0 - lam + math.sqrt((1.0 - lam) * (1.0 + 3.0 * lam)))
+
+
 def s_of_lambda(lam: float) -> float:
     """Residual correlation strength of the pairs (1,2) and (3,4).
 
@@ -160,8 +170,7 @@ def s_of_lambda(lam: float) -> float:
     s = (1 - lam + sqrt((1 - lam)(1 + 3 lam)))/2, which falls from 1 at
     lam = 0 to 0 at lam = 1.
     """
-    check_unit("sharpness", lam)
-    return 0.5 * (1.0 - lam + np.sqrt((1.0 - lam) * (1.0 + 3.0 * lam)))
+    return np.float64(_strength(check_unit("sharpness", lam)))
 
 
 def _eigenvalue_sums(t) -> tuple[float, float]:
@@ -170,9 +179,40 @@ def _eigenvalue_sums(t) -> tuple[float, float]:
     return t[0] + t[1], t[0] + t[1] + t[2]
 
 
-def _werner_quantities(w: float) -> tuple[float, float, float]:
+# One pair's closed forms: its signed negativity and T^T T eigenvalue triple.
+_PairForms = tuple[float, tuple[float, float, float]]
+
+
+def _werner(w: float) -> _PairForms:
     # Strength w: signed negativity (3w - 1)/2, and T^T T has the triple (w^2, w^2, w^2).
-    return ((3.0 * w - 1.0) / 2.0, *_eigenvalue_sums((w * w,) * 3))
+    return (3.0 * w - 1.0) / 2.0, (w * w,) * 3
+
+
+def _asymmetric_pairs(x: float, parameters) -> tuple[_PairForms, ...]:
+    """Each pair's signed negativity and T^T T triple, in PAIRS order, from
+    the ``povm._PARAMETERS`` of the asymmetric family at x."""
+    y1, y2, _, _, a, b, e, f, g, h, q, r = parameters
+    t14_pair = (2.0 * a * b * (y2 * x + y1 * (2.0 * x - 1.0)) / (y1 + y2)) ** 2
+    t14_last = ((y1 + y2 * (2.0 * x - 1.0)) / (y1 + y2)) ** 2
+    t_shared = (e * e + f * f + g * g - 2.0 * h * h) ** 2
+    t12_pair, t34_pair = 4.0 * e * e * f * f, 4.0 * e * e * g * g
+    return (
+        (math.sqrt(4.0 * q * q + r * r) - r, (t14_pair, t14_pair, t14_last)),
+        (2.0 * (e * f - h * h), (t12_pair, t12_pair, t_shared)),
+        (2.0 * (e * g - h * h), (t34_pair, t34_pair, t_shared)),
+    )
+
+
+def _closed_form_core(x: float | None, lam: float) -> tuple[_PairForms, ...]:
+    """The closed forms at one (x, lam) in [0, 1], not checked: each pair's
+    signed negativity and T^T T eigenvalue triple, in PAIRS order, as Python
+    floats. x None is the Bell-projector family, any other x the asymmetric
+    family at x. The public closed forms, the bisection's root prediction and
+    ``analysis._closed_form_values`` all read it."""
+    if x is None:
+        s = _werner(_strength(lam))
+        return _werner(lam), s, s
+    return _asymmetric_pairs(x, _asymmetric_parameters(x, lam))
 
 
 @dataclass(frozen=True)
@@ -208,7 +248,8 @@ class Case1ClosedForms:
     def quantities(self, pair: str) -> tuple[float, float, float]:
         """The signed negativity, M and Lambda3 of a pair state."""
         check_choice("pair", pair, PAIRS)
-        return _werner_quantities(self.lam if pair == "14" else self.s)
+        negativity, t = _werner(self.lam if pair == "14" else self.s)
+        return (negativity, *_eigenvalue_sums(t))
 
     def report(self, pair: str, tol: float = 1e-9) -> CorrelationReport:
         return CorrelationReport.from_quantities(*self.quantities(pair), tol=tol)
@@ -217,9 +258,10 @@ class Case1ClosedForms:
 def case1_closed_forms(lam: float) -> Case1ClosedForms:
     """All six closed-form measures of the Bell-projector family."""
     s = s_of_lambda(lam)
-    neg14, n14, s3_14 = _clamped_quantifiers(*_werner_quantities(lam))
-    neg12, n12, s3_12 = _clamped_quantifiers(*_werner_quantities(s))
-    return Case1ClosedForms(lam, s, neg14, s3_14, n14, neg12, s3_12, n12)
+    (n14, t14), (n12, t12), _ = _closed_form_core(None, float(lam))
+    neg14, nl14, s3_14 = _clamped_quantifiers(n14, *_eigenvalue_sums(t14))
+    neg12, nl12, s3_12 = _clamped_quantifiers(n12, *_eigenvalue_sums(t12))
+    return Case1ClosedForms(lam, s, neg14, s3_14, nl14, neg12, s3_12, nl12)
 
 
 @dataclass(frozen=True)
@@ -253,18 +295,8 @@ class Case2ClosedForms:
 def case2_closed_forms(x: float, lam: float) -> Case2ClosedForms:
     """Closed-form negativities and T^T T eigenvalue triples, all pairs."""
     p = AsymmetricPovmParams(x, lam)
-    e, f, g, h = p.e, p.f, p.g, p.h
-    t14_pair = (2.0 * p.a * p.b * (p.y2 * x + p.y1 * (2.0 * x - 1.0)) / (p.y1 + p.y2)) ** 2
-    t14_last = ((p.y1 + p.y2 * (2.0 * x - 1.0)) / (p.y1 + p.y2)) ** 2
-    t_shared = (e * e + f * f + g * g - 2.0 * h * h) ** 2
-    return Case2ClosedForms(
-        x=x,
-        lam=lam,
-        params=p,
-        negativity_14=np.sqrt(4.0 * p.q * p.q + p.r * p.r) - p.r,
-        negativity_12=2.0 * (e * f - h * h),
-        negativity_34=2.0 * (e * g - h * h),
-        t_14=(t14_pair, t14_pair, t14_last),
-        t_12=(4.0 * e * e * f * f, 4.0 * e * e * f * f, t_shared),
-        t_34=(4.0 * e * e * g * g, 4.0 * e * e * g * g, t_shared),
+    (n14, t14), (n12, t12), (n34, t34) = _asymmetric_pairs(
+        float(x), [getattr(p, name) for name in _PARAMETERS]
     )
+    # negativity_14 is a numpy float, and s_of_lambda's s too: public types.
+    return Case2ClosedForms(x, lam, p, np.float64(n14), n12, n34, t14, t12, t34)

@@ -4,7 +4,6 @@ from scipy.optimize import bisect, minimize_scalar
 
 from entswap import (
     BadParamError,
-    CorrelationReport,
     EntswapError,
     InvalidPovmError,
     NoBracketError,
@@ -353,21 +352,13 @@ def test_verify_passes_all_cases_small_grid():
 
 
 def test_verify_locates_injected_fault(monkeypatch):
-    real = analysis.case1_closed_forms
+    real = analysis._closed_form_core
 
-    class Corrupted:
-        def __init__(self, lam):
-            self._forms = real(lam)
+    def corrupted(x, lam):
+        (negativity, t), *others = real(x, lam)
+        return ((negativity + 1e-6, t), *others) if x is None else real(x, lam)
 
-        def report(self, pair, tol=1e-9):
-            rep = self._forms.report(pair, tol)
-            if pair == "14":
-                return CorrelationReport.from_quantities(
-                    rep.negativity + 1e-6, rep.M, rep.Lambda3, tol
-                )
-            return rep
-
-    monkeypatch.setattr(analysis, "case1_closed_forms", Corrupted)
+    monkeypatch.setattr(analysis, "_closed_form_core", corrupted)
     rep = verify("I", grid=np.linspace(0.0, 1.0, 5))
     assert not rep.passed
     assert rep.worst_pair == "14"

@@ -2,6 +2,7 @@
 pipeline, ``run_swap`` plus one ``report`` per pair state."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -161,7 +162,46 @@ def test_states_failing_the_stacked_checks_go_to_scalar_report():
         outcomes[1].rho34,
     )
     with pytest.raises(NotAStateError, match=r"^not Hermitian"):
-        analysis._outcome_values(outcomes, 1e-9)
+        analysis._outcome_values(p, outcomes, 1e-9)
+
+
+def mixed_into_noise(state: DensityMatrix) -> DensityMatrix:
+    """A valid state 1e-6 of the way from ``state`` to white noise."""
+    return DensityMatrix(2, (1 - 1e-6) * state.matrix + 1e-6 * I4 / 4)
+
+
+@pytest.mark.parametrize("pair, identity", [
+    ("14", r"\(1,4\) state deviates from conj\(E\)/tr\(E\)"),
+    ("12", r"qubit-1 marginal of \(1,2\) deviates from that of \(1,4\)"),
+])
+def test_analyze_checks_the_outcomes_against_the_effects(pair, identity):
+    # Case III at lambda 0.9: its pair states have marginals other than I/2,
+    # so the noise moves the (1,2) marginal, yet each state stays valid and
+    # keeps report's hierarchy.
+    p = asymmetric_povm(0.725, 0.9)
+    outcomes = run_swap(p)
+    analysis._outcome_values(p, outcomes, 1e-9)
+    outcomes[2] = dataclasses.replace(
+        outcomes[2], **{f"rho{pair}": mixed_into_noise(outcomes[2].pair_state(pair))}
+    )
+    pattern = rf"^outcome 3: {identity} by \d\.\d{{3}}e-0[78]$"
+    with pytest.raises(EntswapError, match=pattern):
+        analysis._outcome_values(p, outcomes, 1e-9)
+    with mock.patch.object(cli, "run_swap", lambda _: outcomes):
+        code, out, err = analyze(p)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(f"error: {pattern[1:-1]}\n", err)
+
+
+@pytest.mark.parametrize("negative, trace", [(5e-11, 0.01), (1e-16, 1e-10)])
+def test_analyze_passes_a_small_effect_with_an_eigenvalue_just_below_zero(negative, trace):
+    # validate allows the eigenvalue -negative, which the swap's root clamps to
+    # 0: the unweighted (1,4) identity would read negative / trace, over 1e-9.
+    effect = np.diag([trace, -negative, 0.0, 0.0]).astype(complex)
+    p = Povm((effect, I4 - effect))
+    assert povm.validate(p) == []
+    code, out, err = analyze(p)
+    assert (code, err) == (0, "") and out
 
 
 def test_perturbed_stacked_values_fail_the_scalar_check():

@@ -338,21 +338,12 @@ def test_the_preset_cases_are_one_list(capsys):
 
 
 def test_verify_detects_injected_fault(monkeypatch, capsys):
-    real = analysis.case1_closed_forms
+    real = analysis._closed_form_core
 
-    class Corrupted:
-        def __init__(self, lam):
-            self._forms = real(lam)
+    def corrupted(x, lam):
+        return tuple((negativity + 1e-5, t) for negativity, t in real(x, lam))
 
-        def report(self, pair, tol=1e-9):
-            rep = self._forms.report(pair, tol)
-            from entswap import CorrelationReport
-
-            return CorrelationReport.from_quantities(
-                rep.negativity + 1e-5, rep.M, rep.Lambda3, tol
-            )
-
-    monkeypatch.setattr(analysis, "case1_closed_forms", Corrupted)
+    monkeypatch.setattr(analysis, "_closed_form_core", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--case", "I", "--grid", "5")
     assert code == 1
     assert "FAIL" in out

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -794,8 +793,8 @@ def test_no_closed_form_sign_change_predicts_nan_and_still_bisects(monkeypatch):
 
 
 def stub_forms(at: dict):
-    """Closed forms whose signed negativity is lam - 0.3, or at[lam] where given."""
-    return lambda lam: SimpleNamespace(quantities=lambda pair: (at.get(lam, lam - 0.3), 1.0, 1.0))
+    """Closed forms whose signed negativity is lam - 0.3, or at[lam] where given, for every pair."""
+    return lambda lam: ((at.get(lam, lam - 0.3), (1.0, 1.0, 1.0)),) * 3
 
 
 @pytest.mark.parametrize("at", [{1.0: float("inf")}, {0.0: float("nan")}, {0.3: float("nan")}])
