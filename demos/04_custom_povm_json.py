@@ -6,6 +6,7 @@ JSON schema the CLI consumes, validates it, and inspects the conditional
 states. Also shows what the diagnostics look like for a broken candidate.
 """
 import json
+import os
 import tempfile
 
 import numpy as np
@@ -21,13 +22,14 @@ effect2 = np.eye(4) - effect1
 povm = Povm((effect1, effect2), label="lopsided-2-outcome")
 print("violations:", povm.violations() or "none")
 
-path = tempfile.NamedTemporaryFile(suffix=".json", delete=False).name
-with open(path, "w") as fh:
-    json.dump(povm_to_dict(povm), fh)
-print("wrote", path)
-print("(the CLI would consume this with: entswap analyze --povm", path + ")")
-
-rebuilt = povm_from_dict(json.load(open(path)))
+with tempfile.TemporaryDirectory() as work:
+    path = os.path.join(work, "lopsided.json")
+    with open(path, "w") as fh:
+        json.dump(povm_to_dict(povm), fh)
+    print("wrote", path)
+    print("(the CLI would consume this with: entswap analyze --povm", path + ")")
+    with open(path) as fh:
+        rebuilt = povm_from_dict(json.load(fh))
 print("round-trip label:", rebuilt.label)
 
 print()

@@ -27,7 +27,9 @@ scan, the first root of every bisection, and one pair state of every
 ``_outcome_values`` call. Every engine point of a bisection, and every
 outcome of ``_outcome_values`` against its POVM's effects, is also checked
 against the exact identities of the swap (``_check_identities``), which
-need no second pipeline.
+need no second pipeline. Which outcomes are kept is read from ``swap_stack``'s
+mask or ``run_swap``'s ``degenerate`` flags, never decided here. An error
+raised at a grid point is re-raised as itself, prefixed by ``_at_lambda``.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .povm import (
 )
 from .states import DensityMatrix
 from .swap import (
-    DEGENERATE_PROBABILITY,
     PAIRS,
     SwapOutcome,
     _closed_form_core,
@@ -77,7 +78,7 @@ from .swap import (
 CASE_PRESETS = {"II": 0.3, "III": 0.725, "IV": 0.8}
 PRESETS = ("I", *CASE_PRESETS)
 CASES = (*PRESETS, "custom")
-MEASURES = ("negativity", "steering2", "steering3", "nonlocality")
+MEASURES = measures.QUANTITIES[:4]  # the engine's first four columns, in order
 
 # Analytic closed forms must match the numeric pipeline this tightly.
 VERIFY_TOL = 1e-9
@@ -169,11 +170,14 @@ def _grid_points(grid) -> np.ndarray:
 
 @contextmanager
 def _at_lambda(lam: float, where: str = ""):
-    """Prefix any EntswapError raised inside with the grid point."""
+    """Prefix the message of any EntswapError raised inside with the grid
+    point and re-raise the same error, so its type and attributes reach the
+    caller as its check or builder raised them."""
     try:
         yield
     except EntswapError as exc:
-        raise type(exc)(f"lambda={lam:.12g}: {where}{exc}") from exc
+        exc.args = (f"lambda={lam:.12g}: {where}{exc}",)
+        raise
 
 
 @dataclass(frozen=True)
@@ -304,14 +308,15 @@ def _built_effects(builder, lams: np.ndarray) -> np.ndarray:
 
 
 def _grid_swap(family: _Family, lams: np.ndarray, outcomes: int | None = None):
-    """Effects on the grid, shape (n, k, 4, 4), and ``swap_stack`` of their first ``outcomes``."""
+    """Effects on the grid, shape (n, k, 4, 4), and the probabilities, states
+    and kept mask of ``swap_stack`` of their first ``outcomes``."""
     effects = family.effects(lams)
-    ok, probabilities, states = swap_stack(effects, outcomes)
+    ok, probabilities, states, kept = swap_stack(effects, outcomes)
     # validate() on the first point swap_stack rejects gives the messages.
     for i in np.flatnonzero(~ok):
         problems = validate(Povm(tuple(effects[i])))
-        raise InvalidPovmError(f"lambda={lams[i]:.12g}: " + "; ".join(problems))
-    return effects, probabilities, states
+        raise InvalidPovmError(f"lambda={lams[i]:.12g}: " + "; ".join(problems), problems)
+    return effects, probabilities, states, kept
 
 
 def _grid_values(family: _Family, lams: np.ndarray, tol: float, outcomes: int | None = None):
@@ -324,8 +329,7 @@ def _grid_values(family: _Family, lams: np.ndarray, tol: float, outcomes: int | 
     are evaluated (k = outcomes). The last grid point is checked against
     the scalar pipeline.
     """
-    _, probabilities, states = _grid_swap(family, lams, outcomes)
-    kept = probabilities >= DEGENERATE_PROBABILITY
+    _, probabilities, states, kept = _grid_swap(family, lams, outcomes)
     values = _report_values(
         states, kept, tol,
         lambda i, j, p: _at_lambda(lams[i], f"outcome {j + 1}, pair {PAIRS[p]}: "),
@@ -368,8 +372,8 @@ def _outcome_values(p: Povm, outcomes: list[SwapOutcome], tol: float) -> np.ndar
     states[kept] = [
         [o.pair_state(pair).matrix for pair in PAIRS] for o in outcomes if not o.degenerate
     ]
-    probabilities = np.array([o.probability for o in outcomes])
-    _check_identities(None, np.array(p.effects)[None], probabilities[None], states[None])
+    probabilities = np.array([[o.probability for o in outcomes]])
+    _check_identities(None, np.array(p.effects)[None], probabilities, states[None], kept[None])
     values = _report_values(states, kept, tol)
     _check_outcome(outcomes, values, tol, pairs=("14",))
     return values
@@ -618,11 +622,11 @@ _IDENTITIES = (
 )
 
 
-def _check_identities(lams, effects, probabilities, states) -> None:
-    """Raise unless every non-degenerate outcome of ``swap_stack(effects)``,
-    effects of shape (n, k, 4, 4) at the n lambdas ``lams`` (None for one
-    POVM that has no lambda), meets the exact identities of the swap within
-    VERIFY_TOL.
+def _check_identities(lams, effects, probabilities, states, kept) -> None:
+    """Raise unless every kept outcome of ``swap_stack(effects)``, effects
+    of shape (n, k, 4, 4) at the n lambdas ``lams`` (None for one POVM that
+    has no lambda) and ``kept`` the swap's mask of non-degenerate outcomes,
+    shape (n, k), meets the exact identities of the swap within VERIFY_TOL.
 
     Both pairs start maximally entangled, so effect E has probability
     tr(E)/4 and (1,4) state conj(E)/tr(E), as ``rho14_spectral`` computes,
@@ -635,7 +639,6 @@ def _check_identities(lams, effects, probabilities, states) -> None:
     trace 1. The error names the first failing outcome, in row order, by
     lambda (if any) and index, then the identity and its deviation.
     """
-    kept = probabilities >= DEGENERATE_PROBABILITY
     effects, states = effects[kept], states[kept]
     trace = np.trace(effects, axis1=-2, axis2=-1).real
     rho14 = states[:, 0]
@@ -670,12 +673,12 @@ def _signed_values(family: _Family, lams, pairs, columns) -> np.ndarray:
     checks reject goes to ``_signed_pair_value``, which raises its error or
     gives the value.
     """
-    effects, probabilities, states = _grid_swap(family, lams, 1)
-    _check_identities(lams, effects[:, :1], probabilities, states)
+    effects, probabilities, states, kept = _grid_swap(family, lams, 1)
+    _check_identities(lams, effects[:, :1], probabilities, states, kept)
     rows = np.arange(lams.size)
     neg, n, s3, _, _, ok = measures._signed_stack(states[rows, 0, pairs])
     values = np.stack([neg, n, s3, n])[columns, rows]
-    ok &= probabilities[:, 0] >= DEGENERATE_PROBABILITY
+    ok &= kept[:, 0]
     for i in np.flatnonzero(~ok):
         lam, pair, measure = float(lams[i]), PAIRS[pairs[i]], MEASURES[columns[i]]
         with _at_lambda(lam):
@@ -848,9 +851,7 @@ def find_threshold(
     lo, hi = float(lo), float(hi)
     check_tolerance(tol)
     [root] = _bisect_signed(_family(case, x), [(pair, measure, lo, hi, 0.0)], tol)
-    return ThresholdResult(
-        measure=measure, pair=pair, bracket=(lo, hi), root=root, achieved_tol=tol
-    )
+    return ThresholdResult(measure, pair, (lo, hi), root, achieved_tol=tol)
 
 
 @dataclass(frozen=True)

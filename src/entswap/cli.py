@@ -94,12 +94,8 @@ def _sweep_csv(records) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = analysis.SweepConfig(
-        case=args.case,
-        x=args.x,
-        lambda_start=args.lambda_start,
-        lambda_stop=args.lambda_stop,
-        count=args.grid,
-        tol=args.tol,
+        case=args.case, x=args.x, lambda_start=args.lambda_start, lambda_stop=args.lambda_stop,
+        count=args.grid, tol=args.tol,
     )
     _emit(_sweep_csv(analysis.sweep(cfg)), args.out)
     return 0
@@ -115,22 +111,19 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     table = analysis.classify_table(args.case, args.x, _unit_grid(args.grid), root_tol=args.tol)
     x = analysis._resolve_x(args.case, args.x)
     if args.format == "csv":
-        lines = ["case,x,pair,measure,pattern,threshold"]
+        # The table is ordered by pair, then measure, as the rows are.
+        lines = ["case,x,pair,measure,pattern,threshold"] + [
+            f"{args.case},{_fmt(x)},{pair},{measure},{rng.kind},{_fmt(rng.threshold)}"
+            for (pair, measure), rng in table.items()
+        ]
+    else:
+        width = max(len(m) for m in analysis.MEASURES)
+        lines = [f"case {args.case}" + (f" (x={_fmt(x)})" if x is not None else "")]
         for pair in PAIRS:
+            lines.append(f"pair ({pair[0]},{pair[1]}):")
             for measure in analysis.MEASURES:
                 rng = table[(pair, measure)]
-                lines.append(
-                    f"{args.case},{_fmt(x)},{pair},{measure},{rng.kind},{_fmt(rng.threshold)}"
-                )
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    width = max(len(m) for m in analysis.MEASURES)
-    lines = [f"case {args.case}" + (f" (x={_fmt(x)})" if x is not None else "")]
-    for pair in PAIRS:
-        lines.append(f"pair ({pair[0]},{pair[1]}):")
-        for measure in analysis.MEASURES:
-            rng = table[(pair, measure)]
-            lines.append(f"  {measure:<{width}}  positive for {rng.describe()}")
+                lines.append(f"  {measure:<{width}}  positive for {rng.describe()}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -168,16 +161,9 @@ def _analyze_csv(p, outcomes, values, tol) -> str:
         if outcome.degenerate:
             continue
         for pair, row in zip(PAIRS, rows):
-            writer.writerow(
-                [
-                    p.label,
-                    str(outcome.outcome_index),
-                    pair,
-                    _fmt(outcome.probability),
-                    *map(_fmt, row),
-                    *(str(row[column] > tol).lower() for _, column in _FLAGS),
-                ]
-            )
+            flags = [str(row[column] > tol).lower() for _, column in _FLAGS]
+            where = [p.label, str(outcome.outcome_index), pair, _fmt(outcome.probability)]
+            writer.writerow([*where, *map(_fmt, row), *flags])
     return buf.getvalue()
 
 
@@ -211,8 +197,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     cases = [args.case] if args.case else analysis.PRESETS
     grid = _unit_grid(args.grid)
-    lines = []
-    all_passed = True
+    lines, all_passed = [], True
     for case in cases:
         rep = analysis.verify(case, grid=grid)
         all_passed &= rep.passed

@@ -80,13 +80,16 @@ def check_choice(name: str, value, choices: tuple[str, ...]) -> None:
         raise BadParamError(f"{name} must be one of {choices}, got {value!r}")
 
 
+def _shown(value):
+    """``value`` as a message shows it: a number as itself, else its ``repr`` ("2" is not 2)."""
+    return value if isinstance(value, numbers.Number) else repr(value)
+
+
 def check_index(name: str, value, count: int) -> int:
-    """``value`` as an int in 1..count, or BadIndexError (2.0 passes; 1.5, "2", [2] do not),
-    which shows a value that is no number by its ``repr``, so "2" does not read as 2."""
+    """``value`` as an int in 1..count, or BadIndexError (2.0 passes; 1.5, "2", [2] do not)."""
     if isinstance(value, numbers.Real) and value in range(1, count + 1):
         return int(value)
-    shown = value if isinstance(value, numbers.Number) else repr(value)
-    raise BadIndexError(f"{name} must be 1..{count}, got {shown}")
+    raise BadIndexError(f"{name} must be 1..{count}, got {_shown(value)}")
 
 
 def check_qubits(value, error: type[EntswapError]) -> int:
@@ -102,10 +105,19 @@ def check_qubits(value, error: type[EntswapError]) -> int:
 
 
 def outside_unit(name: str, value) -> BadParamError:
-    """The error for a ``name`` that is not a number in [0, 1], which shows a
-    value that is no number by its ``repr``, so "0.5" does not read as 0.5."""
-    shown = value if isinstance(value, numbers.Number) else repr(value)
-    return BadParamError(f"{name} must be in [0, 1], got {shown}")
+    """The error for a ``name`` that is not a number in [0, 1]."""
+    return BadParamError(f"{name} must be in [0, 1], got {_shown(value)}")
+
+
+def check_finite(name: str, value) -> float:
+    """``value`` as a float, or BadParamError unless it is a finite real number
+    (NaN, inf, an int beyond float range, a complex, a str or an array is not)."""
+    try:
+        if isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond float range
+        pass
+    raise BadParamError(f"{name} must be a finite real number, got {_shown(value)}")
 
 
 def check_unit(name: str, value) -> float:

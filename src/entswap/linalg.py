@@ -233,7 +233,7 @@ def partial_transpose(m: np.ndarray, subsystem: str) -> np.ndarray:
     m = complex_array(m, BadDimError)
     if m.shape[-2:] != (4, 4):
         raise BadDimError(f"partial transpose is defined for 4x4 matrices, got {m.shape}")
-    if subsystem not in ("first", "second"):
+    if not (isinstance(subsystem, str) and subsystem in ("first", "second")):
         raise BadIndexError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
     if not np.isfinite(m).all():
         raise BadDimError("partial transpose input has a non-finite entry")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAStateError, check_tolerance, complex_array
+from .errors import NotAStateError, check_finite, check_tolerance, complex_array
 from .linalg import hermitian_eigvals, kron, partial_transpose
 from .states import DensityMatrix, check_density_matrix, is_density_matrix, one_matrix
 
@@ -156,6 +156,8 @@ class CorrelationReport:
 
     Booleans hold when the corresponding quantifier exceeds ``tol``; the
     hierarchy nonlocal => steerable => entangled is enforced.
+    ``from_quantities`` takes the signed negativity, M and Lambda3, each a
+    finite real number (else BadParamError).
     """
 
     negativity: float
@@ -175,19 +177,13 @@ class CorrelationReport:
         cls, negativity: float, m_value: float, lambda3: float, tol: float = 1e-9
     ) -> "CorrelationReport":
         check_tolerance(tol)
+        names = ("negativity", "M", "Lambda3")
+        negativity, m_value, lambda3 = map(check_finite, names, (negativity, m_value, lambda3))
         neg, n, s3 = _clamped_quantifiers(negativity, m_value, lambda3)
         rep = cls(
-            negativity=neg,
-            M=float(m_value),
-            Lambda3=float(lambda3),
-            B=float(2.0 * np.sqrt(max(m_value, 0.0))),
-            S2=n,
-            S3=s3,
-            N=n,
-            entangled=bool(neg > tol),
-            steerable=bool(s3 > tol),
-            nonlocal_=bool(n > tol),
-            tol=tol,
+            negativity=neg, M=m_value, Lambda3=lambda3, B=float(2.0 * np.sqrt(max(m_value, 0.0))),
+            S2=n, S3=s3, N=n, entangled=bool(neg > tol), steerable=bool(s3 > tol),
+            nonlocal_=bool(n > tol), tol=tol,
         )
         if (rep.nonlocal_ and not rep.steerable) or (rep.steerable and not rep.entangled):
             raise NotAStateError(

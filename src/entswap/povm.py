@@ -261,7 +261,8 @@ def unit_trace_effect(p: Povm, i: int) -> np.ndarray:
         raise InvalidPovmError(problem, [problem])
     if trace / 4 < DEGENERATE_PROBABILITY:
         raise DegenerateEffectError(f"effect {i} has trace {trace:.3e}")
-    return effect / trace
+    with np.errstate(over="ignore"):  # an entry beyond float range is inf, which no state has
+        return effect / trace
 
 
 def effect_entanglement(p: Povm, i: int) -> float:

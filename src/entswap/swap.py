@@ -8,7 +8,8 @@ two-qubit states of the pairs (1,4), (1,2) and (3,4). It runs all outcomes
 of one POVM through the full 16-dimensional pipeline as one stack.
 ``swap_stack`` computes the same for a stack of effect lists at once, without
 16x16 matrices, from the eigendecomposition that checks them; ``run_swap``
-does not use it, so each checks the other.
+does not use it, so each checks the other. ``swap_stack`` also returns which
+outcomes it kept (not degenerate), so that its callers do not decide it again.
 
 The module also carries the closed forms for the two built-in measurement
 families. They are exact and serve as independent oracles for the full
@@ -94,11 +95,10 @@ def run_swap(p: Povm) -> list[SwapOutcome]:
     )
     pair_states = iter(freeze(states))
     outcomes = []
-    for index, probability in enumerate(probabilities.tolist(), start=1):
-        if probability < DEGENERATE_PROBABILITY:
-            outcomes.append(
-                SwapOutcome(index, probability, None, None, None, degenerate=True)
-            )
+    rows = zip(probabilities.tolist(), kept.tolist())
+    for index, (probability, keep) in enumerate(rows, start=1):
+        if not keep:
+            outcomes.append(SwapOutcome(index, probability, None, None, None, degenerate=True))
             continue
         rho14, rho12, rho34 = (DensityMatrix._checked(2, m) for m in next(pair_states))
         outcomes.append(SwapOutcome(index, probability, rho14, rho12, rho34))
@@ -113,12 +113,14 @@ _PAIR_AXES = ((2, 3), (2, 0), (1, 3))
 def swap_stack(effects, outcomes: int | None = None) -> tuple[np.ndarray, ...]:
     """``run_swap`` for a stack of effect lists, shape (..., k, 4, 4).
 
-    Returns ``ok``, shape (...), True where ``validate`` passes a list, and
-    the probabilities and pair states (PAIRS order) of its first ``outcomes``
+    Returns ``ok``, shape (...), True where ``validate`` passes a list; the
+    probabilities and pair states (PAIRS order) of its first ``outcomes``
     outcomes (all k if None), shapes (..., outcomes) and (..., outcomes, 3,
-    4, 4). Degenerate outcomes (probability below DEGENERATE_PROBABILITY)
-    get zero states, and lists that are not ok zero roots, so zero values. The
-    one ``eigh`` that checks the effects (``povm._residuals``) gives the roots.
+    4, 4); and ``kept``, shape (..., outcomes), False for the degenerate
+    outcomes (probability below DEGENERATE_PROBABILITY), which ``run_swap``
+    marks ``degenerate``. Those get zero states, and lists that are not ok
+    zero roots, so zero values. The one ``eigh`` that checks the effects
+    (``povm._residuals``) gives the roots.
 
     Both pairs start in (|00> + |11>)/sqrt2, so after K = I x sqrt(E) x I
     the four-qubit state is pure with amplitudes
@@ -139,11 +141,10 @@ def swap_stack(effects, outcomes: int | None = None) -> tuple[np.ndarray, ...]:
         raw.append(m @ m.conj().swapaxes(-1, -2))
     raw = np.stack(raw, axis=-3)
     probability = np.trace(raw[..., 0, :, :], axis1=-2, axis2=-1).real
-    kept = (probability >= DEGENERATE_PROBABILITY)[..., None, None, None]
-    states = np.divide(
-        raw, probability[..., None, None, None], out=np.zeros_like(raw), where=kept
-    )
-    return ok, probability, states
+    kept = probability >= DEGENERATE_PROBABILITY
+    scale, where = probability[..., None, None, None], kept[..., None, None, None]
+    states = np.divide(raw, scale, out=np.zeros_like(raw), where=where)
+    return ok, probability, states, kept
 
 
 def rho14_spectral(p: Povm, i: int) -> DensityMatrix:

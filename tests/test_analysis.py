@@ -440,9 +440,9 @@ def test_verify_checks_the_batched_probabilities(monkeypatch):
     real = analysis.swap_stack
 
     def perturbed(effects, outcomes=None):
-        ok, probabilities, states = real(effects, outcomes)
+        ok, probabilities, states, kept = real(effects, outcomes)
         probabilities[1, 3] += 1e-6  # lambda = 0.25, outcome 4
-        return ok, probabilities, states
+        return ok, probabilities, states, kept
 
     monkeypatch.setattr(analysis, "swap_stack", perturbed)
     rep = verify("I", grid=np.linspace(0.0, 1.0, 5))

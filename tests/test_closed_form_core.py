@@ -256,10 +256,16 @@ def test_odd_scalars_raise_the_unit_error_or_give_finite_fields(name, call, valu
 GRID_DIGEST = "77be99bb62b2d2336f6967cb03dc2a9bc65ece4fec612bcbc2282cfac4093665"
 
 
-def test_public_closed_forms_on_a_grid_keep_their_bits_and_types():
+def grid_digest() -> str:
+    """The SHA-256 that GRID_DIGEST pins; ``tests/test_golden.py`` prints it
+    when run as a script."""
     lams = [*np.linspace(0.0, 1.0, 101).tolist(), 1 / 3, 0.9999579110831897, 5e-324]
     xs = [*np.linspace(0.0, 1.0, 11).tolist(), 0.725, 0.05, 0.95]
     forms = [case1_closed_forms(lam) for lam in lams]
     forms += [case2_closed_forms(x, lam) for x in xs for lam in lams]
     text = repr([fields(f) for f in forms])
-    assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGEST
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_public_closed_forms_on_a_grid_keep_their_bits_and_types():
+    assert grid_digest() == GRID_DIGEST

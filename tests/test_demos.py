@@ -1,4 +1,5 @@
-"""Each narrative demo runs to completion against the package in src/."""
+"""Each narrative demo runs to completion against the package in src/,
+under ``-W error`` as the suite runs, with nothing on stderr."""
 
 import os
 import subprocess
@@ -22,7 +23,7 @@ def test_demo_runs(demo, tmp_path):
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
-    assert done.returncode == 0, done.stderr[-2000:]
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]

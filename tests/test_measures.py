@@ -196,6 +196,36 @@ def test_closed_form_quantities_that_break_the_hierarchy_are_rejected():
         CorrelationReport.from_quantities(0.0, 2.0, 3.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("quantities, name, shown", [
+    ((NAN, 0.5, 0.5), "negativity", "nan"),
+    ((0.5, NAN, 0.5), "M", "nan"),
+    ((0.5, INF, INF), "M", "inf"),
+    ((0.5, 0.5, -INF), "Lambda3", "-inf"),
+    (("0.5", 0.5, 0.5), "negativity", "'0.5'"),
+    (([0.5], 0.5, 0.5), "negativity", "[0.5]"),
+    ((None, 0.5, 0.5), "negativity", "None"),
+    ((0.5 + 0j, 0.5, 0.5), "negativity", "(0.5+0j)"),
+    ((np.array([0.5]), 0.5, 0.5), "negativity", "array([0.5])"),
+    ((0.5, 0.5, 10**400), "Lambda3", str(10**400)),
+], ids=["nan", "nan M", "inf", "-inf", "str", "list", "None", "complex", "array", "huge int"])
+def test_quantities_that_are_no_finite_real_number_are_rejected(quantities, name, shown):
+    # Under the suite's warning filter a numpy warning would fail here too.
+    message = f"{name} must be a finite real number, got {shown}"
+    with pytest.raises(BadParamError, match=f"^{re.escape(message)}$"):
+        CorrelationReport.from_quantities(*quantities)
+
+
+def test_finite_quantities_of_any_real_type_give_the_float_report():
+    want = CorrelationReport.from_quantities(0.5, 0.5, 0.75)
+    for quantities in ((np.float64(0.5), 0.5, np.float64(0.75)), (0.5, 0.5, 0.75), (1, 0.5, 0.75)):
+        got = CorrelationReport.from_quantities(*quantities)
+        assert all(type(v) is type(w) for v, w in zip(vars(got).values(), vars(want).values()))
+    assert CorrelationReport.from_quantities(np.float64(0.5), 0.5, 0.75) == want
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_tolerances_are_rejected(tol):
     state = werner_state(0.5, 1)

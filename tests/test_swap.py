@@ -25,7 +25,7 @@ from entswap import (
 from entswap import CorrelationReport, measures
 from entswap.povm import _asymmetric_weights
 from entswap.states import lambda_basis_rows
-from entswap.swap import PAIRS
+from entswap.swap import PAIRS, swap_stack
 from helpers import random_povm, rng
 
 I4 = np.eye(4, dtype=complex)
@@ -323,12 +323,10 @@ def test_validated_arrays_cannot_be_made_writeable():
 
 
 def test_swap_stack_matches_run_swap():
-    from entswap.swap import swap_stack
-
     gen = rng(13)
     povms = [random_povm(gen, outcomes=5) for _ in range(3)]
     povms.append(Povm((np.zeros((4, 4), dtype=complex), I4, 0 * I4, 0 * I4, 0 * I4)))
-    ok, probabilities, states = swap_stack(np.array([p.effects for p in povms]))
+    ok, probabilities, states, _ = swap_stack(np.array([p.effects for p in povms]))
     assert ok.all() and states.shape == (4, 5, 3, 4, 4)
     for p, probs, pair_states in zip(povms, probabilities, states):
         for outcome in run_swap(p):
@@ -339,6 +337,24 @@ def test_swap_stack_matches_run_swap():
                 continue
             for q, pair in enumerate(PAIRS):
                 assert np.abs(pair_states[j, q] - np.asarray(outcome.pair_state(pair))).max() < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), outcomes=st.integers(1, 5), zeros=st.integers(1, 3))
+def test_swap_stack_keeps_the_outcomes_run_swap_does_not_mark_degenerate(seed, outcomes, zeros):
+    # Zero effects, and effects of probability just below and above the
+    # floor, placed among a random POVM's.
+    gen = np.random.default_rng(seed)
+    small = [np.zeros((4, 4))] * zeros + [0.5e-12 * I4, 2e-12 * I4]
+    effects = list(random_povm(gen, outcomes=outcomes).effects)
+    effects[0] = effects[0] - sum(small)
+    for e in small:
+        effects.insert(int(gen.integers(len(effects) + 1)), e)
+    p = Povm(tuple(effects))
+    ok, _, states, kept = swap_stack(np.array([p.effects]))
+    assert ok.all()
+    assert kept[0].tolist() == [not o.degenerate for o in run_swap(p)]
+    assert not states[0][~kept[0]].any()
 
 
 @settings(max_examples=80, deadline=None)

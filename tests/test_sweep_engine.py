@@ -22,6 +22,7 @@ from entswap import (
     werner_bell_povm,
 )
 from entswap import analysis
+from entswap.povm import validate
 from entswap.swap import PAIRS
 from helpers import random_povm, rng
 
@@ -93,13 +94,53 @@ def test_batched_rows_match_scalar_pipeline(case, x, ends, count, seed, outcomes
             assert not (got == 0.0 and math.copysign(1.0, got) < 0.0), record
 
 
+def failing_at(bad: float, fault):
+    """A custom builder that gives the Bell-projector POVM, except at ``bad``,
+    where it returns or raises what ``fault(lam)`` gives."""
+    def builder(lam):
+        return fault(lam) if lam == bad else werner_bell_povm(lam)
+    return builder
+
+
+def incomplete(lam):
+    return Povm(tuple(1.1 * e for e in werner_bell_povm(lam).effects))
+
+
+def test_a_custom_povm_that_fails_validate_carries_its_problems():
+    cfg = SweepConfig(case="custom", count=3, povm_builder=failing_at(0.5, incomplete))
+    problems = validate(incomplete(0.5))
+    assert problems
+    with pytest.raises(InvalidPovmError) as raised:
+        sweep(cfg)
+    assert raised.value.problems == problems
+    assert str(raised.value) == "lambda=0.5: " + "; ".join(problems)
+
+
+class NoPovmHere(EntswapError):
+    """A builder's own error, whose initializer takes two arguments."""
+
+    def __init__(self, lam, reason):
+        super().__init__(f"{reason} at {lam}")
+        self.lam = lam
+
+
+def test_a_builder_error_reaches_the_caller_as_itself():
+    def fault(lam):
+        raise NoPovmHere(lam, "no POVM")
+
+    with pytest.raises(NoPovmHere) as raised:
+        sweep(SweepConfig(case="custom", count=3, povm_builder=failing_at(0.5, fault)))
+    assert type(raised.value) is NoPovmHere and raised.value.lam == 0.5
+    assert str(raised.value) == "lambda=0.5: no POVM at 0.5"
+
+
 def test_perturbed_batched_state_fails_the_scalar_cross_check(monkeypatch):
     real = analysis.swap_stack
 
     def perturbed(effects, outcomes=None):
-        ok, probabilities, states = real(effects, outcomes)
+        ok, probabilities, states, kept = real(effects, outcomes)
         states[-1] = (1 - 1e-6) * states[-1] + 1e-6 * I4 / 4  # still valid states
-        return ok, probabilities, states
+        return ok, probabilities, states, kept
 
     monkeypatch.setattr(analysis, "swap_stack", perturbed)
     with pytest.raises(EntswapError, match=r"lambda=1: .*outcome 1: pair 14 negativity"):
@@ -182,9 +223,9 @@ def test_states_failing_the_stacked_checks_go_to_scalar_report(monkeypatch):
     real_swap_stack = analysis.swap_stack
 
     def skewed(effects, outcomes=None):
-        ok, probabilities, states = real_swap_stack(effects, outcomes)
+        ok, probabilities, states, kept = real_swap_stack(effects, outcomes)
         states[1, 1, 1, 0, 1] += 1e-6  # no longer Hermitian
-        return ok, probabilities, states
+        return ok, probabilities, states, kept
 
     monkeypatch.setattr(analysis, "swap_stack", skewed)
     with pytest.raises(NotAStateError, match=r"^lambda=0\.5: outcome 2, pair 12: not Hermitian"):

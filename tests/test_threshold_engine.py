@@ -632,12 +632,12 @@ def test_find_threshold_checks_every_engine_point_by_the_identities(monkeypatch)
     calls = []
 
     def perturbed(family, lams, outcomes=None):
-        effects, probabilities, states = real(family, lams, outcomes)
+        effects, probabilities, states, kept = real(family, lams, outcomes)
         if not calls:
             row = int(np.argmin(np.abs(lams - 0.35)))
             states[row, 0, 0] = mixed_into_noise(states[row, 0, 0])
         calls.append(len(lams))
-        return effects, probabilities, states
+        return effects, probabilities, states, kept
 
     monkeypatch.setattr(analysis, "_grid_swap", perturbed)
     with pytest.raises(
@@ -670,19 +670,19 @@ def test_each_identity_names_its_defect(perturb, identity):
     # so mixing a (1,2) or (3,4) state with noise moves its marginals.
     lams = np.array([0.25, 0.5, 0.75])
     effects = analysis._family("III", None).effects(lams)
-    _, probabilities, states = analysis.swap_stack(effects)
-    analysis._check_identities(lams, effects, probabilities, states)
+    _, probabilities, states, kept = analysis.swap_stack(effects)
+    analysis._check_identities(lams, effects, probabilities, states, kept)
     perturb(probabilities, states)
     with pytest.raises(EntswapError) as raised:
-        analysis._check_identities(lams, effects, probabilities, states)
+        analysis._check_identities(lams, effects, probabilities, states, kept)
     assert str(raised.value).startswith(f"lambda=0.5: outcome 3: {identity} by ")
 
 
 def assert_identities_hold(lams, effects):
     """``_check_identities`` passes the stacked swap of valid effects."""
-    ok, probabilities, states = analysis.swap_stack(effects)
+    ok, probabilities, states, kept = analysis.swap_stack(effects)
     assert ok.all()
-    analysis._check_identities(lams, effects, probabilities, states)
+    analysis._check_identities(lams, effects, probabilities, states, kept)
 
 
 _UNIT_WITH_EDGES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
