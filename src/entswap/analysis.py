@@ -9,11 +9,11 @@ Every scan of a lambda grid (sweeps, verification, and the grid scans of
 classification and extremum search) runs the whole grid as stacked arrays
 through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
 ``measures.report_stack``). Threshold bisection runs on the same engine
-(``_bisect_signed`` with ``bisect``, an in-repo copy of
-``scipy.optimize.bisect`` that returns its roots and walks each stacked
-call as its docstring says). The first root estimate comes from the
-family's closed forms (``_predicted_root``), and its path shares one engine
-call with the monotonicity probes. The closed forms only choose the points:
+(``_bisect_signed``, which runs ``bisect``, an in-repo copy of
+``scipy.optimize.bisect`` on one bracket, once per query). The first root
+estimate comes from the family's closed forms (``_predicted_root``), and
+the paths of every query's estimate share one engine call with the
+monotonicity probes. The closed forms only choose the points:
 every value a step reads is the engine's. A family's closed forms are the
 plain-float core ``swap._closed_form_core`` at its x, which the root
 prediction and ``_closed_form_values`` (``verify``, analytic sweeps) read
@@ -194,7 +194,7 @@ class SweepConfig:
     povm_builder: Callable[[float], Povm] | None = None
 
     def __post_init__(self) -> None:
-        check_choice("case", self.case, CASES)
+        _family(self.case, self.x, self.povm_builder)
         start, stop = self.lambda_start, self.lambda_stop
         reals = isinstance(start, numbers.Real) and isinstance(stop, numbers.Real)
         if not (reals and 0.0 <= start <= stop <= 1.0):
@@ -480,114 +480,80 @@ _MAXITER = 200
 _LEVELS = 4
 
 
-def bisect(f, a, b, fa, fb, xtol: float, guess) -> np.ndarray:
-    """``scipy.optimize.bisect`` step for step, on several brackets at once:
-    the roots, one per bracket, as scipy returns a root.
+def bisect(f, a: float, b: float, fa: float, fb: float, xtol: float, guess: float) -> float:
+    """``scipy.optimize.bisect`` step for step on the bracket [a, b], whose
+    ends have the function values ``fa`` and ``fb``: the root, as scipy
+    returns it.
 
-    ``fa`` and ``fb`` are the function values at the ends ``a`` and ``b``;
-    ``f(x, rows)`` gives the function values of the brackets with indices
-    ``rows`` at the points ``x``. Each bracket's root is an end where f is
-    exactly 0 (a first), or else it repeats: halve dm, set xm = a + dm, move a
-    to xm when f(xm) is 0 or has the sign of f(a), the value at the first
-    end, and stop with xm when f(xm) == 0 or |dm| < xtol + 4 eps |xm|. So
-    every root is an end or a midpoint that f was called at.
+    ``f(x)`` gives the function values at the list of points ``x``. The root
+    is an end where f is exactly 0 (a first), or else it repeats: halve dm,
+    set xm = a + dm, move a to xm when f(xm) is 0 or has the sign of f(a),
+    the value at the first end, and stop with xm when f(xm) == 0 or
+    |dm| < xtol + 4 eps |xm|. So every root is an end or a midpoint that f
+    was called at.
 
-    Each call to f evaluates, for every open bracket, the path its steps
-    take if the root is at an estimate r, one midpoint per step, down to
-    the step where that rule stops or the steps run out (see
-    ``_Bracket.path``). ``x`` and ``rows`` are lists, and ``rows`` repeats
-    each bracket's index once per point. Each bracket then gets its call's
-    values as a map from point to value and takes the rule's steps while
-    the next midpoint a + dm/2 is a key, so its walk ends for the call at
-    the first step whose sign differs from the prediction. A call thus
-    takes at least one step per open bracket, and all of them when r is
-    close enough. Every value a walk
-    reads is f at the very midpoint the step takes, and points it does not
-    reach are discarded, so the roots are those of one step per call. r is
-    ``guess`` (one per bracket, NaN for none) at first, or else regula
-    falsi on the ends, and regula falsi on the new bracket after each call,
-    so its error about squares per call on a smooth f. Non-finite ends and
-    NaN or same-sign end values (all before any call of f), a NaN at a point
-    the walk reaches, and brackets still open after _MAXITER steps raise.
+    Each call to f evaluates the path the steps take if the root is at an
+    estimate r, one midpoint per step, down to the step where that rule
+    stops or the steps run out (``_path``). The steps are then taken while
+    the next midpoint a + dm/2 is one of the call's points, so the walk
+    ends for the call at the first step whose sign differs from the
+    prediction. A call thus takes at least one step, and all of them when r
+    is close enough. Every value the walk reads is f at the very midpoint
+    the step takes, and points it does not reach are discarded, so the root
+    is that of one step per call. r is ``guess`` (NaN for none) at first, or
+    else regula falsi on the ends, and regula falsi on the new bracket after
+    each call, so its error about squares per call on a smooth f. A
+    non-finite end (before any call of f), a NaN end value, same-sign end
+    values, a NaN at a point the walk reaches, and a bracket still open
+    after _MAXITER steps raise.
     """
-    a = np.array(a, dtype=float, ndmin=1)
-    b = np.array(b, dtype=float, ndmin=1)
-    for i in np.flatnonzero(~np.isfinite([a, b]).all(axis=0)):
-        raise BadParamError(f"bracket ends must be finite, got {float(a[i])!r} and {float(b[i])!r}")
-    fa, fb = (np.array(v, dtype=float, ndmin=1) for v in (fa, fb))
-    # The product of the signs is NaN where an end value is.
-    for i in np.flatnonzero(~(np.sign(fa) * np.sign(fb) <= 0)):
-        for v, x in ((fa[i], a[i]), (fb[i], b[i])):
-            if v != v:
-                raise EntswapError(f"the function value at x={float(x)!r} is NaN")
-        raise NoBracketError(f"f has the same sign at {float(a[i])!r} and {float(b[i])!r}")
-    guesses = np.broadcast_to(np.asarray(guess, dtype=float), a.shape).tolist()
-    brackets = [
-        _Bracket(i, *ends)
-        for i, ends in enumerate(zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist(), guesses))
-        if ends[2] != 0 and ends[3] != 0
-    ]
-    root = np.where(fa == 0, a, b)
-    while walks := [w for w in brackets if w.root is None and w.steps < _MAXITER]:
-        points = [w.path(xtol) for w in walks]
-        rows = [w.index for w, x in zip(walks, points) for _ in x]
-        values = iter(np.asarray(f([v for x in points for v in x], rows), dtype=float).tolist())
-        for w, x in zip(walks, points):
-            # zip takes len(x) values, the bracket's own, and no more.
-            w.walk(dict(zip(x, values)), xtol)
-    for w in brackets:
-        if w.root is None:
-            raise EntswapError(
-                f"bisection did not converge in {_MAXITER} iterations, "
-                f"bracket [{w.a!r}, {w.b!r}]"
-            )
-        root[w.index] = w.root
-    return root
-
-
-class _Bracket:
-    """One open bracket of ``bisect``, in Python floats: its ends and their
-    values, the value at the first end, dm, the steps taken, the root
-    estimate r, and the root once the steps stop."""
-
-    def __init__(self, index: int, a: float, b: float, fa: float, fb: float, guess: float):
-        self.index, self.a, self.b, self.fa, self.fb = index, a, b, fa, fb
-        self.f_start, self.dm, self.steps, self.root = fa, b - a, 0, None
-        self.estimate = _estimate(a, b, guess if guess == guess else _regula_falsi(a, b, fa, fb))
-
-    def path(self, xtol: float) -> list[float]:
-        """The points of the next call: the midpoints the steps take if the
-        root is at r, where a moves to a midpoint on the first end's side of
-        r, down to the first midpoint x where |dm| < xtol + 4 eps |x| or
-        the steps run out."""
-        points, start, dm, r = [], self.a, self.dm, self.estimate
-        for _ in range(_MAXITER - self.steps):
-            dm *= 0.5
-            x = start + dm
-            points.append(x)
-            if abs(dm) < xtol + _RTOL * abs(x):
-                break
-            if r >= x if dm > 0 else r <= x:
-                start = x
-        return points
-
-    def walk(self, values: dict[float, float], xtol: float) -> None:
-        """Take the steps while the next midpoint is a key of ``values``,
-        which maps this call's points of the bracket to f, until the root."""
-        while (x := self.a + self.dm * 0.5) in values:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise BadParamError(f"bracket ends must be finite, got {a!r} and {b!r}")
+    for v, x in ((fa, a), (fb, b)):
+        if v != v:
+            raise EntswapError(f"the function value at x={x!r} is NaN")
+    # Signs, not the product fa * fb, which can underflow to 0.
+    if fa != 0 and fb != 0 and (fa > 0) == (fb > 0):
+        raise NoBracketError(f"f has the same sign at {a!r} and {b!r}")
+    if fa == 0 or fb == 0:
+        return a if fa == 0 else b
+    f_start, dm, steps = fa, b - a, 0
+    estimate = _estimate(a, b, guess if guess == guess else _regula_falsi(a, b, fa, fb))
+    while steps < _MAXITER:
+        points = _path(a, dm, estimate, _MAXITER - steps, xtol)
+        values = dict(zip(points, f(points)))
+        while (x := a + dm * 0.5) in values:
             v = values[x]
             if v != v:
                 raise EntswapError(f"the function value at x={x!r} is NaN")
-            # Signs, not the product v * f_start, which can underflow to 0.
-            if v == 0 or (v > 0) == (self.f_start > 0):
-                self.a, self.fa = x, v
+            if v == 0 or (v > 0) == (f_start > 0):
+                a, fa = x, v
             else:
-                self.b, self.fb = x, v
-            self.dm, self.steps = self.dm * 0.5, self.steps + 1
-            if v == 0 or abs(self.dm) < xtol + _RTOL * abs(x):
-                self.root = x
-                return
-        self.estimate = _estimate(self.a, self.b, _regula_falsi(self.a, self.b, self.fa, self.fb))
+                b, fb = x, v
+            dm, steps = dm * 0.5, steps + 1
+            if v == 0 or abs(dm) < xtol + _RTOL * abs(x):
+                return x
+        estimate = _estimate(a, b, _regula_falsi(a, b, fa, fb))
+    raise EntswapError(
+        f"bisection did not converge in {_MAXITER} iterations, bracket [{a!r}, {b!r}]"
+    )
+
+
+def _path(start: float, dm: float, r: float, count: int, xtol: float) -> list[float]:
+    """The midpoints of the next ``count`` steps of ``bisect`` from the
+    first end ``start`` and width ``dm`` if the root is at r: a moves to
+    each midpoint on the first end's side of r. The path ends early at the
+    first midpoint x where |dm| < xtol + 4 eps |x|."""
+    points = []
+    for _ in range(count):
+        dm *= 0.5
+        x = start + dm
+        points.append(x)
+        if abs(dm) < xtol + _RTOL * abs(x):
+            break
+        if r >= x if dm > 0 else r <= x:
+            start = x
+    return points
 
 
 def _probes(a: float, b: float) -> list[float]:
@@ -694,8 +660,9 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
     first four levels of ``bisect`` (``_probes``). The first root estimate
     of each bracket is the root of the family's closed forms
     (``_predicted_root``, NaN where it finds none), and one stacked engine
-    call evaluates the probes and that estimate's path (see ``bisect``),
-    which the first call of ``bisect`` reads back; each later call
+    call evaluates the probes and that estimate's path (``_path``). Each
+    query is then bisected alone (``bisect``), whose first call reads that
+    path back; a guess that misses costs its query one more call, which
     evaluates only points not seen before. A bracket whose ends lie on
     the same side of the offset raises, in query order; one whose 17
     probes, ordered from lo to hi, are not monotone warns. Every engine
@@ -722,14 +689,13 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
         return [known[key] for key in keys]
 
     # One engine call holds the probes of every bracket and the path its
-    # steps take if the root is at the closed-form guess, so the first call
-    # of bisect reads its path back; a guess that misses costs another call.
+    # steps take if the root is at the closed-form guess, so bisect's first
+    # call reads its path back; a guess that misses costs its query a call.
     n = len(queries)
-    lo, hi = [q[2] for q in queries], [q[3] for q in queries]
     guess = [_predicted_root(family.closed_forms, query) for query in queries]
-    calls = [_probes(a, b) for a, b in zip(lo, hi)] + [
-        _Bracket(i, a, b, math.nan, math.nan, r).path(tol) if r == r else []
-        for i, (a, b, r) in enumerate(zip(lo, hi, guess))
+    calls = [_probes(lo, hi) for _, _, lo, hi, _ in queries] + [
+        _path(lo, hi - lo, r, _MAXITER, tol) if r == r else []
+        for (_, _, lo, hi, _), r in zip(queries, guess)
     ]
     values = f([x for points in calls for x in points],
                [i % n for i, points in enumerate(calls) for _ in points])
@@ -750,8 +716,10 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
                 stacklevel=3,
             )
 
-    roots = bisect(f, lo, hi, [v[0] for v in values], [v[-1] for v in values], tol, guess)
-    roots = roots.tolist()
+    roots = [
+        bisect(lambda lams: f(lams, [i] * len(lams)), lo, hi, v[0], v[-1], tol, r)
+        for i, ((_, _, lo, hi, _), v, r) in enumerate(zip(queries, values, guess))
+    ]
     pair, measure, _, _, offset = queries[0]
     lam = roots[0]
     with _at_lambda(lam):
@@ -832,9 +800,10 @@ def find_threshold(
     than the edge of a clamped-to-zero plateau. It takes the steps of
     ``scipy.optimize.bisect`` at xtol ``tol``, and returns its root bit for
     bit, but evaluates on the batched engine (see ``bisect`` and
-    ``_bisect_signed``); a root usually takes one engine call. Every engine
-    point is checked against the exact identities of the swap, and one
-    ``run_swap`` checks the root.
+    ``_bisect_signed``); a root usually takes one engine call, and one more
+    where the closed-form guess misses. Every engine point is checked
+    against the exact identities of the swap, and one ``run_swap`` checks
+    the root.
     Monotonicity over the bracket is the caller's responsibility; a check on
     17 probes, the ends and the midpoints of the first four bisection
     levels, emits NonMonotoneWarning when it looks violated.

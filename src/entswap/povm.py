@@ -250,10 +250,7 @@ def unit_trace_effect(p: Povm, i: int) -> np.ndarray:
     """
     _check_povm(p)
     i = check_index("effect index", i, len(p.effects))
-    effect = p.effects[i - 1]
-    if not np.isfinite(effect).all():
-        problem = f"effect {i}: non-finite entry"
-        raise InvalidPovmError(problem, [problem])
+    effect = _finite_effect(p, i)
     with np.errstate(over="ignore"):  # a trace beyond float range is inf
         trace = float(np.trace(effect).real)
     if trace == math.inf:
@@ -277,16 +274,27 @@ def povm_to_dict(p: Povm) -> dict:
 
     In the effect's 4-dimensional index, the protocol's qubit 2 is the most
     significant bit and qubit 3 the least. An argument that is no Povm
-    raises InvalidPovmError.
+    raises InvalidPovmError, as does an effect with a non-finite entry,
+    which JSON cannot hold, with the message ``validate`` gives it.
     """
     _check_povm(p)
     return {
         "label": p.label,
         "effects": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in effect]
-            for effect in p.effects
+            [[[float(z.real), float(z.imag)] for z in row] for row in _finite_effect(p, i)]
+            for i in range(1, len(p.effects) + 1)
         ],
     }
+
+
+def _finite_effect(p: Povm, i: int) -> np.ndarray:
+    """Effect i (1-based index) of ``p``; InvalidPovmError, with the message
+    ``validate`` gives it, if an entry is not finite."""
+    effect = p.effects[i - 1]
+    if not np.isfinite(effect).all():
+        problem = f"effect {i}: non-finite entry"
+        raise InvalidPovmError(problem, [problem])
+    return effect
 
 
 def _is_finite_number(v) -> bool:

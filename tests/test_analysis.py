@@ -106,6 +106,8 @@ def test_sweep_config_validation():
         SweepConfig(case="custom", pipeline="analytic", povm_builder=werner_bell_povm)
     with pytest.raises(BadParamError):
         sweep(SweepConfig(case="I", x=0.3))  # case I has no x
+    with pytest.raises(BadParamError, match=r"^x must be in \[0, 1\], got nan$"):
+        SweepConfig(case="II", x=float("nan"))
 
 
 @pytest.mark.parametrize("call", [
@@ -119,22 +121,22 @@ def test_custom_case_needs_a_povm_builder(call):
         call()
 
 
-@pytest.mark.parametrize("cfg, message", [
-    (SweepConfig(case="custom", povm_builder=3), r"^povm_builder must be callable, got 3$"),
-    (SweepConfig(case="I", povm_builder=werner_bell_povm), r"^case 'I' takes no povm_builder$"),
-    (SweepConfig(case="II", povm_builder=werner_bell_povm), r"^case 'II' takes no povm_builder$"),
+@pytest.mark.parametrize("case, builder, message", [
+    ("custom", 3, r"^povm_builder must be callable, got 3$"),
+    ("I", werner_bell_povm, r"^case 'I' takes no povm_builder$"),
+    ("II", werner_bell_povm, r"^case 'II' takes no povm_builder$"),
 ], ids=["not-callable", "case-I", "case-II"])
-def test_a_povm_builder_is_a_callable_for_case_custom(cfg, message):
+def test_a_povm_builder_is_a_callable_for_case_custom(case, builder, message):
+    # SweepConfig checks its builder when it is built.
     with pytest.raises(BadParamError, match=message):
-        sweep(cfg)
+        SweepConfig(case=case, povm_builder=builder)
 
 
 @pytest.mark.parametrize("x", ["abc", float("nan"), 0.5])
 def test_case_custom_takes_no_x(x):
     # No builder reads x, so any value would only label the records.
-    cfg = SweepConfig(case="custom", x=x, povm_builder=werner_bell_povm, count=2)
     with pytest.raises(BadParamError, match=r"^case custom has no x parameter$"):
-        sweep(cfg)
+        SweepConfig(case="custom", x=x, povm_builder=werner_bell_povm, count=2)
 
 
 @pytest.mark.parametrize("built, name", [(None, "NoneType"), ([], "list"), (3, "int")])

@@ -207,12 +207,31 @@ def test_non_finite_effect_is_rejected_as_run_swap_rejects_it(function, p):
 
 
 def test_json_round_trip():
-    original = asymmetric_povm(0.725, 0.4)
-    payload = json.loads(json.dumps(povm_to_dict(original)))
-    rebuilt = povm_from_dict(payload)
-    assert rebuilt.label == original.label
-    for a, b in zip(rebuilt.effects, original.effects):
-        assert np.abs(a - b).max() < 1e-15
+    # Any finite effect, a POVM or not, down to subnormals and up to the
+    # largest float, comes back exactly as JSON without inf or NaN.
+    edge = Povm((np.full((4, 4), complex(1e308, -5e-324)), I4), label="edge")
+    for original in (asymmetric_povm(0.725, 0.4), random_povm(rng(12)), edge):
+        payload = json.loads(json.dumps(povm_to_dict(original), allow_nan=False))
+        rebuilt = povm_from_dict(payload)
+        assert rebuilt.label == original.label
+        assert len(rebuilt.effects) == len(original.effects)
+        for a, b in zip(rebuilt.effects, original.effects):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)],
+                         ids=["inf", "-inf", "nan", "imaginary-inf"])
+def test_povm_to_dict_refuses_a_non_finite_effect(entry):
+    # JSON has no inf or NaN: json.dumps would write Infinity or NaN, which
+    # povm_from_dict rejects.
+    effect = np.zeros((4, 4), dtype=complex)
+    effect[0, 0] = entry
+    p = Povm((I4, effect))
+    with pytest.raises(InvalidPovmError) as raised:
+        povm_to_dict(p)
+    assert str(raised.value) == "effect 2: non-finite entry"
+    assert raised.value.problems == ["effect 2: non-finite entry"]
+    assert raised.value.problems[0] in validate(p)
 
 
 def test_json_structural_errors_name_position():

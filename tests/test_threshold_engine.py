@@ -54,8 +54,8 @@ def signed_closed_form(x, pair: str, measure: str):
 
 
 def one_bracket(f, lo, hi, tol):
-    g = lambda x, rows: np.array([f(v) for v in x])
-    return analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan)[0]
+    g = lambda x: np.array([f(v) for v in x])
+    return analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan)
 
 
 def random_brackets(count: int):
@@ -80,19 +80,6 @@ def test_bisect_matches_scipy_bitwise_on_random_brackets():
     for f, lo, hi, tol in BRACKETS:
         expected = scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200)
         assert one_bracket(f, lo, hi, tol) == expected, (lo, hi, tol)
-
-
-def test_vectorized_bisect_equals_one_bracket_runs():
-    for tol in TOLS:
-        group = [(f, lo, hi) for f, lo, hi, t in BRACKETS if t == tol]
-        fs = [f for f, _, _ in group]
-        g = lambda x, rows: np.array([fs[r](v) for v, r in zip(x, rows)])
-        lo, hi = np.array([b[1] for b in group]), np.array([b[2] for b in group])
-        f_lo, f_hi = [f(v) for f, v in zip(fs, lo)], [f(v) for f, v in zip(fs, hi)]
-        result = analysis.bisect(g, lo, hi, f_lo, f_hi, tol, np.nan)
-        single = [one_bracket(f, a, b, tol) for f, a, b in group]
-        assert len(group) > 20
-        assert result.tolist() == single
 
 
 @pytest.mark.parametrize(
@@ -132,8 +119,8 @@ def test_bisect_runs_out_of_iterations_where_scipy_does(steps):
 def counted(f):
     """``f`` as an ``analysis.bisect`` callback that records each call's points."""
 
-    def g(x, rows):
-        g.calls.append((np.array(x), np.array(rows)))
+    def g(x):
+        g.calls.append(np.array(x))
         return np.array([f(v) for v in x])
 
     g.calls = []
@@ -171,7 +158,7 @@ def test_bisect_calls_f_at_most_once_per_step(steps):
     tol = 1.5 * (1.5 * 2.0**-steps)
     g = counted(f)
     if steps <= 200:
-        root = analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan)[0]
+        root = analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan)
         assert root == scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200)
     else:
         with pytest.raises(EntswapError, match="did not converge in 200 iterations"):
@@ -181,8 +168,7 @@ def test_bisect_calls_f_at_most_once_per_step(steps):
     # midpoint. The path runs next to -1, so it ends where the steps would
     # stop there: at level steps, or at level 51, where 4 eps |x| outweighs
     # the smaller tolerances.
-    x, rows = g.calls[0]
-    assert rows.tolist() == [0] * x.size
+    x = g.calls[0]
     assert x[0] == lo + 0.75
     assert x.size == min(steps, 51)
 
@@ -196,7 +182,7 @@ def test_bisect_linear_f_takes_one_call(steps):
     tol = 1.5 * (1.5 * 2.0**-steps)
     g = counted(f)
     if steps <= 200:
-        root = analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan)[0]
+        root = analysis.bisect(g, lo, hi, f(lo), f(hi), tol, np.nan)
         assert root == scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200)
     else:
         with pytest.raises(EntswapError, match="did not converge in 200 iterations"):
@@ -206,9 +192,7 @@ def test_bisect_linear_f_takes_one_call(steps):
     # here min(steps, 200).
     path = scipy_path(f, lo, hi, tol)
     assert len(path) == min(steps, 200)
-    x, rows = g.calls[0]
-    assert x.tolist() == path
-    assert rows.tolist() == [0] * x.size
+    assert g.calls[0].tolist() == path
 
 
 @pytest.mark.parametrize(
@@ -233,10 +217,10 @@ def test_bisect_takes_at_least_one_step_per_call(f, lo, hi, tol, guess):
     # most n calls and n (n + 1) / 2 points.
     root, info = scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200, full_output=True)
     g = counted(f)
-    assert analysis.bisect(g, lo, hi, f(lo), f(hi), tol, guess)[0] == root
+    assert analysis.bisect(g, lo, hi, f(lo), f(hi), tol, guess) == root
     n = info.iterations
     assert len(g.calls) <= n
-    assert sum(x.size for x, _ in g.calls) <= n * (n + 1) // 2
+    assert sum(x.size for x in g.calls) <= n * (n + 1) // 2
 
 
 def test_bisect_runs_out_of_iterations_on_a_wrong_guess():
@@ -282,33 +266,23 @@ guesses = st.sampled_from(["good", "bad", "outside", "nan"])
 @example([((lambda lam: lam - 5e-324, 0.0, 1.0, 5e-324), "nan")], 1e-5)
 @example([((lambda lam: 5e-324, 0.0, 1.0, 0.5), "nan")], 1e-5)
 def test_bisect_equals_scipy_on_smooth_brackets(brackets, tol):
-    fs, lo, hi, guess = [], [], [], []
-    for (f, a, b, root), kind in brackets:
-        fs.append(f)
-        lo.append(a)
-        hi.append(b)
-        guess.append({
+    for (f, lo, hi, root), kind in brackets:
+        guess = {
             "good": root + 1e-3 * tol,
-            "bad": b - 0.1 * (root - a),
-            "outside": a - 5.0,
+            "bad": hi - 0.1 * (root - lo),
+            "outside": lo - 5.0,
             "nan": float("nan"),
-        }[kind])
-    f_lo, f_hi = [f(v) for f, v in zip(fs, lo)], [f(v) for f, v in zip(fs, hi)]
-    keep = [i for i in range(len(fs)) if np.sign(f_lo[i]) * np.sign(f_hi[i]) <= 0]
-    for i in set(range(len(fs))) - set(keep):
-        with pytest.raises(ValueError, match="different signs"):
-            scipy.optimize.bisect(fs[i], lo[i], hi[i], xtol=tol, maxiter=200)
-        with pytest.raises(NoBracketError):
-            analysis.bisect(lambda x, rows: [fs[i](v) for v in x], lo[i], hi[i],
-                            f_lo[i], f_hi[i], tol, guess[i])
-    if not keep:
-        return
-    fs, lo, hi, guess, f_lo, f_hi = ([v[i] for i in keep] for v in (fs, lo, hi, guess, f_lo, f_hi))
-    g = lambda x, rows: np.array([fs[r](v) for v, r in zip(x, rows)])
-    roots = analysis.bisect(g, lo, hi, f_lo, f_hi, tol, guess)
-    assert isinstance(roots, np.ndarray)
-    for i, f in enumerate(fs):
-        assert roots[i] == scipy.optimize.bisect(f, lo[i], hi[i], xtol=tol, maxiter=200)
+        }[kind]
+        f_lo, f_hi = f(lo), f(hi)
+        g = lambda x: [f(v) for v in x]
+        if not np.sign(f_lo) * np.sign(f_hi) <= 0:
+            with pytest.raises(ValueError, match="different signs"):
+                scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200)
+            with pytest.raises(NoBracketError):
+                analysis.bisect(g, lo, hi, f_lo, f_hi, tol, guess)
+            continue
+        root = analysis.bisect(g, lo, hi, f_lo, f_hi, tol, guess)
+        assert root == scipy.optimize.bisect(f, lo, hi, xtol=tol, maxiter=200)
 
 
 def test_bisect_raises_on_nan_at_an_end():
@@ -327,8 +301,8 @@ def test_bisect_ignores_nan_on_a_mispredicted_path(nan_at):
     # at the first step, and never reaches the NaN.
     f = lambda lam: lam - 0.3
     g = counted(lambda lam: float("nan") if lam == nan_at else f(lam))
-    root = analysis.bisect(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12, 0.9)[0]
-    assert nan_at in g.calls[0][0]
+    root = analysis.bisect(g, 0.0, 1.0, f(0.0), f(1.0), 1e-12, 0.9)
+    assert nan_at in g.calls[0]
     assert root == scipy.optimize.bisect(f, 0.0, 1.0, xtol=1e-12)
 
 
@@ -455,29 +429,6 @@ def threshold_draws():
     return draws
 
 
-@pytest.mark.filterwarnings("ignore::entswap.NonMonotoneWarning")
-def test_find_threshold_makes_at_most_four_engine_calls_per_root(monkeypatch):
-    # Guards the speculative bisection: a full four-level subtree per call
-    # made about 8 engine calls per root, probes included.
-    draws = threshold_draws()
-    calls = []
-    real = analysis._signed_values
-
-    def counted_values(*args):
-        calls.append(args[1].size)
-        return real(*args)
-
-    monkeypatch.setattr(analysis, "_signed_values", counted_values)
-    roots = [find_threshold(case, None, pair, measure, bracket, tol).root
-             for case, pair, measure, bracket, tol in draws]
-    monkeypatch.undo()
-    assert len(draws) == 39
-    assert len(calls) / len(draws) <= 4.0, (len(calls), len(draws))
-    # Each root is scipy's bisection of the engine at one point per call.
-    for (case, pair, measure, (lo, hi), tol), root in zip(draws, roots):
-        assert root == one_point_bisect(case, pair, measure, lo, hi, tol)
-
-
 def engine_points(draws):
     """Roots of ``find_threshold`` on ``draws`` and, per root, the lambdas of
     each of its ``_signed_values`` calls."""
@@ -574,6 +525,40 @@ def test_classify_table_makes_few_engine_calls(monkeypatch, case, calls, points)
     # the guesses hold. Cases II and IV bisect no interval end.
     counts = engine_call_sizes(monkeypatch, lambda: classify_table(case))
     assert len(counts) <= calls and sum(counts) <= points, counts
+
+
+def test_a_missed_guess_costs_its_query_one_more_engine_call(monkeypatch):
+    # The second of case I's nine interval ends guesses its root at 0.9 of
+    # its bracket, off scipy's path, so its walk leaves the first call's
+    # path and that query alone takes a second call.
+    expected = classify_table("I")
+    real = analysis._predicted_root
+    queries = []
+
+    def predicted(closed_forms, query):
+        queries.append(query)
+        _, _, lo, hi, _ = query
+        return lo + 0.9 * (hi - lo) if len(queries) == 2 else real(closed_forms, query)
+
+    calls = []
+    values = analysis._signed_values
+
+    def recorded(family, lams, pairs, columns):
+        calls.append(list(zip(pairs, columns, lams.tolist())))
+        return values(family, lams, pairs, columns)
+
+    monkeypatch.setattr(analysis, "_predicted_root", predicted)
+    monkeypatch.setattr(analysis, "_signed_values", recorded)
+    table = classify_table("I")
+    assert len(queries) == 9
+    assert table == expected
+    assert [r.threshold.hex() for r in table.values() if r.threshold is not None] == [
+        r.threshold.hex() for r in expected.values() if r.threshold is not None
+    ]
+    assert len(calls) == 2 and sum(map(len, calls)) == 353, [len(c) for c in calls]
+    # Each (query, lambda) reaches the engine once.
+    points = [key for call in calls for key in call]
+    assert len(set(points)) == len(points)
 
 
 def test_classify_table_x_scan_makes_few_engine_calls(monkeypatch):
@@ -827,7 +812,7 @@ def test_bisect_rejects_a_non_finite_end_before_calling_f():
         "import entswap\n"
         "from entswap import analysis\n"
         "calls = []\n"
-        "def f(x, rows):\n"
+        "def f(x):\n"
         "    calls.append(len(x))\n"
         "    return [v - 0.5 for v in x]\n"
         "for a, b in ((float('nan'), 1.0), (-float('inf'), 1.0), (0.0, float('inf'))):\n"
