@@ -670,37 +670,31 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
     and at the first query's root the scalar pipeline must give the
     engine's signed value within VERIFY_TOL: one ``run_swap`` per call.
     """
-    pairs = [PAIRS.index(q[0]) for q in queries]
-    columns = [MEASURES.index(q[1]) for q in queries]
+    # Every (query, lambda) reaches the engine once: tables[i] holds query
+    # i's signed value less its offset at each lambda it has been evaluated at.
+    tables: list[dict[float, float]] = [{} for _ in queries]
 
-    # Every (query, lambda) reaches the engine once: f evaluates only the
-    # points it has not seen and reads the others back.
-    known: dict[tuple[int, float], float] = {}
-
-    def f(lams, rows):
-        keys = list(zip(rows, lams))
-        new = list(dict.fromkeys(key for key in keys if key not in known))
+    def f(requests):
+        """One value list per request (query index, lambdas), from one engine
+        call for the points no table holds."""
+        new = list(dict.fromkeys((i, x) for i, lams in requests for x in lams if x not in tables[i]))
         if new:
             at, points = zip(*new)
-            values = _signed_values(
-                family, np.array(points), [pairs[i] for i in at], [columns[i] for i in at]
-            )
-            known.update(zip(new, [v - queries[i][4] for v, i in zip(values.tolist(), at)]))
-        return [known[key] for key in keys]
+            pairs = [PAIRS.index(queries[i][0]) for i in at]
+            columns = [MEASURES.index(queries[i][1]) for i in at]
+            values = _signed_values(family, np.array(points), pairs, columns)
+            for (i, x), v in zip(new, values.tolist()):
+                tables[i][x] = v - queries[i][4]
+        return [[tables[i][x] for x in lams] for i, lams in requests]
 
     # One engine call holds the probes of every bracket and the path its
     # steps take if the root is at the closed-form guess, so bisect's first
     # call reads its path back; a guess that misses costs its query a call.
-    n = len(queries)
     guess = [_predicted_root(family.closed_forms, query) for query in queries]
-    calls = [_probes(lo, hi) for _, _, lo, hi, _ in queries] + [
-        _path(lo, hi - lo, r, _MAXITER, tol) if r == r else []
-        for (_, _, lo, hi, _), r in zip(queries, guess)
-    ]
-    values = f([x for points in calls for x in points],
-               [i % n for i, points in enumerate(calls) for _ in points])
-    width = len(calls[0])  # the probes of one bracket
-    values = [values[i * width:(i + 1) * width] for i in range(n)]
+    probes = [(i, _probes(lo, hi)) for i, (_, _, lo, hi, _) in enumerate(queries)]
+    paths = [(i, _path(lo, hi - lo, r, _MAXITER, tol))
+             for i, ((_, _, lo, hi, _), r) in enumerate(zip(queries, guess)) if r == r]
+    values = f(probes + paths)[:len(queries)]
     for (pair, measure, _, _, offset), v in zip(queries, values):
         if (v[0] > 0.0) == (v[-1] > 0.0):
             raise NoBracketError(
@@ -717,15 +711,15 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
             )
 
     roots = [
-        bisect(lambda lams: f(lams, [i] * len(lams)), lo, hi, v[0], v[-1], tol, r)
+        bisect(lambda lams: f([(i, lams)])[0], lo, hi, v[0], v[-1], tol, r)
         for i, ((_, _, lo, hi, _), v, r) in enumerate(zip(queries, values, guess))
     ]
     pair, measure, _, _, offset = queries[0]
     lam = roots[0]
     with _at_lambda(lam):
         scalar = _signed_pair_value(family.povm, lam, pair, measure)
-        # The root is a probed end or a midpoint of the walk, so f has its value.
-        _compare(1, [(f"pair {pair} {measure}", known[0, lam] + offset, scalar)])
+        # The root is a probed end or a midpoint of the walk, so its table has its value.
+        _compare(1, [(f"pair {pair} {measure}", tables[0][lam] + offset, scalar)])
     return roots
 
 
@@ -873,8 +867,8 @@ def classify_table(
     family = _family(case, x)
     _, values, _ = _grid_values(family, lams, tol, outcomes=1)
 
-    found: dict[tuple[str, str], tuple] = {}  # key -> (kind, its query or None)
-    queries: list[tuple] = []  # (pair, measure, lo, hi, offset) of each interval end
+    kinds: dict[tuple[str, str], str] = {}  # the pattern of each (pair, measure)
+    ends: dict[tuple[str, str], tuple] = {}  # the query of each interval end
     # Nonlocality reads steering2's column and signed function, so it takes
     # steering2's range.
     classified = [measure for measure in MEASURES if measure != "nonlocality"]
@@ -885,9 +879,9 @@ def classify_table(
         column = values[:, 0, PAIRS.index(pair), measures.QUANTITIES.index(measure)]
         positive = column > tol
         if not positive.any():
-            found[key] = ("never", None)
+            kinds[key] = "never"
         elif positive.all():
-            found[key] = ("all", None)
+            kinds[key] = "all"
         else:
             flips = np.flatnonzero(np.diff(positive.astype(int)))
             if flips.size != 1:
@@ -896,20 +890,16 @@ def classify_table(
                     "grid points that do not form a single interval"
                 )
             i = int(flips[0])
-            lo, hi = float(lams[i]), float(lams[i + 1])
-            found[key] = ("above" if positive[-1] else "below", len(queries))
+            kinds[key] = "above" if positive[-1] else "below"
             # The zero crossing where the end classified not positive is
             # clamped to 0, else the crossing of tol that the grid saw.
             offset = 0.0 if column[i + 1 if positive[i] else i] == 0.0 else tol
-            queries.append((pair, measure, lo, hi, offset))
-    roots = _bisect_signed(family, queries, root_tol) if queries else []
-    ranges = {
-        key: MeasureRange(kind, threshold=None if query is None else roots[query])
-        for key, (kind, query) in found.items()
-    }
+            ends[key] = (pair, measure, float(lams[i]), float(lams[i + 1]), offset)
+    roots = dict(zip(ends, _bisect_signed(family, [*ends.values()], root_tol) if ends else []))
     return {
-        (pair, measure): ranges[pair, "steering2" if measure == "nonlocality" else measure]
+        (pair, measure): MeasureRange(kinds[key], threshold=roots.get(key))
         for pair in PAIRS for measure in MEASURES
+        for key in [(pair, "steering2" if measure == "nonlocality" else measure)]
     }
 
 

@@ -138,8 +138,8 @@ def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix.
 
-    Eigenvalues in [-EIG_CLAMP, 0) are treated as zero; anything below the
-    clamp raises NotPsdError.
+    Eigenvalues in [-EIG_CLAMP, 0) are treated as zero, as is rounding noise
+    above zero (see ``_root``); anything below the clamp raises NotPsdError.
     """
     eig = hermitian_eig(m)
     low = float(eig.eigenvalues.min())
@@ -149,8 +149,15 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def _root(values: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Hermitian square roots from eigenvalues and eigenvector columns; negative ones count as 0."""
-    out = (v * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ _adjoint(v)
+    """Hermitian square roots from ascending eigenvalues and eigenvector columns.
+
+    An eigenvalue at or below d eps |lambda_max| of its own d x d matrix, the
+    default tolerance of ``np.linalg.matrix_rank``, counts as 0. ``eigh``
+    gives an exactly zero eigenvalue as noise such as 3e-17, whose square
+    root, about 5e-9, would shift a state quadratic in the root by 1e-8.
+    """
+    floor = values.shape[-1] * np.finfo(values.dtype).eps * np.abs(values[..., -1:])
+    out = (v * np.sqrt(np.where(values > floor, values, 0.0))[..., None, :]) @ _adjoint(v)
     return (out + _adjoint(out)) / 2
 
 

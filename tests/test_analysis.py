@@ -277,6 +277,9 @@ def test_find_extremum_boundary_peaks():
     assert type(lam_star) is float and type(value) is float
     lam_star, value = find_extremum("I", None, "12", "negativity", np.linspace(0, 1, 11))
     assert lam_star == 0.0 and abs(value - 1.0) < 1e-12
+    # Exact zero eigenvalues of the effects at x = 0 give no root noise.
+    lam_star, value = find_extremum("II", 0.0, "12", "negativity")
+    assert lam_star == 1.0 and abs(value - 0.25) <= 1e-15
 
 
 # Interior peaks of (case, pair, measure), each with a lambda within 0.01 of it.
@@ -353,6 +356,17 @@ def test_verify_passes_all_cases_small_grid():
         assert rep.max_deviation < 1e-9
 
 
+@pytest.mark.parametrize("x", [0.0, 1.0])
+def test_the_ends_of_the_asymmetric_family_are_exact(x):
+    # An effect at x = 0 or 1 has exact zero eigenvalues, which eigh gives as
+    # noise of order 1e-17; the root of that noise would move the (1,2) and
+    # (3,4) states by about 1e-8.
+    for case in ("II", "III", "IV"):
+        rep = verify(case, x=x)
+        assert rep.passed and rep.max_deviation < 1e-13, (case, rep.max_deviation)
+    sweep(SweepConfig(case="II", x=x, pipeline="both"))
+
+
 def test_verify_locates_injected_fault(monkeypatch):
     real = analysis._closed_form_core
 
@@ -382,6 +396,18 @@ def test_grid_numpy_cannot_hold_is_rejected_at_once():
 def test_find_extremum_rejects_short_grid():
     with pytest.raises(BadParamError, match="grid needs at least 2 points, got 0"):
         find_extremum("II", None, "14", "negativity", grid=np.array([]))
+
+
+def test_classify_rejects_a_pattern_the_physics_splits():
+    # At x = 0.885 the (3,4) entanglement vanishes on [0.66, 0.90] and comes back.
+    message = r"^negativity of pair 34 is positive on 75 grid points that do not form a single"
+    with pytest.raises(EntswapError, match=message + r" interval$"):
+        classify_table("II", 0.885)
+    # The closed forms agree: no negativity beyond 1e-9 exactly there.
+    grid = np.linspace(0.0, 1.0, 101)[1:]
+    negativity = np.array([case2_closed_forms(0.885, lam).quantities("34")[0] for lam in grid])
+    vanished = (grid >= 0.66 - 1e-12) & (grid <= 0.9 + 1e-12)
+    assert ((negativity <= 1e-9) == vanished).all()
 
 
 @pytest.mark.parametrize(

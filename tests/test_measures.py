@@ -171,6 +171,21 @@ def test_non_finite_state_is_rejected(call, bad):
         call(m)
 
 
+def test_a_state_with_an_imaginary_correlation_matrix_is_rejected():
+    # Its Hermitian residual, 1e-10, is at STATE_ATOL, so it passes as a
+    # state; the residue of T, twice the antisymmetric part, does not.
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 3] = rho[1, 2] = 5e-11
+    rho[3, 0] = rho[2, 1] = -5e-11
+    check_density_matrix(rho, 2)
+    message = r"^correlation matrix has imaginary residue 2\.000e-10$"
+    for call in (correlation_spectrum, report):
+        with pytest.raises(NotAStateError, match=message):
+            call(rho)
+    _, ok = report_stack(rho[None])
+    assert ok.tolist() == [False]
+
+
 def test_report_checks_the_qubit_count_of_a_density_matrix():
     with pytest.raises(NotAStateError, match="expected a 4x4 matrix"):
         report(initial_four_qubit())

@@ -404,6 +404,23 @@ def test_classify_table_roots_equal_find_threshold(case):
         assert find_threshold(case, None, pair, measure, bracket).root == interval.threshold
 
 
+def test_classify_table_at_the_end_of_the_family_meets_the_closed_forms():
+    # At x = 0 an effect has exact zero eigenvalues; roots of their rounding
+    # noise would move the (3,4) steering3 end by about 1e-8.
+    grid, root_tol = np.linspace(0.0, 1.0, 101), 1e-9
+    table = classify_table("II", 0.0, grid=grid, root_tol=root_tol)
+    ends = 0
+    for (pair, measure), interval in table.items():
+        if interval.threshold is None:
+            continue
+        i = int(np.searchsorted(grid, interval.threshold)) - 1
+        f = signed_closed_form(0.0, pair, measure)
+        root = scipy.optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-15)
+        assert abs(interval.threshold - root) <= root_tol, (pair, measure)
+        ends += 1
+    assert ends == 3
+
+
 def threshold_draws():
     """find_threshold calls (case, pair, measure, bracket, tol): for every
     case and measure, each pair whose closed form changes sign once on the
