@@ -10,7 +10,9 @@ classification and extremum search) runs the whole grid as stacked arrays
 through ``_grid_values`` (``povm`` array builders, ``swap.swap_stack``,
 ``measures.report_stack``). Threshold bisection runs on the same engine
 (``_bisect_signed``, which runs ``bisect``, an in-repo copy of
-``scipy.optimize.bisect`` on one bracket, once per query). The first root
+``scipy.optimize.bisect`` on one bracket, once per query), whose engine
+points solve only what the root reads: outcome 1's eigenvectors alone and
+one quantifier spectrum per point (``_signed_values``). The first root
 estimate comes from the family's closed forms (``_predicted_root``), and
 the paths of every query's estimate share one engine call with the
 monotonicity probes. The closed forms only choose the points:
@@ -633,7 +635,9 @@ def _check_identities(lams, effects, probabilities, states, kept) -> None:
 def _signed_values(family: _Family, lams, pairs, columns) -> np.ndarray:
     """Signed quantities of outcome 1 at each lambda, on the batched engine.
 
-    Row i reads pair PAIRS[pairs[i]] and measure MEASURES[columns[i]]. Every
+    Row i reads pair PAIRS[pairs[i]] and measure MEASURES[columns[i]]. Only
+    outcome 1 is rooted (``swap_stack(effects, 1)``), and each row solves
+    only the spectrum its measure reads (``measures._signed_rows``). Every
     non-degenerate row must meet the exact identities of the swap
     (``_check_identities``). A degenerate outcome or a state the stacked
     checks reject goes to ``_signed_pair_value``, which raises its error or
@@ -641,9 +645,7 @@ def _signed_values(family: _Family, lams, pairs, columns) -> np.ndarray:
     """
     effects, probabilities, states, kept = _grid_swap(family, lams, 1)
     _check_identities(lams, effects[:, :1], probabilities, states, kept)
-    rows = np.arange(lams.size)
-    neg, n, s3, _, _, ok = measures._signed_stack(states[rows, 0, pairs])
-    values = np.stack([neg, n, s3, n])[columns, rows]
+    values, ok = measures._signed_rows(states[np.arange(lams.size), 0, pairs], columns)
     ok &= kept[:, 0]
     for i in np.flatnonzero(~ok):
         lam, pair, measure = float(lams[i]), PAIRS[pairs[i]], MEASURES[columns[i]]

@@ -13,10 +13,13 @@ T_ij = Tr[rho (sigma_i x sigma_j)] and the partial transpose:
 The *_signed variants return the expression before the max{0, .} clamp; the
 sign change marks the classification boundary and is what root finders
 should bisect on. Each is computed once, on a (..., 4, 4) stack, by
-``_spectrum_stack``, ``_negativity_stack`` and the elementwise N and S3
-formulas: ``correlation_spectrum`` and ``negativity_signed`` are their
-one-point views, and ``_signed_stack`` (``report_stack``, the bisection of
-``analysis``) reads them on a whole stack, one eigensolver call per spectrum.
+``_correlation_stack``, ``_spectrum_stack``, ``_negativity_stack`` and the
+elementwise N and S3 formulas: ``correlation_spectrum`` and
+``negativity_signed`` are their one-point views. ``_signed_stack``
+(``report_stack``) reads every quantifier on a whole stack, one eigensolver
+call per spectrum; ``_signed_rows`` (the bisection of ``analysis``) reads one
+per state, solving only the spectrum it needs. Both make the checks of
+``_checked_stack``.
 ``_report_columns`` is the clamping and hierarchy rule of ``report`` on
 stacked values, read by ``report_stack`` and by the closed-form grid of
 ``analysis``.
@@ -63,15 +66,20 @@ def _clamped(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0)
 
 
-def _spectrum_stack(m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """T, the largest imaginary residue of T, the clamped descending
-    eigenvalues t of T^T T and their sums M and Lambda3, of each state of a
-    (..., 4, 4) stack."""
+def _correlation_stack(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """T, the largest imaginary residue of T and the product T^T T, of each
+    state of a (..., 4, 4) stack."""
     raw = np.einsum("...ab,ijba->...ij", m, _PAULI_STACK)  # Tr[rho (sigma_i x sigma_j)]
     T = raw.real
-    t = _clamped(hermitian_eigvals(T.swapaxes(-1, -2) @ T)[..., ::-1])
+    return T, np.abs(raw.imag).max(axis=(-2, -1)), T.swapaxes(-1, -2) @ T
+
+
+def _spectrum_stack(product: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The clamped descending eigenvalues t of each T^T T of a (..., 3, 3)
+    stack, and their sums M and Lambda3."""
+    t = _clamped(hermitian_eigvals(product)[..., ::-1])
     m_value = t[..., 0] + t[..., 1]
-    return T, np.abs(raw.imag).max(axis=(-2, -1)), t, m_value, m_value + t[..., 2]
+    return t, m_value, m_value + t[..., 2]
 
 
 def _negativity_stack(m: np.ndarray) -> np.ndarray:
@@ -91,9 +99,10 @@ class CorrelationSpectrum:
 
 def correlation_spectrum(rho) -> CorrelationSpectrum:
     """Correlation matrix and the derived pair-sum / total eigenvalue data."""
-    T, residue, t, m_value, lambda3 = _spectrum_stack(_as_state(rho).matrix)
+    T, residue, product = _correlation_stack(_as_state(rho).matrix)
     if residue > _IMAG_RESIDUE:
         raise NotAStateError(f"correlation matrix has imaginary residue {residue:.3e}")
+    t, m_value, lambda3 = _spectrum_stack(product)
     return CorrelationSpectrum(T=T, t=tuple(t.tolist()), M=float(m_value), Lambda3=float(lambda3))
 
 
@@ -207,23 +216,57 @@ def report(rho, tol: float = 1e-9) -> CorrelationReport:
     )
 
 
-def _signed_stack(states) -> tuple[np.ndarray, ...]:
-    """Signed negativity, nonlocality and steering3, with M and Lambda3, of
-    every state of a (..., 4, 4) stack.
+def _checked_stack(states) -> tuple[np.ndarray, ...]:
+    """The checks of the stacked quantifiers on a (..., 4, 4) stack of states.
 
-    Returns the five arrays, shape (...), and ``ok``, False where the
-    density-matrix invariants or the imaginary-residue check of T fail; the
-    values of a state that is not ok are those of the zero matrix.
+    Returns the states, those that are not ok zeroed, their products T^T T,
+    and ``ok``, shape (...), False where the density-matrix invariants or the
+    imaginary-residue check of T fail. No eigensolver runs here.
     """
     m = complex_array(states, NotAStateError)
     ok = is_density_matrix(m)
     # Zeroing the states that are not ok keeps non-finite ones from the eigensolvers.
     if not ok.all():
         m = np.where(ok[..., None, None], m, 0.0)
-    _, residue, _, m_value, lambda3 = _spectrum_stack(m)
-    ok &= residue <= _IMAG_RESIDUE
+    _, residue, product = _correlation_stack(m)
+    return m, product, ok & (residue <= _IMAG_RESIDUE)
+
+
+def _signed_stack(states) -> tuple[np.ndarray, ...]:
+    """Signed negativity, nonlocality and steering3, with M and Lambda3, of
+    every state of a (..., 4, 4) stack.
+
+    Returns the five arrays, shape (...), and ``ok`` of ``_checked_stack``;
+    the values of a state that is not ok are those of the zero matrix.
+    """
+    m, product, ok = _checked_stack(states)
+    _, m_value, lambda3 = _spectrum_stack(product)
     n, s3 = nonlocality_from_pair_sum(m_value), steering3_from_total(lambda3)
     return _negativity_stack(m), n, s3, m_value, lambda3, ok
+
+
+def _signed_rows(states, columns) -> tuple[np.ndarray, np.ndarray]:
+    """One signed quantity of each state of an (n, 4, 4) stack: for state i,
+    column ``columns[i]`` of QUANTITIES, one of the first four.
+
+    Returns the n values, bit for bit those of ``_signed_stack``, and its
+    ``ok``. Each state gets one eigensolve: its partial transpose for the
+    negativity, its T^T T for the other three.
+    """
+    m, product, ok = _checked_stack(states)
+    columns = np.asarray(columns)
+    values = np.empty(ok.shape)
+    negativity = columns == QUANTITIES.index("negativity")
+    if negativity.any():
+        values[negativity] = _negativity_stack(m[negativity])
+    if not negativity.all():
+        spectral = ~negativity
+        _, m_value, lambda3 = _spectrum_stack(product[spectral])
+        steering3 = columns[spectral] == QUANTITIES.index("steering3")
+        values[spectral] = np.where(
+            steering3, steering3_from_total(lambda3), nonlocality_from_pair_sum(m_value)
+        )
+    return values, ok
 
 
 def report_stack(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,8 @@ A POVM is an ordered list of PSD effects summing to the identity. Both
 builders here produce four two-qubit effects of unit trace, so in the
 swapping protocol every outcome occurs with probability 1/4. The scalar
 builders are one-point views of the array builders, and ``validate`` and
-``swap.swap_stack`` read the same stacked ``_residuals``.
+``swap.swap_stack`` read the same stacked ``_residuals``, which solves each
+effect once, for eigenvectors only where ``swap_stack`` roots it.
 """
 
 from __future__ import annotations
@@ -72,13 +73,25 @@ class Povm:
         return validate(self)
 
 
-def _residuals(effects) -> tuple[np.ndarray, ...]:
+def _residuals(effects, rooted: int | None) -> tuple[np.ndarray, ...]:
     """Per effect of a (..., k, 4, 4) stack: finite or not, the Hermitian residual, the
     extreme eigenvalues and whether all pass; per list: the completeness residual and
-    whether ``validate`` passes it; then the eigenvalues and eigenvectors, by one ``eigh``."""
+    whether ``validate`` passes it; then the eigenvalues, shape (..., k, 4), and the
+    eigenvectors of the first ``rooted`` effects of each list (all k if None), shape
+    (..., rooted, 4, 4): those a square root is taken of.
+
+    Each effect is solved once: by ``eigh`` if it is rooted, else by ``eigvalsh``,
+    whose eigenvalues may differ from those of ``eigh`` in the last bits."""
     e = complex_array(effects, InvalidPovmError)
     finite, _, herm, sym = invariant_residuals(e)
-    eigs, vectors = np.linalg.eigh(sym)
+    k = sym.shape[-3]
+    rooted = k if rooted is None else rooted
+    eigs = np.empty(sym.shape[:-1])
+    vectors = np.empty_like(sym[..., :rooted, :, :])
+    if rooted:
+        eigs[..., :rooted, :], vectors[...] = np.linalg.eigh(sym[..., :rooted, :, :])
+    if rooted < k:
+        eigs[..., rooted:, :] = np.linalg.eigvalsh(sym[..., rooted:, :, :])
     low, high = eigs[..., 0], eigs[..., -1]
     ok = finite & (herm <= POVM_ATOL) & (low >= -POVM_ATOL) & (high <= 1.0 + POVM_ATOL)
     # The raw sum is NaN for a NaN entry, which gets no completeness message,
@@ -103,7 +116,7 @@ def validate(p: Povm) -> list[str]:
     argument that is no Povm raises InvalidPovmError.
     """
     _check_povm(p)
-    finite, herm, low, high, ok, completeness, *_ = _residuals(p.effects)
+    finite, herm, low, high, ok, completeness, *_ = _residuals(p.effects, 0)
     out: list[str] = []
     for i in np.flatnonzero(~ok):
         if not finite[i]:

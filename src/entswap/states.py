@@ -174,11 +174,14 @@ def lambda_amplitudes(lam) -> tuple:
 
 def lambda_basis_rows(lam) -> np.ndarray:
     """Members 1-4 of ``lambda_basis`` as the rows of a (..., 4, 4) array, one
-    per sharpness; ``lam`` is not checked."""
+    per sharpness, filled in place; ``lam`` is not checked."""
     a, b = lambda_amplitudes(lam)
-    o = np.zeros_like(a)
-    rows = np.array([[a, o, o, -b], [b, o, o, a], [o, a, -b, o], [o, b, a, o]], dtype=complex)
-    return np.moveaxis(rows, (0, 1), (-2, -1))
+    rows = np.zeros(np.shape(a) + (4, 4), dtype=complex)
+    # Columns 0-3 are |00>, |01>, |10>, |11>.
+    rows[..., 0, 0] = rows[..., 1, 3] = rows[..., 2, 1] = rows[..., 3, 2] = a
+    rows[..., 1, 0] = rows[..., 3, 1] = b
+    rows[..., 0, 3] = rows[..., 2, 2] = -b
+    return rows
 
 
 def lambda_basis(lam: float, k: int) -> np.ndarray:

@@ -7,7 +7,7 @@ updated with the square-root (Lueders) rule, conditioning on the outcome.
 two-qubit states of the pairs (1,4), (1,2) and (3,4). It runs all outcomes
 of one POVM through the full 16-dimensional pipeline as one stack.
 ``swap_stack`` computes the same for a stack of effect lists at once, without
-16x16 matrices, from the eigendecomposition that checks them; ``run_swap``
+16x16 matrices, from the eigensolve that checks them; ``run_swap``
 does not use it, so each checks the other. ``swap_stack`` also returns which
 outcomes it kept (not degenerate), so that its callers do not decide it again.
 
@@ -119,17 +119,18 @@ def swap_stack(effects, outcomes: int | None = None) -> tuple[np.ndarray, ...]:
     4, 4); and ``kept``, shape (..., outcomes), False for the degenerate
     outcomes (probability below DEGENERATE_PROBABILITY), which ``run_swap``
     marks ``degenerate``. Those get zero states, and lists that are not ok
-    zero roots, so zero values. The one ``eigh`` that checks the effects
-    (``povm._residuals``) gives the roots.
+    zero roots, so zero values. The eigensolve that checks the effects
+    (``povm._residuals``) gives the roots: ``eigh`` on the first ``outcomes``
+    effects of each list, ``eigvalsh`` on the rest, so no effect is solved twice.
 
     Both pairs start in (|00> + |11>)/sqrt2, so after K = I x sqrt(E) x I
     the four-qubit state is pure with amplitudes
     psi[a, b, c, d] = sqrt(E)[(b, c), (a, d)] / 2. Each pair state is
     M M-dagger / probability, where M is psi with the pair's qubits as rows.
     """
-    *_, ok, values, vectors = _residuals(effects)
-    s = np.zeros_like(vectors[..., :outcomes, :, :])
-    s[ok] = _root(values[ok, :outcomes], vectors[ok, :outcomes])
+    *_, ok, values, vectors = _residuals(effects, outcomes)
+    s = np.zeros_like(vectors)
+    s[ok] = _root(values[ok, :outcomes], vectors[ok])
     lead = s.shape[:-2]
     psi = s.reshape(*lead, 2, 2, 2, 2) / 2.0  # axes: qubits 2, 3, 1, 4
     batch = tuple(range(len(lead)))

@@ -269,3 +269,34 @@ def grid_digest() -> str:
 
 def test_public_closed_forms_on_a_grid_keep_their_bits_and_types():
     assert grid_digest() == GRID_DIGEST
+
+
+def assert_pairs_12_and_34_agree_at_full_sharpness(case: str, x: float | None) -> None:
+    """At lambda = 1, a == b, so f == g: the (1,2) and (3,4) states have the
+    same six quantifiers, bitwise in the closed forms and within VERIFY_TOL
+    in the engine, for every outcome.
+
+    So no grid holding lambda = 1 can pass acceptance criterion 5, which
+    asks pair (1,2) of case III to be three-setting steerable at every
+    positive lambda and pair (3,4) at none: x = 0.725 lies just inside the
+    band 0.0073086 < x < 0.7256290 where both are steerable at lambda = 1.
+    """
+    family = analysis._family(case, x)
+    core = family.closed_forms(1.0)
+    assert core[1] == core[2]
+    _, values, kept = analysis._grid_values(family, np.array([1.0]), 1e-9)
+    assert kept.all()
+    assert np.abs(values[..., 1, :] - values[..., 2, :]).max() <= analysis.VERIFY_TOL
+
+
+@pytest.mark.parametrize("case", analysis.PRESETS)
+def test_pairs_12_and_34_agree_at_full_sharpness(case):
+    assert_pairs_12_and_34_agree_at_full_sharpness(case, None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=_UNIT)
+@example(x=0.0)
+@example(x=1.0)
+def test_pairs_12_and_34_agree_at_full_sharpness_for_every_x(x):
+    assert_pairs_12_and_34_agree_at_full_sharpness("II", x)

@@ -280,7 +280,8 @@ def _random_states(seed: int) -> np.ndarray:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_scalar_views_equal_the_stacked_kernel_bit_for_bit(seed):
     states = _random_states(seed)
-    T, _, t, _, _ = measures._spectrum_stack(states)
+    T, _, product = measures._correlation_stack(states)
+    t, _, _ = measures._spectrum_stack(product)
     neg, n, s3, m_value, lambda3, ok = measures._signed_stack(states)
     assert ok.all()
     for i, rho in enumerate(states):
@@ -291,3 +292,18 @@ def test_scalar_views_equal_the_stacked_kernel_bit_for_bit(seed):
         assert negativity_signed(rho) == neg[i]
         assert measures.nonlocality_signed(rho) == n[i]
         assert measures.steering3_signed(rho) == s3[i]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_signed_rows_equal_the_columns_of_the_signed_stack_bit_for_bit(seed):
+    # Two states the checks reject, whose values are those of the zero matrix.
+    states = np.concatenate([_random_states(seed), [np.full((4, 4), np.nan), np.eye(4) / 2]])
+    rows = np.arange(len(states))
+    neg, n, s3, _, _, ok = measures._signed_stack(states)
+    assert not ok[-2:].any()
+    drawn = np.random.default_rng(seed).integers(0, 4, len(states))
+    for columns in (drawn, np.zeros_like(drawn), np.full_like(drawn, 2)):
+        values, ok_rows = measures._signed_rows(states, columns)
+        assert ok_rows.tolist() == ok.tolist()
+        assert values.tobytes() == np.stack([neg, n, s3, n])[columns, rows].tobytes()

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from entswap import (
 )
 from entswap import analysis
 from entswap.povm import validate
-from entswap.swap import PAIRS
+from entswap.swap import PAIRS, swap_stack
 from helpers import random_povm, rng
 
 I4 = np.eye(4, dtype=complex)
@@ -147,13 +148,14 @@ def test_perturbed_batched_state_fails_the_scalar_cross_check(monkeypatch):
         sweep(SweepConfig(case="II", count=4))
 
 
-def effect_eigensolves(monkeypatch, call, n: int, k: int) -> list[str]:
-    """The numpy eigensolvers ``call()`` runs on a stack of n lists of k effects."""
+def effect_eigensolves(monkeypatch, call) -> list[tuple[str, tuple]]:
+    """The numpy eigensolvers ``call()`` runs on POVM effects, the solves
+    ``povm._residuals`` makes, each with the shape it solves."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-            if np.shape(a) == (n, k, 4, 4):
-                calls.append(_name)
+            if sys._getframe(1).f_globals["__name__"] == "entswap.povm":
+                calls.append((_name, np.shape(a)))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -162,10 +164,10 @@ def effect_eigensolves(monkeypatch, call, n: int, k: int) -> list[str]:
 
 
 @pytest.mark.parametrize("case", ["I", "III"])
-@pytest.mark.parametrize("engine", ["grid", "grid_outcome1", "signed"])
-def test_one_eigh_checks_and_roots_the_effects_of_an_engine_call(monkeypatch, case, engine):
-    # The same spectrum flags the effects and gives their square roots: no
-    # eigvalsh on the effects, and no second eigh on the outcomes swapped.
+@pytest.mark.parametrize("engine, rooted", [("grid", 4), ("grid_outcome1", 1), ("signed", 1)])
+def test_each_effect_of_an_engine_call_is_solved_once(monkeypatch, case, engine, rooted):
+    # The spectrum that flags the effects gives the square roots of the
+    # outcomes swapped: eigh on those, eigvalsh on the rest, no effect twice.
     family = analysis._family(case, None)
     lams = np.linspace(0.1, 0.9, 7)
     calls = {
@@ -173,8 +175,52 @@ def test_one_eigh_checks_and_roots_the_effects_of_an_engine_call(monkeypatch, ca
         "grid_outcome1": lambda: analysis._grid_values(family, lams, 1e-9, outcomes=1),
         "signed": lambda: analysis._signed_values(family, lams, np.arange(7) % 3, np.arange(7) % 4),
     }
-    assert effect_eigensolves(monkeypatch, calls[engine], 7, 4) == ["eigh"]
-    assert effect_eigensolves(monkeypatch, calls[engine], 7, 1) == []
+    expected = [("eigh", (7, rooted, 4, 4))]
+    if rooted < 4:
+        expected.append(("eigvalsh", (7, 4 - rooted, 4, 4)))
+    if engine != "signed":  # the scalar check of the last grid point validates its POVM
+        expected.append(("eigvalsh", (4, 4, 4)))
+    assert effect_eigensolves(monkeypatch, calls[engine]) == expected
+
+
+def test_validate_solves_for_eigenvalues_alone(monkeypatch):
+    for p in (werner_bell_povm(0.5), random_povm(rng(7)), random_povm(rng(8), outcomes=3)):
+        solves = effect_eigensolves(monkeypatch, lambda: validate(p))
+        assert solves == [("eigvalsh", (len(p), 4, 4))]
+
+
+def assert_outcome_1_alone_equals_the_full_swap(effects) -> None:
+    """``swap_stack(effects, 1)``, which roots outcome 1 alone, gives the
+    first outcome of ``swap_stack(effects)`` bit for bit."""
+    ok, probabilities, states, kept = swap_stack(effects)
+    ok1, probabilities1, states1, kept1 = swap_stack(effects, 1)
+    assert np.array_equal(ok1, ok)
+    assert np.array_equal(kept1, kept[..., :1])
+    assert np.array_equal(probabilities1, probabilities[..., :1])
+    assert np.array_equal(states1, states[..., :1, :, :, :])
+    assert states1.tobytes() == np.ascontiguousarray(states[..., :1, :, :, :]).tobytes()
+
+
+# Both ends of the lambda range, and points near them.
+EDGE_LAMS = np.array([0.0, 1e-12, 1e-6, 0.5, 1.0 - 1e-12, 1.0])
+
+
+@pytest.mark.parametrize("case, x", [
+    ("I", None), ("II", None), ("III", None), ("IV", None), ("II", 0.0), ("II", 1.0),
+])
+def test_rooting_outcome_1_alone_keeps_its_swap_bit_for_bit(case, x):
+    lams = np.concatenate([np.linspace(0.0, 1.0, 41), EDGE_LAMS])
+    assert_outcome_1_alone_equals_the_full_swap(analysis._family(case, x).effects(lams))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), outcomes=st.integers(1, 5))
+def test_rooting_outcome_1_alone_keeps_random_povms_bit_for_bit(seed, outcomes):
+    gen = np.random.default_rng(seed)
+    lists = [random_povm(gen, outcomes=outcomes).effects for _ in range(6)]
+    # A list validate rejects, and one whose outcomes but the last are degenerate.
+    lists += [tuple(1.01 * e for e in lists[0]), shrinking_family(seed % 100, outcomes)(0.0).effects]
+    assert_outcome_1_alone_equals_the_full_swap(np.array(lists))
 
 
 def test_custom_builder_changing_effect_count_is_rejected():

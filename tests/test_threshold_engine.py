@@ -359,13 +359,13 @@ def test_find_threshold_resolves_the_case3_sliver():
 
 
 def test_find_threshold_checks_the_engine_against_the_scalar_pipeline(monkeypatch):
-    real = analysis.measures._signed_stack
+    real = analysis.measures._signed_rows
 
-    def perturbed(states):
-        negativity, *rest = real(states)
-        return (negativity + 1e-6, *rest)
+    def perturbed(states, columns):
+        values, ok = real(states, columns)
+        return values + 1e-6, ok
 
-    monkeypatch.setattr(analysis.measures, "_signed_stack", perturbed)
+    monkeypatch.setattr(analysis.measures, "_signed_rows", perturbed)
     with pytest.raises(
         EntswapError,
         match=r"^lambda=0\.3333\d+: batched engine deviates from the scalar pipeline "
@@ -726,22 +726,41 @@ def test_first_estimate_falls_back_where_the_probes_are_not_monotone():
 
 
 def test_rows_the_stacked_checks_reject_go_to_the_scalar_pipeline(monkeypatch):
-    real = analysis.measures._signed_stack
+    real = analysis.measures._signed_rows
 
-    def second_rejected(states):
-        *values, ok = real(states)
+    def second_rejected(states, columns):
+        values, ok = real(states, columns)
         ok[1] = False
-        return (*values, ok)
+        return values, ok
 
     family = analysis._family("II", None)
     lams, pairs, columns = np.array([0.2, 0.5, 0.8]), np.array([0, 1, 2]), np.array([0, 0, 2])
     expected = analysis._signed_values(family, lams, pairs, columns)
-    monkeypatch.setattr(analysis.measures, "_signed_stack", second_rejected)
+    monkeypatch.setattr(analysis.measures, "_signed_rows", second_rejected)
     values = analysis._signed_values(family, lams, pairs, columns)
     # The two pipelines differ in the last bits here, so the row shows its source.
     assert values[1] == analysis._signed_pair_value(family.povm, 0.5, "12", "negativity")
     assert 0.0 < abs(values[1] - expected[1]) <= analysis.VERIFY_TOL
     assert values[[0, 2]].tolist() == expected[[0, 2]].tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(analysis.PRESETS), seed=st.integers(0, 2**32 - 1))
+def test_signed_values_equal_the_columns_of_the_full_stack_bit_for_bit(case, seed):
+    # Rooting outcome 1 alone and solving one spectrum per row change no bit
+    # of a row the checks pass.
+    gen = np.random.default_rng(seed)
+    lams = np.concatenate([[0.0, 1.0], gen.uniform(0.0, 1.0, 10)])
+    pairs, columns = gen.integers(0, 3, lams.size), gen.integers(0, 4, lams.size)
+    family = analysis._family(case, None)
+    values = analysis._signed_values(family, lams, pairs, columns)
+    _, _, states, kept = analysis.swap_stack(family.effects(lams))
+    rows = np.arange(lams.size)
+    neg, n, s3, _, _, ok = analysis.measures._signed_stack(states[rows, 0, pairs])
+    checked = ok & kept[:, 0]
+    assert checked.sum() >= lams.size - 1
+    expected = np.stack([neg, n, s3, n])[columns, rows]
+    assert values[checked].tobytes() == expected[checked].tobytes()
 
 
 def patch_engine(monkeypatch, f):
