@@ -385,11 +385,11 @@ def _closed_form_values(family: _Family, lams: np.ndarray, tol: float) -> np.nda
     """The QUANTITIES columns of every pair from the closed forms, shape (n, 3, 6).
 
     One ``family.closed_forms`` call per lambda gives each pair's signed
-    negativity and T^T T triple; ``measures._report_columns``, the stacked
-    rule of ``report_stack``, clamps them, so each row is the
-    ``values()`` of the closed forms' ``report(pair, tol)``. At the first
-    (lambda, pair) that breaks the hierarchy, ``CorrelationReport`` raises
-    the error ``report`` raises, prefixed with lambda.
+    negativity and T^T T triple, whose sums are M and Lambda3; from these
+    ``measures._report_columns``, the stacked rule of ``report_stack``, makes
+    each row the ``values()`` of the closed forms' ``report(pair, tol)``. At
+    the first (lambda, pair) that breaks the hierarchy, ``CorrelationReport``
+    raises the error ``report`` raises, prefixed with lambda.
     """
     core = np.array([
         [(negativity, *t) for negativity, t in family.closed_forms(lam)] for lam in lams.tolist()
@@ -397,8 +397,7 @@ def _closed_form_values(family: _Family, lams: np.ndarray, tol: float) -> np.nda
     negativity, t = core[..., 0], np.sort(core[..., 1:])  # t ascending
     m_value = t[..., 2] + t[..., 1]
     lambda3 = m_value + t[..., 0]
-    n, s3 = measures.nonlocality_from_pair_sum(m_value), measures.steering3_from_total(lambda3)
-    values, ordered = measures._report_columns(negativity, n, s3, m_value, lambda3, tol)
+    values, ordered = measures._report_columns(negativity, m_value, lambda3, tol)
     for i, p in np.argwhere(~ordered)[:1].tolist():
         with _at_lambda(float(lams[i])):
             measures.CorrelationReport.from_quantities(

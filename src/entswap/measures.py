@@ -16,13 +16,13 @@ should bisect on. Each is computed once, on a (..., 4, 4) stack, by
 ``_correlation_stack``, ``_spectrum_stack``, ``_negativity_stack`` and the
 elementwise N and S3 formulas: ``correlation_spectrum`` and
 ``negativity_signed`` are their one-point views. ``_signed_stack``
-(``report_stack``) reads every quantifier on a whole stack, one eigensolver
-call per spectrum; ``_signed_rows`` (the bisection of ``analysis``) reads one
-per state, solving only the spectrum it needs. Both make the checks of
-``_checked_stack``.
-``_report_columns`` is the clamping and hierarchy rule of ``report`` on
-stacked values, read by ``report_stack`` and by the closed-form grid of
-``analysis``.
+(``report_stack``) reads the signed negativity, M and Lambda3 on a whole
+stack, one eigensolver call per spectrum; ``_signed_rows`` (the bisection of
+``analysis``) reads one signed quantifier per state, solving only the
+spectrum it needs. Both make the checks of ``_checked_stack``.
+``_report_columns`` is the rule of ``CorrelationReport.from_quantities`` on
+stacked values, with its inputs (signed negativity, M, Lambda3), read by
+``report_stack`` and by the closed-form grid of ``analysis``.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def report(rho, tol: float = 1e-9) -> CorrelationReport:
     state = _as_state(rho)
     spectrum = correlation_spectrum(state)
     return CorrelationReport.from_quantities(
-        negativity(state), spectrum.M, spectrum.Lambda3, tol=tol
+        negativity_signed(state), spectrum.M, spectrum.Lambda3, tol=tol
     )
 
 
@@ -233,25 +233,24 @@ def _checked_stack(states) -> tuple[np.ndarray, ...]:
 
 
 def _signed_stack(states) -> tuple[np.ndarray, ...]:
-    """Signed negativity, nonlocality and steering3, with M and Lambda3, of
-    every state of a (..., 4, 4) stack.
+    """Signed negativity, M and Lambda3 of every state of a (..., 4, 4) stack.
 
-    Returns the five arrays, shape (...), and ``ok`` of ``_checked_stack``;
+    Returns the three arrays, shape (...), and ``ok`` of ``_checked_stack``;
     the values of a state that is not ok are those of the zero matrix.
     """
     m, product, ok = _checked_stack(states)
     _, m_value, lambda3 = _spectrum_stack(product)
-    n, s3 = nonlocality_from_pair_sum(m_value), steering3_from_total(lambda3)
-    return _negativity_stack(m), n, s3, m_value, lambda3, ok
+    return _negativity_stack(m), m_value, lambda3, ok
 
 
 def _signed_rows(states, columns) -> tuple[np.ndarray, np.ndarray]:
     """One signed quantity of each state of an (n, 4, 4) stack: for state i,
     column ``columns[i]`` of QUANTITIES, one of the first four.
 
-    Returns the n values, bit for bit those of ``_signed_stack``, and its
-    ``ok``. Each state gets one eigensolve: its partial transpose for the
-    negativity, its T^T T for the other three.
+    Returns the n values, bit for bit ``_signed_stack``'s negativity or the
+    N and S3 of its M and Lambda3, and its ``ok``. Each state gets one
+    eigensolve: its partial transpose for the negativity, its T^T T for the
+    other three.
     """
     m, product, ok = _checked_stack(states)
     columns = np.asarray(columns)
@@ -285,12 +284,13 @@ def report_stack(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     return values, ok & ordered
 
 
-def _report_columns(neg, n, s3, m_value, lambda3, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _report_columns(neg, m_value, lambda3, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The columns of ``CorrelationReport.values()``, shape (..., 6), from
-    the signed negativity, N and S3 and the sums M and Lambda3, each of shape
-    (...), and the mask of the values that keep the hierarchy nonlocal =>
+    the signed negativity and the sums M and Lambda3, each of shape (...),
+    and the mask of the values that keep the hierarchy nonlocal =>
     steerable => entangled at ``tol``, where ``CorrelationReport`` raises:
     the clamping and hierarchy rule of ``from_quantities``, elementwise."""
+    n, s3 = nonlocality_from_pair_sum(m_value), steering3_from_total(lambda3)
     neg, n, s3 = _clamped(neg), _clamped(n), _clamped(s3)
     entangled, steerable, nonlocal_ = neg > tol, s3 > tol, n > tol
     ordered = ~((nonlocal_ & ~steerable) | (steerable & ~entangled))

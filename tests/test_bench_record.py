@@ -19,7 +19,9 @@ with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
 
 def stub_runs(tmp_path, p50):
     """A stand-in for ``run_once``: the change's p50 of pair i is p50[i], the
-    parent's 2.4 ms; each call writes a record, as the benchmark does, and is logged."""
+    parent's 2.4 ms; each call writes a record, as the benchmark does, and is
+    logged. A record's reference kernel takes 3 + i ms and its unscaled p50 is
+    twice the scaled one."""
     calls = []
 
     def run(tree, workload, seed, seconds):
@@ -28,10 +30,12 @@ def stub_runs(tmp_path, p50):
         value = p50[i] if side == "change" else 2.4
         metrics = dict.fromkeys(METRICS, 1.0) | {"task_p50_ms": value, "tasks_per_s": 1e3 / value}
         path = tmp_path / f"{side}.json"
-        path.write_text(json.dumps({"metadata": {
-            "seed": seed, "git_commit": side, "python": "3.x", "numpy": "n", "scipy": "s",
-            "entswap": "e", "nproc": 2,
-        }}))
+        path.write_text(json.dumps({
+            "metadata": {"seed": seed, "git_commit": side, "python": "3.x", "numpy": "n",
+                         "scipy": "s", "entswap": "e", "nproc": 2},
+            "reference_kernel_ms": {"median": 3.0 + i, "min": 1.0, "max": 9.0, "samples": 5},
+            "wall": {"setup_s": 0.1, "task_p50_ms": 2 * value, "task_p90_ms": 9.0},
+        }))
         calls.append((side, workload, seed, seconds))
         result = {"correct": True, "attempted": 10, "failed": i % 2,
                   "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
@@ -57,7 +61,10 @@ def test_pairs_alternate_and_the_record_holds_every_field(tmp_path):
     assert out["nproc"] == 2 and set(out["versions"]) == {"python", "numpy", "scipy", "entswap"}
     entry = out["workloads"]["threshold_scan"]
     assert entry["runs"][1]["parent"] == {"first": True, "correct": True, "failed": 1,
-                                          "attempted": 10}
+                                          "attempted": 10, "reference_kernel_ms": 4.0,
+                                          "wall_task_p50_ms": 4.8}
+    assert entry["runs"][9]["change"]["reference_kernel_ms"] == 12.0
+    assert entry["runs"][9]["change"]["wall_task_p50_ms"] == 5.0
     assert entry["runs"][0]["change"]["first"] and not entry["runs"][0]["parent"]["first"]
     assert set(entry["metrics"]) == set(METRICS)
     p = entry["metrics"]["task_p50_ms"]

@@ -282,7 +282,8 @@ def test_scalar_views_equal_the_stacked_kernel_bit_for_bit(seed):
     states = _random_states(seed)
     T, _, product = measures._correlation_stack(states)
     t, _, _ = measures._spectrum_stack(product)
-    neg, n, s3, m_value, lambda3, ok = measures._signed_stack(states)
+    neg, m_value, lambda3, ok = measures._signed_stack(states)
+    n, s3 = measures.nonlocality_from_pair_sum(m_value), measures.steering3_from_total(lambda3)
     assert ok.all()
     for i, rho in enumerate(states):
         spectrum = correlation_spectrum(rho)
@@ -300,7 +301,8 @@ def test_signed_rows_equal_the_columns_of_the_signed_stack_bit_for_bit(seed):
     # Two states the checks reject, whose values are those of the zero matrix.
     states = np.concatenate([_random_states(seed), [np.full((4, 4), np.nan), np.eye(4) / 2]])
     rows = np.arange(len(states))
-    neg, n, s3, _, _, ok = measures._signed_stack(states)
+    neg, m_value, lambda3, ok = measures._signed_stack(states)
+    n, s3 = measures.nonlocality_from_pair_sum(m_value), measures.steering3_from_total(lambda3)
     assert not ok[-2:].any()
     drawn = np.random.default_rng(seed).integers(0, 4, len(states))
     for columns in (drawn, np.zeros_like(drawn), np.full_like(drawn, 2)):

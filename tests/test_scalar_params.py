@@ -55,7 +55,7 @@ from entswap import (
     werner_bell_povm,
     werner_state,
 )
-from entswap.povm import validate
+from entswap.povm import asymmetric_effects, validate, werner_bell_effects
 
 GRID = np.linspace(0.0, 1.0, 5)
 STATE = werner_state(0.5, 1)
@@ -187,6 +187,17 @@ def test_a_grid_point_outside_the_unit_interval_is_named_in_input_order():
     for call in GRID_CALLS:
         with pytest.raises(BadParamError, match=r"^sharpness must be in \[0, 1\], got 1\.5$"):
             call([0.5, 1.5, -0.5])
+
+
+@pytest.mark.parametrize("lams", [["a"], [0.5, "x"], [[0.1], [0.2, 0.3]]], ids=repr)
+@pytest.mark.parametrize(
+    "build", [werner_bell_effects, lambda v: asymmetric_effects(0.3, v)], ids=["werner", "asymmetric"]
+)
+def test_sharpness_stacks_that_are_no_array_of_numbers_are_named_whole(build, lams):
+    # The builders take no grid check first, so the unit check names the input as given.
+    message = f"sharpness must be in [0, 1], got {lams}"
+    with pytest.raises(BadParamError, match=f"^{re.escape(message)}$"):
+        build(lams)
 
 
 @pytest.mark.parametrize("bracket", [("a", 0.9), (0.2,), None, (0.2, 0.5, 0.9), ([0.2], [0.9])])

@@ -756,7 +756,8 @@ def test_signed_values_equal_the_columns_of_the_full_stack_bit_for_bit(case, see
     values = analysis._signed_values(family, lams, pairs, columns)
     _, _, states, kept = analysis.swap_stack(family.effects(lams))
     rows = np.arange(lams.size)
-    neg, n, s3, _, _, ok = analysis.measures._signed_stack(states[rows, 0, pairs])
+    neg, m_value, lambda3, ok = analysis.measures._signed_stack(states[rows, 0, pairs])
+    n, s3 = nonlocality_from_pair_sum(m_value), steering3_from_total(lambda3)
     checked = ok & kept[:, 0]
     assert checked.sum() >= lams.size - 1
     expected = np.stack([neg, n, s3, n])[columns, rows]

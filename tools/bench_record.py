@@ -17,7 +17,10 @@ interquartile range, the change's wins out of the pairs (ties count for
 neither side), the gain rule (wins in at least nine tenths of the pairs and
 medians apart by more than the parent's IQR) and the relative worsening
 against the metric's bound. It also holds each run's ``correct`` and
-``failed``, the commits, the versions, nproc, the seeds and the seconds.
+``failed``, and the two values that tell a program change from a change of
+the benchmark's speed scaling: the median of the run's reference kernel
+(``reference_kernel_ms``) and its unscaled ``wall.task_p50_ms``. Last come
+the commits, the versions, nproc, the seeds and the seconds.
 """
 
 from __future__ import annotations
@@ -103,9 +106,12 @@ def record(parent_dir: str, workloads: list[str], pairs: int, seconds: float, se
                 kept = os.path.join(runs_dir, f"{workload}-{side}-{i:02d}.json")
                 shutil.copyfile(path, kept)
                 with open(kept, encoding="utf-8") as fh:
-                    meta[side] = json.load(fh)["metadata"]
+                    full = json.load(fh)
+                meta[side] = full["metadata"]
                 pair[side] = {"first": not pair, "correct": result["correct"],
                               "failed": result["failed"], "attempted": result["attempted"],
+                              "reference_kernel_ms": full["reference_kernel_ms"]["median"],
+                              "wall_task_p50_ms": full["wall"]["task_p50_ms"],
                               "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
             runs.append(pair)
         out["workloads"][workload] = {
