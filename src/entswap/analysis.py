@@ -503,7 +503,9 @@ def bisect(f, a: float, b: float, fa: float, fb: float, xtol: float, guess: floa
     the step takes, and points it does not reach are discarded, so the root
     is that of one step per call. r is ``guess`` (NaN for none) at first, or
     else regula falsi on the ends, and regula falsi on the new bracket after
-    each call, so its error about squares per call on a smooth f. A
+    each call, so its error about squares per call on a smooth f. An r
+    beyond an end gives that end's path, and a NaN r (regula falsi on an
+    infinite end value) the path that stays at the first end. A
     non-finite end (before any call of f), a NaN end value, same-sign end
     values, a NaN at a point the walk reaches, and a bracket still open
     after _MAXITER steps raise.
@@ -519,7 +521,7 @@ def bisect(f, a: float, b: float, fa: float, fb: float, xtol: float, guess: floa
     if fa == 0 or fb == 0:
         return a if fa == 0 else b
     f_start, dm, steps = fa, b - a, 0
-    estimate = _estimate(a, b, guess if guess == guess else _regula_falsi(a, b, fa, fb))
+    estimate = guess if guess == guess else _regula_falsi(a, b, fa, fb)
     while steps < _MAXITER:
         points = _path(a, dm, estimate, _MAXITER - steps, xtol)
         values = dict(zip(points, f(points)))
@@ -534,7 +536,7 @@ def bisect(f, a: float, b: float, fa: float, fb: float, xtol: float, guess: floa
             dm, steps = dm * 0.5, steps + 1
             if v == 0 or abs(dm) < xtol + _RTOL * abs(x):
                 return x
-        estimate = _estimate(a, b, _regula_falsi(a, b, fa, fb))
+        estimate = _regula_falsi(a, b, fa, fb)
     raise EntswapError(
         f"bisection did not converge in {_MAXITER} iterations, bracket [{a!r}, {b!r}]"
     )
@@ -543,8 +545,8 @@ def bisect(f, a: float, b: float, fa: float, fb: float, xtol: float, guess: floa
 def _path(start: float, dm: float, r: float, count: int, xtol: float) -> list[float]:
     """The midpoints of the next ``count`` steps of ``bisect`` from the
     first end ``start`` and width ``dm`` if the root is at r: a moves to
-    each midpoint on the first end's side of r. The path ends early at the
-    first midpoint x where |dm| < xtol + 4 eps |x|."""
+    each midpoint on the first end's side of r, none if r is NaN. The path
+    ends early at the first midpoint x where |dm| < xtol + 4 eps |x|."""
     points = []
     for _ in range(count):
         dm *= 0.5
@@ -572,11 +574,6 @@ def _probes(a: float, b: float) -> list[float]:
 def _regula_falsi(a: float, b: float, fa: float, fb: float) -> float:
     """Where the chord from (a, fa) to (b, fb) crosses 0; NaN if fb == fa."""
     return a - fa * (b - a) / (fb - fa) if fb != fa else float("nan")
-
-
-def _estimate(a: float, b: float, x: float) -> float:
-    """``x`` clipped into the bracket [a, b], or its midpoint if x is NaN."""
-    return min(max(x, min(a, b)), max(a, b)) if x == x else a + (b - a) / 2
 
 
 # The exact identities of a swap outcome with effect E, in the order

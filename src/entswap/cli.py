@@ -16,6 +16,7 @@ import functools
 import json
 import operator
 import os
+import stat
 import sys
 import tempfile
 from io import StringIO
@@ -42,24 +43,41 @@ def _fmt(value: float | None) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    """Write to stdout, or atomically to a file (temp write, then rename).
-    An empty ``out_path`` raises before any temp file is made, and an
-    OSError of the temp file or the rename names ``out_path`` only; a failed
-    write or rename removes the temp file."""
+    """Write to stdout, or as UTF-8 to the file ``out_path`` names.
+
+    A path that exists and is not a regular file (a FIFO, a device, or a
+    link to one) is opened and written as it is. Any other path is written
+    atomically, a temp file beside it renamed over it; a link to a regular
+    file has its target replaced, so the link survives. An empty
+    ``out_path`` raises before any file is made, and an OSError names
+    ``out_path`` only; a failed write or rename removes the temp file."""
     if out_path is None:
         sys.stdout.write(text)
         return
     if not out_path:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
-    directory = os.path.dirname(os.path.abspath(out_path))
+    target = out_path
     try:
+        # lstat first: only a link pays for resolving its target.
+        mode = os.lstat(out_path).st_mode
+        if stat.S_ISLNK(mode):
+            mode = os.stat(out_path).st_mode
+            target = os.path.realpath(out_path)
+    except OSError:  # missing, or unreachable: the temp file and rename report it
+        mode = stat.S_IFREG
+    try:
+        if not stat.S_ISREG(mode):
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        directory = os.path.dirname(os.path.abspath(target))
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp", text=True)
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, out_path) from exc
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp_path, out_path)
+        os.replace(tmp_path, target)
     except BaseException as exc:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
@@ -272,7 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (EntswapError, OSError, MemoryError, np.linalg.LinAlgError) as exc:
+    # A UnicodeEncodeError comes from stdout, whose encoding the locale sets.
+    except (EntswapError, OSError, MemoryError, np.linalg.LinAlgError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -149,16 +149,6 @@ def negativity(rho) -> float:
     return max(0.0, negativity_signed(rho))
 
 
-def _clamped_quantifiers(negativity, m_value, lambda3) -> tuple[float, float, float]:
-    """Negativity, N and S3, each clamped at 0 from below, from the signed
-    negativity and the eigenvalue sums M and Lambda3 of T^T T."""
-    return (
-        float(max(0.0, negativity)),
-        float(max(0.0, nonlocality_from_pair_sum(m_value))),
-        float(max(0.0, steering3_from_total(lambda3))),
-    )
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """All quantifiers of one state plus threshold classifications.
@@ -166,7 +156,8 @@ class CorrelationReport:
     Booleans hold when the corresponding quantifier exceeds ``tol``; the
     hierarchy nonlocal => steerable => entangled is enforced.
     ``from_quantities`` takes the signed negativity, M and Lambda3, each a
-    finite real number (else BadParamError).
+    finite real number (else BadParamError), and clamps N, S3 and the
+    negativity at 0 from below.
     """
 
     negativity: float
@@ -188,7 +179,8 @@ class CorrelationReport:
         check_tolerance(tol)
         names = ("negativity", "M", "Lambda3")
         negativity, m_value, lambda3 = map(check_finite, names, (negativity, m_value, lambda3))
-        neg, n, s3 = _clamped_quantifiers(negativity, m_value, lambda3)
+        n, s3 = nonlocality_from_pair_sum(m_value), steering3_from_total(lambda3)
+        neg, n, s3 = (float(max(0.0, v)) for v in (negativity, n, s3))
         rep = cls(
             negativity=neg, M=m_value, Lambda3=lambda3, B=float(2.0 * np.sqrt(max(m_value, 0.0))),
             S2=n, S3=s3, N=n, entangled=bool(neg > tol), steerable=bool(s3 > tol),

@@ -38,9 +38,10 @@ DEGENERATE_PROBABILITY = 1e-12
 class Povm:
     """Ordered effects with a human-readable label.
 
-    Construction enforces only the structure (at least one 4x4 complex
-    matrix); the mathematical invariants are checked by ``validate`` so that
-    ill-formed candidates can be diagnosed rather than rejected outright.
+    Construction enforces only the structure (a label that is UTF-8 text,
+    at least one 4x4 complex matrix); the mathematical invariants are
+    checked by ``validate`` so that ill-formed candidates can be diagnosed
+    rather than rejected outright.
     """
 
     effects: tuple[np.ndarray, ...]
@@ -49,6 +50,12 @@ class Povm:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str):
             raise InvalidPovmError("'label' must be a string")
+        try:
+            self.label.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, which JSON can escape
+            raise InvalidPovmError(
+                f"'label' must be UTF-8 text: {exc.reason} at index {exc.start}"
+            ) from None
         try:
             count = len(self.effects)
         except TypeError:  # no sequence: an int, None, a 0-d array

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateEffectError, InvalidPovmError, check_choice, check_unit
 from .linalg import _root, freeze, partial_trace, psd_sqrt
-from .measures import CorrelationReport, _clamped_quantifiers
+from .measures import CorrelationReport
 from .povm import (
     _PARAMETERS, DEGENERATE_PROBABILITY, AsymmetricPovmParams, Povm, _asymmetric_parameters,
     _residuals, unit_trace_effect, validate,
@@ -260,10 +260,9 @@ class Case1ClosedForms:
 def case1_closed_forms(lam: float) -> Case1ClosedForms:
     """All six closed-form measures of the Bell-projector family."""
     s = s_of_lambda(lam)
-    (n14, t14), (n12, t12), _ = _closed_form_core(None, float(lam))
-    neg14, nl14, s3_14 = _clamped_quantifiers(n14, *_eigenvalue_sums(t14))
-    neg12, nl12, s3_12 = _clamped_quantifiers(n12, *_eigenvalue_sums(t12))
-    return Case1ClosedForms(lam, s, neg14, s3_14, nl14, neg12, s3_12, nl12)
+    r14, r12 = (CorrelationReport.from_quantities(n, *_eigenvalue_sums(t))
+                for n, t in _closed_form_core(None, float(lam))[:2])
+    return Case1ClosedForms(lam, s, r14.negativity, r14.S3, r14.N, r12.negativity, r12.S3, r12.N)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
 def stub_runs(tmp_path, p50):
     """A stand-in for ``run_once``: the change's p50 of pair i is p50[i], the
     parent's 2.4 ms; each call writes a record, as the benchmark does, and is
-    logged. A record's reference kernel takes 3 + i ms and its unscaled p50 is
-    twice the scaled one."""
+    logged. A record's reference kernel takes 3 + i ms, its unscaled p50 is
+    twice the scaled one, and the parent runs BLAS on 1 thread, the change on 2."""
     calls = []
 
     def run(tree, workload, seed, seconds):
@@ -32,7 +32,9 @@ def stub_runs(tmp_path, p50):
         path = tmp_path / f"{side}.json"
         path.write_text(json.dumps({
             "metadata": {"seed": seed, "git_commit": side, "python": "3.x", "numpy": "n",
-                         "scipy": "s", "entswap": "e", "nproc": 2},
+                         "scipy": "s", "entswap": "e", "nproc": 2,
+                         "blas_threads": {"OMP_NUM_THREADS": str(1 + (side == "change")),
+                                          "MKL_NUM_THREADS": None}},
             "reference_kernel_ms": {"median": 3.0 + i, "min": 1.0, "max": 9.0, "samples": 5},
             "wall": {"setup_s": 0.1, "task_p50_ms": 2 * value, "task_p90_ms": 9.0},
         }))
@@ -59,6 +61,10 @@ def test_pairs_alternate_and_the_record_holds_every_field(tmp_path):
     assert out["seeds"] == list(range(100, 110)) and out["seconds"] == 3.0
     assert out["commits"] == {"parent": "parent", "change": "change"}
     assert out["nproc"] == 2 and set(out["versions"]) == {"python", "numpy", "scipy", "entswap"}
+    assert out["blas_threads"] == {
+        "parent": {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None},
+        "change": {"OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None},
+    }
     entry = out["workloads"]["threshold_scan"]
     assert entry["runs"][1]["parent"] == {"first": True, "correct": True, "failed": 1,
                                           "attempted": 10, "reference_kernel_ms": 4.0,

@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -204,7 +205,7 @@ def test_sweep_into_a_missing_directory_names_the_out_path(tmp_path, capsys):
 
 
 def test_sweep_onto_a_directory_names_the_out_path(tmp_path, capsys):
-    # The rename of the temp file onto the directory fails.
+    # Opening the directory for writing fails.
     code, out, err = run_cli(capsys, "sweep", "--case", "I", "--grid", "2", "--out", str(tmp_path))
     assert code == 1 and out == ""
     assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n"
@@ -230,6 +231,36 @@ def test_sweep_compute_error_leaves_no_file(tmp_path, capsys):
     assert code == 1
     assert "case I has no x" in err
     assert not target.exists()
+
+
+def test_out_onto_a_fifo_writes_into_it(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # The reader is open before the CLI opens the FIFO, so neither side blocks.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, err = run_cli(capsys, "verify", "--case", "I", "--grid", "3", "--out", str(fifo))
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0 and out == "" and err == ""
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    _, expected, _ = run_cli(capsys, "verify", "--case", "I", "--grid", "3")
+    assert received.decode() == expected
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "verify.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(os.path.join("data", "verify.txt"))
+    code, out, err = run_cli(capsys, "verify", "--case", "I", "--grid", "3", "--out", str(link))
+    assert code == 0 and out == "" and err == ""
+    assert link.is_symlink() and os.readlink(link) == os.path.join("data", "verify.txt")
+    _, expected, _ = run_cli(capsys, "verify", "--case", "I", "--grid", "3")
+    assert target.read_text() == expected
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.txt", "verify.txt"]
 
 
 def test_bad_flags_exit_two(capsys):
@@ -477,6 +508,37 @@ def test_analyze_file_that_is_not_utf8_exits_one(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: cannot read POVM file: 'utf-8' codec can't decode byte 0xe9")
     assert len(err.splitlines()) == 1
+
+
+def test_analyze_label_that_is_not_utf8_text_exits_three(tmp_path, capsys):
+    # JSON can escape a lone surrogate, which no output encoding can write.
+    payload = povm_to_dict(werner_bell_povm(0.5)) | {"label": "\ud800"}
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(payload))
+    assert "\\ud800" in path.read_text()
+    code, out, err = run_cli(capsys, "analyze", "--povm", str(path), "--format", "csv")
+    assert code == 3 and out == ""
+    assert err.startswith("invalid POVM: 'label' must be UTF-8 text")
+
+
+def test_analyze_in_an_ascii_locale_writes_files_as_utf8(tmp_path):
+    payload = povm_to_dict(werner_bell_povm(0.5)) | {"label": "Bell-\u03bb"}
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env |= {"PYTHONPATH": src, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0"}
+    argv = [sys.executable, "-m", "entswap.cli", "analyze", "--povm", str(path), "--format", "csv"]
+    out = tmp_path / "out.csv"
+    done = subprocess.run([*argv, "--out", str(out)], capture_output=True, env=env, check=False)
+    assert done.returncode == 0 and done.stderr == b""
+    assert out.read_bytes().decode("utf-8").splitlines()[1].startswith("Bell-\u03bb,1,14,")
+    # stdout's encoding is ASCII here: the label cannot be written to it.
+    done = subprocess.run(argv, capture_output=True, env=env, check=False)
+    assert done.returncode == 1
+    err = done.stderr.decode()
+    assert err.startswith("error: 'ascii' codec can't encode") and "Traceback" not in err
 
 
 def test_analyze_deeply_nested_file_exits_one(tmp_path, capsys):

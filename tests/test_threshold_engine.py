@@ -200,7 +200,7 @@ def test_bisect_linear_f_takes_one_call(steps):
     [
         (lambda lam: lam - 0.3, 0.0, 1.0, 1e-12, 0.9),  # wrong guess
         (lambda lam: lam - 0.3, 0.0, 1.0, 1e-12, 0.0),  # guess on an end
-        (lambda lam: lam - 0.3, 0.0, 1.0, 1e-12, 7.0),  # guess outside, clipped
+        (lambda lam: lam - 0.3, 0.0, 1.0, 1e-12, 7.0),  # guess outside: the end's path
         (lambda lam: lam - 0.3, 0.0, 1.0, 1e-12, float("nan")),  # falls back
         (step_function(0.3), 0.0, 1.0, 1e-12, float("nan")),
         (step_function(0.7), 1.0, 0.0, 1e-11, float("nan")),  # reversed bracket
@@ -209,6 +209,12 @@ def test_bisect_linear_f_takes_one_call(steps):
         (lambda lam: np.expm1(40.0 * (lam - 0.9)), 0.0, 1.0, 1e-12, float("nan")),
         (lambda lam: np.cbrt(lam - 0.61), 0.0, 1.0, 1e-13, 0.01),
         (lambda lam: lam, -1.0, 0.5, 1.5 * 1.5 * 2.0**-200, 0.5),  # the last allowed step
+        # Infinite end values: regula falsi puts the estimate on the first
+        # end, or gives NaN when both ends are infinite.
+        (lambda lam: np.inf if lam == 1.0 else lam - 0.3, 0.0, 1.0, 1e-12, float("nan")),
+        (lambda lam: -np.inf if lam == 1.0 else 0.3 - lam, 0.0, 1.0, 1e-12, float("nan")),
+        (lambda lam: {0.0: -np.inf, 1.0: np.inf}.get(lam, lam - 0.7), 0.0, 1.0, 1e-11,
+         float("nan")),
     ],
 )
 def test_bisect_takes_at_least_one_step_per_call(f, lo, hi, tol, guess):

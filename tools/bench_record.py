@@ -20,7 +20,8 @@ against the metric's bound. It also holds each run's ``correct`` and
 ``failed``, and the two values that tell a program change from a change of
 the benchmark's speed scaling: the median of the run's reference kernel
 (``reference_kernel_ms``) and its unscaled ``wall.task_p50_ms``. Last come
-the commits, the versions, nproc, the seeds and the seconds.
+the commits, the versions, nproc, each side's BLAS thread settings (the
+``*_NUM_THREADS`` variables of its runs), the seeds and the seconds.
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ def record(parent_dir: str, workloads: list[str], pairs: int, seconds: float, se
     out["change_uncommitted"] = bool(_git("status", "--porcelain", "--untracked-files=no"))
     out["versions"] = {k: meta["change"].get(k) for k in ("python", "numpy", "scipy", "entswap")}
     out["nproc"] = meta["change"].get("nproc")
+    out["blas_threads"] = {s: meta[s].get("blas_threads") for s in SIDES}
     return out
 
 
