@@ -29,7 +29,8 @@ scan, the first root of every bisection, and one pair state of every
 ``_outcome_values`` call. Every engine point of a bisection, and every
 outcome of ``_outcome_values`` against its POVM's effects, is also checked
 against the exact identities of the swap (``_check_identities``), which
-need no second pipeline. Which outcomes are kept is read from ``swap_stack``'s
+need no second pipeline. A state the checks reject goes to ``report`` or, in a
+bisection, ``_SIGNED``. Which outcomes are kept is read from ``swap_stack``'s
 mask or ``run_swap``'s ``degenerate`` flags, never decided here. An error
 raised at a grid point is re-raised as itself, prefixed by ``_at_lambda``.
 """
@@ -446,10 +447,10 @@ def _check_outcome(outcomes, values, tol: float, probabilities=None, pairs=PAIRS
 
 
 def _compare(outcome: int, checks: list[tuple]) -> None:
-    """Raise unless every (name, batched, scalar) check of an outcome agrees
-    within VERIFY_TOL."""
+    """Raise unless every (name, batched, scalar) check of an outcome
+    differs by less than VERIFY_TOL (a NaN difference fails)."""
     for name, batched, scalar in checks:
-        if not abs(batched - scalar) <= VERIFY_TOL:
+        if not abs(batched - scalar) < VERIFY_TOL:
             raise EntswapError(
                 f"batched engine deviates from the scalar pipeline at outcome "
                 f"{outcome}: {name} is {float(batched)!r}, scalar {scalar!r}"
@@ -590,7 +591,8 @@ def _check_identities(lams, effects, probabilities, states, kept) -> None:
     """Raise unless every kept outcome of ``swap_stack(effects)``, effects
     of shape (n, k, 4, 4) at the n lambdas ``lams`` (None for one POVM that
     has no lambda) and ``kept`` the swap's mask of non-degenerate outcomes,
-    shape (n, k), meets the exact identities of the swap within VERIFY_TOL.
+    shape (n, k), meets the exact identities of the swap, each deviation
+    less than VERIFY_TOL.
 
     Both pairs start maximally entangled, so effect E has probability
     tr(E)/4 and (1,4) state conj(E)/tr(E), as ``rho14_spectral`` computes,
@@ -616,11 +618,11 @@ def _check_identities(lams, effects, probabilities, states, kept) -> None:
         (d[:, 0, ::2, ::2] + d[:, 0, 1::2, 1::2]).reshape(m, 4),
         (d[:, 1, :2, :2] + d[:, 1, 2:, 2:]).reshape(m, 4),
     ], axis=1))
-    if residuals.max(initial=0.0) <= VERIFY_TOL:  # False for NaN
+    if residuals.max(initial=0.0) < VERIFY_TOL:  # False for NaN
         return
     # The first column of each identity in ``residuals``.
     deviations = np.maximum.reduceat(residuals, [0, 1, 17, 21], axis=1)
-    row, identity = np.argwhere(~(deviations <= VERIFY_TOL))[0]
+    row, identity = np.argwhere(~(deviations < VERIFY_TOL))[0]
     i, j = np.argwhere(kept)[row]
     where = "" if lams is None else f"lambda={float(lams[i]):.12g}: "
     raise EntswapError(
@@ -635,18 +637,16 @@ def _signed_values(family: _Family, lams, pairs, columns) -> np.ndarray:
     outcome 1 is rooted (``swap_stack(effects, 1)``), and each row solves
     only the spectrum its measure reads (``measures._signed_rows``). Every
     non-degenerate row must meet the exact identities of the swap
-    (``_check_identities``). A degenerate outcome or a state the stacked
-    checks reject goes to ``_signed_pair_value``, which raises its error or
-    gives the value.
+    (``_check_identities``). ``_SIGNED[measure]`` on a state the stacked
+    checks reject (a degenerate outcome's is zero) raises or gives the value.
     """
     effects, probabilities, states, kept = _grid_swap(family, lams, 1)
     _check_identities(lams, effects[:, :1], probabilities, states, kept)
     values, ok = measures._signed_rows(states[np.arange(lams.size), 0, pairs], columns)
-    ok &= kept[:, 0]
     for i in np.flatnonzero(~ok):
-        lam, pair, measure = float(lams[i]), PAIRS[pairs[i]], MEASURES[columns[i]]
-        with _at_lambda(lam):
-            values[i] = _signed_pair_value(family.povm, lam, pair, measure)
+        pair, measure = PAIRS[pairs[i]], MEASURES[columns[i]]
+        with _at_lambda(float(lams[i]), f"outcome 1, pair {pair}: "):
+            values[i] = _SIGNED[measure](states[i, 0, pairs[i]])
     return values
 
 
@@ -664,9 +664,9 @@ def _bisect_signed(family: _Family, queries: list[tuple], tol: float) -> list[fl
     evaluates only points not seen before. A bracket whose ends lie on
     the same side of the offset raises, in query order; one whose 17
     probes, ordered from lo to hi, are not monotone warns. Every engine
-    point meets the exact identities of the swap (see ``_signed_values``),
-    and at the first query's root the scalar pipeline must give the
-    engine's signed value within VERIFY_TOL: one ``run_swap`` per call.
+    point is checked on its own state (see ``_signed_values``); at the
+    first query's root the scalar pipeline must give the engine's signed
+    value within VERIFY_TOL, the one ``run_swap`` of a call.
     """
     # Every (query, lambda) reaches the engine once: tables[i] holds query
     # i's signed value less its offset at each lambda it has been evaluated at.

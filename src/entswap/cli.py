@@ -47,10 +47,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
     A path that exists and is not a regular file (a FIFO, a device, or a
     link to one) is opened and written as it is. Any other path is written
-    atomically, a temp file beside it renamed over it; a link to a regular
-    file has its target replaced, so the link survives. An empty
-    ``out_path`` raises before any file is made, and an OSError names
-    ``out_path`` only; a failed write or rename removes the temp file."""
+    atomically, a temp file beside it renamed over it, with the permission
+    bits of the file it replaces, or for a new file those ``open(path, "w")``
+    gives; a link, dangling or to a regular file, has its target written, so
+    the link survives. An empty ``out_path`` raises before any file is made,
+    and an OSError names ``out_path`` only; a failed write or rename removes
+    the temp file."""
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -61,10 +63,14 @@ def _emit(text: str, out_path: str | None) -> None:
         # lstat first: only a link pays for resolving its target.
         mode = os.lstat(out_path).st_mode
         if stat.S_ISLNK(mode):
-            mode = os.stat(out_path).st_mode
             target = os.path.realpath(out_path)
+            mode = os.stat(target).st_mode
+        perms = mode & 0o777
     except OSError:  # missing, or unreachable: the temp file and rename report it
         mode = stat.S_IFREG
+        umask = os.umask(0o077)  # only os.umask reads it
+        os.umask(umask)
+        perms = 0o666 & ~umask  # what open(path, "w") gives a new file
     try:
         if not stat.S_ISREG(mode):
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -76,6 +82,7 @@ def _emit(text: str, out_path: str | None) -> None:
         raise type(exc)(exc.errno, exc.strerror, out_path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, perms)  # mkstemp makes the file 0o600
             fh.write(text)
         os.replace(tmp_path, target)
     except BaseException as exc:

@@ -92,3 +92,19 @@ def test_eight_wins_in_ten_make_no_gain(tmp_path):
                               str(tmp_path / "runs"), run=run)
     p = out["workloads"]["sweep_grid"]["metrics"]["task_p50_ms"]
     assert p["wins"] == "8/10" and not p["gain_holds"]
+
+
+def test_a_failed_run_names_its_tree_workload_seed_and_stderr(tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "print('early line', file=sys.stderr)\n"
+        "print('Traceback: boom', file=sys.stderr)\n"
+        "sys.exit(3)\n"
+    )
+    with pytest.raises(RuntimeError) as exc:
+        bench_record.run_once(str(tree), "custom_povm", 7, 0.5)
+    message = str(exc.value)
+    assert message.startswith(f"perfbench/run.py in {tree} (workload custom_povm, seed 7) exited 3")
+    assert message.endswith("early line\nTraceback: boom")

@@ -263,6 +263,42 @@ def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.txt", "verify.txt"]
 
 
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_out_gives_a_new_file_the_mode_of_a_plain_open(tmp_path, capsys, umask_022):
+    target = tmp_path / "verify.txt"
+    code, _, _ = run_cli(capsys, "verify", "--case", "I", "--grid", "3", "--out", str(target))
+    assert code == 0
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o644
+
+
+def test_out_keeps_the_mode_of_the_file_it_replaces(tmp_path, capsys, umask_022):
+    target = tmp_path / "verify.txt"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    code, _, _ = run_cli(capsys, "verify", "--case", "I", "--grid", "3", "--out", str(target))
+    assert code == 0 and target.read_text() != "old\n"
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
+
+
+def test_out_through_a_dangling_symlink_creates_its_target(tmp_path, capsys, umask_022):
+    link = tmp_path / "dangling"
+    link.symlink_to("missing.txt")
+    code, out, err = run_cli(capsys, "verify", "--case", "I", "--grid", "3", "--out", str(link))
+    assert code == 0 and out == "" and err == ""
+    assert link.is_symlink() and os.readlink(link) == "missing.txt"
+    _, expected, _ = run_cli(capsys, "verify", "--case", "I", "--grid", "3")
+    target = tmp_path / "missing.txt"
+    assert target.read_text() == expected
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "missing.txt"]
+
+
 def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep"])  # --case missing

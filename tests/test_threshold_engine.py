@@ -686,6 +686,17 @@ def test_each_identity_names_its_defect(perturb, identity):
     assert str(raised.value).startswith(f"lambda=0.5: outcome 3: {identity} by ")
 
 
+def test_a_deviation_of_exactly_verify_tol_fails_every_check():
+    # One pass rule, deviation < VERIFY_TOL, as in _worst_deviation.
+    tol = analysis.VERIFY_TOL
+    with pytest.raises(EntswapError, match="^batched engine deviates from the scalar pipeline"):
+        analysis._compare(1, [("q", tol, 0.0)])
+    analysis._compare(1, [("q", np.nextafter(tol, 0.0), 0.0)])
+    effects, states = np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 3, 4, 4))
+    with pytest.raises(EntswapError, match=r"^outcome 1: probability deviates from tr\(E\)/4 by"):
+        analysis._check_identities(None, effects, np.array([[tol]]), states, np.array([[True]]))
+
+
 def assert_identities_hold(lams, effects):
     """``_check_identities`` passes the stacked swap of valid effects."""
     ok, probabilities, states, kept = analysis.swap_stack(effects)
@@ -731,23 +742,90 @@ def test_first_estimate_falls_back_where_the_probes_are_not_monotone():
     assert root == one_point_bisect("III", "34", "steering3", 0.5, 1.0, 1e-9)
 
 
-def test_rows_the_stacked_checks_reject_go_to_the_scalar_pipeline(monkeypatch):
+def reject_rows(monkeypatch, rows):
+    """Make ``measures._signed_rows`` reject ``rows``, an index into its
+    rows, keeping its values."""
     real = analysis.measures._signed_rows
 
-    def second_rejected(states, columns):
+    def rejected(states, columns):
         values, ok = real(states, columns)
-        ok[1] = False
+        ok[rows] = False
         return values, ok
 
+    monkeypatch.setattr(analysis.measures, "_signed_rows", rejected)
+
+
+def test_rows_the_stacked_checks_reject_go_to_the_scalar_pipeline(monkeypatch):
+    # A rejected row is decided by the scalar measure on the engine's own
+    # state: no second run of the 16-dimensional pipeline.
     family = analysis._family("II", None)
     lams, pairs, columns = np.array([0.2, 0.5, 0.8]), np.array([0, 1, 2]), np.array([0, 0, 2])
     expected = analysis._signed_values(family, lams, pairs, columns)
-    monkeypatch.setattr(analysis.measures, "_signed_rows", second_rejected)
+    _, _, states, _ = analysis.swap_stack(family.effects(lams), 1)
+    reject_rows(monkeypatch, 1)
+    monkeypatch.setattr(analysis, "run_swap", lambda p: pytest.fail("run_swap was called"))
     values = analysis._signed_values(family, lams, pairs, columns)
-    # The two pipelines differ in the last bits here, so the row shows its source.
-    assert values[1] == analysis._signed_pair_value(family.povm, 0.5, "12", "negativity")
-    assert 0.0 < abs(values[1] - expected[1]) <= analysis.VERIFY_TOL
-    assert values[[0, 2]].tolist() == expected[[0, 2]].tolist()
+    assert values[1] == analysis._SIGNED["negativity"](states[1, 0, 1])
+    assert values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case, pair, measure, bracket", [
+    ("I", "12", "negativity", (0.5, 1.0)),
+    ("III", "34", "steering3", (0.9999, 1.0)),
+    ("I", "14", "steering3", (0.2, 0.9)),
+])
+def test_a_bisection_whose_checks_reject_every_row_keeps_its_root(
+    monkeypatch, case, pair, measure, bracket
+):
+    # Every row goes to the scalar measure on its own state, so the root is
+    # bitwise the same and run_swap runs only as the root's oracle.
+    root = find_threshold(case, None, pair, measure, bracket).root
+    reject_rows(monkeypatch, slice(None))
+    result, runs = run_swap_calls(
+        monkeypatch, lambda: find_threshold(case, None, pair, measure, bracket)
+    )
+    assert result.root.hex() == root.hex()
+    assert runs == 1
+
+
+def with_outcome_1_changed(monkeypatch, lam: float, change, degenerate: bool = False):
+    """Let ``_grid_swap`` hand on outcome 1's pair states at ``lam`` as
+    ``change(states)``, and mark the outcome degenerate if asked."""
+    real = analysis._grid_swap
+
+    def changed(family, lams, outcomes=None):
+        effects, probabilities, states, kept = real(family, lams, outcomes)
+        states, kept = states.copy(), kept.copy()
+        for i in np.flatnonzero(lams == lam):
+            states[i, 0] = change(states[i, 0])
+            kept[i, 0] = not degenerate
+        return effects, probabilities, states, kept
+
+    monkeypatch.setattr(analysis, "_grid_swap", changed)
+
+
+def test_a_row_that_is_no_state_raises_and_is_not_recomputed(monkeypatch):
+    # sigma_z x sigma_z keeps the trace, Hermiticity and qubit-1 marginal of
+    # the (1,2) state, so the identities pass it, but the state is no longer
+    # PSD. Its error is raised, not overruled by a second pipeline's value.
+    zz = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
+    bump = np.multiply.outer([0.0, 0.3, 0.0], zz)  # on the (1,2) state only
+    with_outcome_1_changed(monkeypatch, 0.75, lambda states: states + bump)
+    with pytest.raises(
+        entswap.NotAStateError, match=r"^lambda=0\.75: outcome 1, pair 12: negative eigenvalue"
+    ):
+        find_threshold("I", None, "12", "negativity", (0.5, 1.0))
+
+
+def test_a_zero_outcome_state_raises_as_no_state(monkeypatch):
+    # swap_stack gives a degenerate outcome zero states, which the identities
+    # skip and no scalar measure accepts.
+    with_outcome_1_changed(monkeypatch, 0.75, np.zeros_like, degenerate=True)
+    with pytest.raises(
+        entswap.NotAStateError,
+        match=r"^lambda=0\.75: outcome 1, pair 12: trace is 0\+0j, expected 1$",
+    ):
+        find_threshold("I", None, "12", "negativity", (0.5, 1.0))
 
 
 @settings(max_examples=20, deadline=None)

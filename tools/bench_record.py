@@ -36,15 +36,23 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+# Lines of a failed run's stderr that its error quotes.
+STDERR_LINES = 20
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
-    """One untraced benchmark run in ``tree``: its result line and the path of its record."""
+    """One untraced benchmark run in ``tree``: its result line and the path of its
+    record. A run that exits non-zero raises RuntimeError naming the tree, the
+    workload, the seed and the exit code, with the last lines of its stderr."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True,
+        cwd=tree, capture_output=True, text=True,
     )
+    if done.returncode:
+        tail = "\n".join(done.stderr.splitlines()[-STDERR_LINES:])
+        raise RuntimeError(f"perfbench/run.py in {tree} (workload {workload}, seed {seed}) "
+                           f"exited {done.returncode}; the end of its stderr:\n{tail}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return result, os.path.join(tree, "perfbench", "_out", f"{workload}-trace0.json")
 
