@@ -21,12 +21,13 @@ plain-float core ``swap._closed_form_core`` at its x, which the root
 prediction and ``_closed_form_values`` (``verify``, analytic sweeps) read
 with no object built per lambda.
 ``_outcome_values`` gives the quantifiers of all outcomes of one
-``run_swap`` call (``entswap analyze``) from one ``measures.report_stack``
-call. ``sweep`` turns the stacked values into ``SweepRecord`` rows in bulk,
-column by column. The scalar 16-dimensional pipeline, ``run_swap`` plus
-``measures``, stays the oracle: it re-checks the last point of every grid
-scan, the first root of every bisection, and one pair state of every
-``_outcome_values`` call. Every engine point of a bisection, and every
+``run_swap`` call (``entswap analyze``) from one ``measures._report_checked``
+call, which does not check ``run_swap``'s states again, so every state is
+validated once. ``sweep`` turns the stacked values into ``SweepRecord``
+rows in bulk, column by column. The scalar 16-dimensional pipeline,
+``run_swap`` plus ``measures``, stays the oracle: it re-checks the last
+point of every grid scan, the first root of every bisection, and one pair
+state of every ``_outcome_values`` call. Every engine point of a bisection, and every
 outcome of ``_outcome_values`` against its POVM's effects, is also checked
 against the exact identities of the swap (``_check_identities``), which
 need no second pipeline. A state the checks reject goes to ``report`` or, in a
@@ -343,18 +344,23 @@ def _grid_values(family: _Family, lams: np.ndarray, tol: float, outcomes: int | 
     return probabilities, values, kept
 
 
-def _report_values(states, kept, tol: float, where=lambda *index: nullcontext()):
+def _report_values(
+    states, kept, tol: float, where=lambda *index: nullcontext(), *, checked: bool = False
+):
     """The QUANTITIES columns of a stack of pair states, shape (..., 3, 4, 4).
 
     ``kept`` masks the outcomes, shape (...); the result, shape (..., 3, 6),
     is zero for the others. One ``measures.report_stack`` call covers every
-    kept state. ``report`` on a state the stacked checks reject raises its
+    kept state, or with ``checked``, for states ``check_density_matrix`` has
+    passed, one ``measures._report_checked`` call, which does not check them
+    again. ``report`` on a state the stacked checks reject raises its
     error, inside the context ``where(*index)`` of the state's index, or
     overrules them and gives the values.
     """
     values = np.zeros(states.shape[:-2] + (len(measures.QUANTITIES),))
     ok = np.ones(states.shape[:-2], dtype=bool)
-    values[kept], ok[kept] = measures.report_stack(states[kept], tol)
+    stacked = measures._report_checked if checked else measures.report_stack
+    values[kept], ok[kept] = stacked(states[kept], tol)
     for index in map(tuple, np.argwhere(~ok).tolist()):
         with where(*index):
             values[index] = list(measures.report(states[index], tol).values().values())
@@ -365,10 +371,10 @@ def _outcome_values(p: Povm, outcomes: list[SwapOutcome], tol: float) -> np.ndar
     """The QUANTITIES columns of every pair state of the outcomes of ``run_swap(p)``.
 
     Returns shape (k, 3, 6), pairs in PAIRS order, zero for degenerate
-    outcomes, from ``_report_values`` on the stacked states. The states must
-    meet the exact identities of the swap against the effects of ``p``
-    (``_check_identities``), and the (1,4) state of the first non-degenerate
-    outcome ``_check_outcome``'s scalar check.
+    outcomes, from ``_report_values`` on the stacked states, which ``run_swap``
+    has checked. The states must meet the exact identities of the swap
+    against the effects of ``p`` (``_check_identities``), and the (1,4) state
+    of the first non-degenerate outcome ``_check_outcome``'s scalar check.
     """
     kept = np.array([not o.degenerate for o in outcomes])
     states = np.zeros((len(outcomes), len(PAIRS), 4, 4), dtype=complex)
@@ -377,7 +383,7 @@ def _outcome_values(p: Povm, outcomes: list[SwapOutcome], tol: float) -> np.ndar
     ]
     probabilities = np.array([[o.probability for o in outcomes]])
     _check_identities(None, np.array(p.effects)[None], probabilities, states[None], kept[None])
-    values = _report_values(states, kept, tol)
+    values = _report_values(states, kept, tol, checked=True)
     _check_outcome(outcomes, values, tol, pairs=("14",))
     return values
 

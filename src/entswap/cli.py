@@ -18,7 +18,6 @@ import operator
 import os
 import stat
 import sys
-import tempfile
 from io import StringIO
 from itertools import chain, repeat
 
@@ -40,6 +39,21 @@ def _fmt(value: float | None) -> str:
     if value is None:
         return ""
     return format(float(value), ".12g")
+
+
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
+def _new_temp(directory: str) -> tuple[int, str]:
+    """A new file of a random name in ``directory``, open for writing, and
+    its path. It is created with mode 0o666, less the umask, as
+    ``open(path, "w")`` creates a file; a name that exists is drawn again."""
+    while True:
+        path = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(path, _TEMP_FLAGS, 0o666), path
+        except FileExistsError:
+            continue
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -67,22 +81,19 @@ def _emit(text: str, out_path: str | None) -> None:
             mode = os.stat(target).st_mode
         perms = mode & 0o777
     except OSError:  # missing, or unreachable: the temp file and rename report it
-        mode = stat.S_IFREG
-        umask = os.umask(0o077)  # only os.umask reads it
-        os.umask(umask)
-        perms = 0o666 & ~umask  # what open(path, "w") gives a new file
+        mode, perms = stat.S_IFREG, None
     try:
         if not stat.S_ISREG(mode):
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             return
-        directory = os.path.dirname(os.path.abspath(target))
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp", text=True)
+        fd, tmp_path = _new_temp(os.path.dirname(os.path.abspath(target)))
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, out_path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, perms)  # mkstemp makes the file 0o600
+            if perms is not None:
+                os.fchmod(fd, perms)
             fh.write(text)
         os.replace(tmp_path, target)
     except BaseException as exc:
@@ -175,21 +186,33 @@ def _analyze_text(p, outcomes, values, tol) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _analyze_csv(p, outcomes, values, tol) -> str:
-    # labels are user-controlled and may contain commas, so quote properly
+_ANALYZE_HEADER = ",".join(
+    ("label", "outcome", "pair", "probability", *QUANTITIES, *(flag for flag, _ in _FLAGS))
+)
+# One row of _ANALYZE_HEADER, the label already quoted; '%.12g' % v equals _fmt(v).
+_ANALYZE_ROW = "%s,%d,%s,%.12g" + ",%.12g" * len(QUANTITIES) + ",%s" * len(_FLAGS) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of more than one field:
+    quoted where it holds a comma, a quote or a line break."""
     buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["label", "outcome", "pair", "probability", *QUANTITIES, *(flag for flag, _ in _FLAGS)]
-    )
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _analyze_csv(p, outcomes, values, tol) -> str:
+    # The label is user-controlled: csv quotes it, once per file.
+    label = _csv_field(p.label)
+    lines = [_ANALYZE_HEADER + "\n"]
     for outcome, rows in zip(outcomes, values.tolist()):
         if outcome.degenerate:
             continue
+        where = (label, outcome.outcome_index)
         for pair, row in zip(PAIRS, rows):
-            flags = [str(row[column] > tol).lower() for _, column in _FLAGS]
-            where = [p.label, str(outcome.outcome_index), pair, _fmt(outcome.probability)]
-            writer.writerow([*where, *map(_fmt, row), *flags])
-    return buf.getvalue()
+            flags = [("false", "true")[row[column] > tol] for _, column in _FLAGS]
+            lines.append(_ANALYZE_ROW % (*where, pair, outcome.probability, *row, *flags))
+    return "".join(lines)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -19,7 +19,9 @@ elementwise N and S3 formulas: ``correlation_spectrum`` and
 (``report_stack``) reads the signed negativity, M and Lambda3 on a whole
 stack, one eigensolver call per spectrum; ``_signed_rows`` (the bisection of
 ``analysis``) reads one signed quantifier per state, solving only the
-spectrum it needs. Both make the checks of ``_checked_stack``.
+spectrum it needs. Both make the checks of ``_checked_stack``;
+``_report_checked``, ``report_stack`` for the states ``run_swap`` has
+checked, makes only the imaginary-residue one of those checks.
 ``_report_columns`` is the rule of ``CorrelationReport.from_quantities`` on
 stacked values, with its inputs (signed negativity, M, Lambda3), read by
 ``report_stack`` and by the closed-form grid of ``analysis``.
@@ -44,8 +46,10 @@ PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-# Pre-built two-qubit Pauli products sigma_i x sigma_j.
-_PAULI_STACK = np.array([[kron(si, sj) for sj in PAULI] for si in PAULI])
+# The two-qubit Pauli products sigma_i x sigma_j, transposed and flattened:
+# row 4a + b, column 3i + j holds entry (b, a) of sigma_i x sigma_j, so a
+# state's 16 entries times this matrix give T_ij = Tr[rho (sigma_i x sigma_j)].
+_PAULI_COLUMNS = np.array([kron(si, sj).T.ravel() for si in PAULI for sj in PAULI]).T.copy()
 
 # Columns of ``CorrelationReport.values()``, in order.
 QUANTITIES = ("negativity", "steering2", "steering3", "nonlocality", "M", "Lambda3")
@@ -69,8 +73,11 @@ def _clamped(v: np.ndarray) -> np.ndarray:
 def _correlation_stack(m: np.ndarray) -> tuple[np.ndarray, ...]:
     """T, the largest imaginary residue of T and the product T^T T, of each
     state of a (..., 4, 4) stack."""
-    raw = np.einsum("...ab,ijba->...ij", m, _PAULI_STACK)  # Tr[rho (sigma_i x sigma_j)]
-    T = raw.real
+    lead = m.shape[:-2]
+    raw = (m.reshape(*lead, 16) @ _PAULI_COLUMNS).reshape(*lead, 3, 3)
+    # A sum of zeros can come out -0.0 from the product; + 0.0 makes it 0.0,
+    # as a sum started from 0.0 gives, and leaves every other value as it is.
+    T = raw.real + 0.0
     return T, np.abs(raw.imag).max(axis=(-2, -1)), T.swapaxes(-1, -2) @ T
 
 
@@ -209,7 +216,8 @@ def report(rho, tol: float = 1e-9) -> CorrelationReport:
 
 
 def _checked_stack(states) -> tuple[np.ndarray, ...]:
-    """The checks of the stacked quantifiers on a (..., 4, 4) stack of states.
+    """The checks of the stacked quantifiers on a (..., 4, 4) stack of states:
+    the density-matrix invariants, then ``_residue_checked``.
 
     Returns the states, those that are not ok zeroed, their products T^T T,
     and ``ok``, shape (...), False where the density-matrix invariants or the
@@ -220,6 +228,13 @@ def _checked_stack(states) -> tuple[np.ndarray, ...]:
     # Zeroing the states that are not ok keeps non-finite ones from the eigensolvers.
     if not ok.all():
         m = np.where(ok[..., None, None], m, 0.0)
+    return _residue_checked(m, ok)
+
+
+def _residue_checked(m: np.ndarray, ok) -> tuple[np.ndarray, ...]:
+    """``_checked_stack`` of a complex stack ``m`` whose density-matrix
+    checks gave ``ok`` (True for a stack ``check_density_matrix`` passed):
+    ``ok`` is also False where the imaginary residue of T fails."""
     _, residue, product = _correlation_stack(m)
     return m, product, ok & (residue <= _IMAG_RESIDUE)
 
@@ -230,7 +245,11 @@ def _signed_stack(states) -> tuple[np.ndarray, ...]:
     Returns the three arrays, shape (...), and ``ok`` of ``_checked_stack``;
     the values of a state that is not ok are those of the zero matrix.
     """
-    m, product, ok = _checked_stack(states)
+    return _signed(*_checked_stack(states))
+
+
+def _signed(m, product, ok) -> tuple[np.ndarray, ...]:
+    # The values of ``_signed_stack`` from what ``_checked_stack`` returns.
     _, m_value, lambda3 = _spectrum_stack(product)
     return _negativity_stack(m), m_value, lambda3, ok
 
@@ -272,6 +291,16 @@ def report_stack(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """
     check_tolerance(tol)
     *signed, ok = _signed_stack(states)
+    values, ordered = _report_columns(*signed, tol)
+    return values, ok & ordered
+
+
+def _report_checked(states: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``report_stack`` on a complex stack of states that ``check_density_matrix``
+    has passed, as ``run_swap``'s: the density-matrix checks are not made
+    again, the imaginary-residue and hierarchy checks are."""
+    check_tolerance(tol)
+    *signed, ok = _signed(*_residue_checked(states, True))
     values, ordered = _report_columns(*signed, tol)
     return values, ok & ordered
 

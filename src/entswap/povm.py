@@ -340,11 +340,12 @@ def _effects(raw_effects: list) -> np.ndarray:
             if not isinstance(row, list) or len(row) != 4:
                 raise InvalidPovmError(f"effect {i}, row {r}: expected 4 entries")
             for c, entry in enumerate(row):
+                # A JSON number with a point parses to a float: one type test passes it.
                 if not (
                     isinstance(entry, list)
                     and len(entry) == 2
-                    and _is_finite_number(entry[0])
-                    and _is_finite_number(entry[1])
+                    and (type(x := entry[0]) is float and math.isfinite(x) or _is_finite_number(x))
+                    and (type(y := entry[1]) is float and math.isfinite(y) or _is_finite_number(y))
                 ):
                     raise InvalidPovmError(
                         f"effect {i}, row {r}, column {c}: "

@@ -3,8 +3,10 @@ test modules."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+from io import StringIO
 
 import numpy as np
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from entswap import (
     werner_bell_povm,
 )
 from entswap.cli import SWEEP_HEADER
+from entswap.measures import PAULI, QUANTITIES
 from entswap.povm import validate
 from entswap.swap import DEGENERATE_PROBABILITY, PAIRS
 
@@ -256,3 +259,30 @@ def sweep_csv_per_field(records) -> str:
         ]
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
+
+
+def correlation_stack_einsum(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``measures._correlation_stack`` with T as one ``einsum`` over the
+    Pauli products, kept as the reference for its matrix product."""
+    paulis = np.array([[kron(si, sj) for sj in PAULI] for si in PAULI])
+    raw = np.einsum("...ab,ijba->...ij", m, paulis)  # Tr[rho (sigma_i x sigma_j)]
+    T = raw.real
+    return T, np.abs(raw.imag).max(axis=(-2, -1)), T.swapaxes(-1, -2) @ T
+
+
+def analyze_csv_writer(p: Povm, outcomes, values, tol: float) -> str:
+    """``cli._analyze_csv`` with every row written by ``csv.writer``, kept as
+    the reference for its one-template rows."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    flags = (("entangled", 0), ("steerable", 2), ("nonlocal", 3))
+    writer.writerow(["label", "outcome", "pair", "probability", *QUANTITIES,
+                     *(flag for flag, _ in flags)])
+    for outcome, rows in zip(outcomes, values.tolist()):
+        if outcome.degenerate:
+            continue
+        for pair, row in zip(PAIRS, rows):
+            where = [p.label, str(outcome.outcome_index), pair, _fmt(outcome.probability)]
+            writer.writerow([*where, *map(_fmt, row),
+                             *(str(row[column] > tol).lower() for _, column in flags)])
+    return buf.getvalue()

@@ -29,10 +29,14 @@ from entswap import (
     run_swap,
     swap,
 )
-from entswap import analysis
-from helpers import analyze_per_pair, random_povm, rng
+from entswap import analysis, initial_four_qubit, states
+from helpers import analyze_csv_writer, analyze_per_pair, random_povm, rng
 
 I4 = np.eye(4, dtype=complex)
+
+
+# The analyze CSV row with every float as its repr, as the patched _fmt gives it.
+FULL_PRECISION_ROW = cli._ANALYZE_ROW.replace("%.12g", "%r")
 
 
 def analyze(p: Povm, *argv: str) -> tuple[int, str, str]:
@@ -44,7 +48,8 @@ def analyze(p: Povm, *argv: str) -> tuple[int, str, str]:
             json.dump(povm_to_dict(p), fh)
         out, err = StringIO(), StringIO()
         with redirect_stdout(out), redirect_stderr(err), \
-                mock.patch.object(cli, "_fmt", lambda v: repr(float(v))):
+                mock.patch.object(cli, "_fmt", lambda v: repr(float(v))), \
+                mock.patch.object(cli, "_ANALYZE_ROW", FULL_PRECISION_ROW):
             code = cli.main(["analyze", "--povm", path, *argv])
     return code, out.getvalue(), err.getvalue()
 
@@ -141,14 +146,14 @@ def test_analyze_rows_match_run_swap_and_report(seed, effects, split, fmt, tol):
 
 def test_states_failing_the_stacked_checks_go_to_scalar_report():
     p = asymmetric_povm(0.8, 0.5)
-    real_report_stack = analysis.measures.report_stack
+    real_report_checked = analysis.measures._report_checked
 
     def nothing_ok(states, tol):
-        values, ok = real_report_stack(states, tol)
+        values, ok = real_report_checked(states, tol)
         return values, np.zeros_like(ok)
 
     # report() accepts every state, so its values stand in for the batch.
-    with mock.patch.object(analysis.measures, "report_stack", nothing_ok):
+    with mock.patch.object(analysis.measures, "_report_checked", nothing_ok):
         code, out, _ = analyze(p, "--format", "csv")
     assert code == 0
     expected = analyze_per_pair(p, 1e-9)
@@ -205,13 +210,13 @@ def test_analyze_passes_a_small_effect_with_an_eigenvalue_just_below_zero(negati
 
 
 def test_perturbed_stacked_values_fail_the_scalar_check():
-    real_report_stack = analysis.measures.report_stack
+    real_report_checked = analysis.measures._report_checked
 
     def perturbed(states, tol):
-        values, ok = real_report_stack(states, tol)
+        values, ok = real_report_checked(states, tol)
         return values + 1e-6, ok
 
-    with mock.patch.object(analysis.measures, "report_stack", perturbed):
+    with mock.patch.object(analysis.measures, "_report_checked", perturbed):
         code, out, err = analyze(asymmetric_povm(0.725, 0.9))
     assert code == 1 and out == ""
     assert re.fullmatch(
@@ -219,6 +224,49 @@ def test_perturbed_stacked_values_fail_the_scalar_check():
         r"pair 14 negativity is \S+, scalar \S+\n",
         err,
     )
+
+
+def test_analyze_checks_each_pair_state_once(monkeypatch):
+    # states._residuals is the core of check_density_matrix and of is_density_matrix.
+    initial_four_qubit()  # built and checked once per process, before this count
+    real_residuals, stacks = states._residuals, []
+
+    def counted(m):
+        stacks.append(m)
+        return real_residuals(m)
+
+    monkeypatch.setattr(states, "_residuals", counted)
+    swapped = []
+
+    def recorded(p):
+        swapped.append(run_swap(p))
+        return swapped[-1]
+
+    monkeypatch.setattr(cli, "run_swap", recorded)
+    p = with_degenerate(5, 5, 2)  # six effects, one degenerate
+    code, out, _ = analyze(p, "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 1 + 5 * 3
+    [stack] = stacks
+    kept = [o for o in swapped[0] if not o.degenerate]
+    pair_states = np.array([[o.pair_state(pair).matrix for pair in swap.PAIRS] for o in kept])
+    assert stack.shape == (5, 3, 4, 4) and stack.tobytes() == pair_states.tobytes()
+
+
+@pytest.mark.parametrize("label", [
+    "a,b", 'say "hi"', "two\nlines", "cr\rlf", "na\u00efve \u03c8 \u2713", "", " padded ",
+    "%s %d%%",
+])
+def test_analyze_csv_quotes_a_label_as_csv_writer_does(label, tmp_path):
+    p = Povm(with_degenerate(6, 4, 1).effects, label=label)
+    outcomes = run_swap(p)
+    values = analysis._outcome_values(p, outcomes, 1e-3)
+    expected = analyze_csv_writer(p, outcomes, values, 1e-3)
+    assert cli._analyze_csv(p, outcomes, values, 1e-3) == expected
+    source, target = tmp_path / "povm.json", tmp_path / "out.csv"
+    source.write_text(json.dumps(povm_to_dict(p)), encoding="utf-8")
+    argv = ["analyze", "--povm", str(source), "--format", "csv", "--tol", "1e-3"]
+    assert cli.main([*argv, "--out", str(target)]) == 0
+    assert target.read_bytes() == expected.encode("utf-8")
 
 
 def test_analyze_validates_each_povm_once():

@@ -17,17 +17,18 @@ with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
     METRICS = [m["name"] for m in json.load(fh)["end_to_end"]]
 
 
-def stub_runs(tmp_path, p50):
+def stub_runs(tmp_path, p50, anchor=None):
     """A stand-in for ``run_once``: the change's p50 of pair i is p50[i], the
-    parent's 2.4 ms; each call writes a record, as the benchmark does, and is
-    logged. A record's reference kernel takes 3 + i ms, its unscaled p50 is
-    twice the scaled one, and the parent runs BLAS on 1 thread, the change on 2."""
+    parent's 2.4 ms and that of the tree ``anchor``, if given, 2.0 ms; each
+    call writes a record, as the benchmark does, and is logged. A record's
+    reference kernel takes 3 + i ms, its unscaled p50 is twice the scaled
+    one, and the change runs BLAS on 2 threads, the other trees on 1."""
     calls = []
 
     def run(tree, workload, seed, seconds):
-        side = "change" if tree == bench_record.ROOT else "parent"
+        side = {bench_record.ROOT: "change", anchor: "anchor"}.get(tree, "parent")
         i = seed - 100
-        value = p50[i] if side == "change" else 2.4
+        value = {"change": p50[i], "parent": 2.4, "anchor": 2.0}[side]
         metrics = dict.fromkeys(METRICS, 1.0) | {"task_p50_ms": value, "tasks_per_s": 1e3 / value}
         path = tmp_path / f"{side}.json"
         path.write_text(json.dumps({
@@ -84,6 +85,49 @@ def test_pairs_alternate_and_the_record_holds_every_field(tmp_path):
     # Ties count for neither side.
     assert entry["metrics"]["setup_s"]["wins"] == "0/10"
     assert not entry["metrics"]["setup_s"]["gain_holds"]
+
+
+def test_an_anchor_runs_in_every_pair_and_is_compared_with_the_change(tmp_path):
+    anchor = str(tmp_path / "anchor")
+    run, calls = stub_runs(tmp_path, [2.2] * 4, anchor=anchor)
+    runs_dir = tmp_path / "runs"
+    out = bench_record.record(str(tmp_path / "parent"), ["custom_povm"], 4, 1.0, 100,
+                              str(runs_dir), run=run, anchor_dir=anchor)
+    assert [c[0] for c in calls[:6]] == ["change", "parent", "anchor", "anchor", "parent", "change"]
+    assert [c[2] for c in calls[::3]] == [100, 101, 102, 103]
+    assert len(os.listdir(runs_dir)) == 12 and "custom_povm-anchor-03.json" in os.listdir(runs_dir)
+    assert out["commits"] == {"anchor": "anchor", "parent": "parent", "change": "change"}
+    assert out["blas_threads"]["anchor"] == {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
+    entry = out["workloads"]["custom_povm"]
+    assert entry["runs"][0]["anchor"]["reference_kernel_ms"] == 3.0
+    assert entry["metrics"]["task_p50_ms"]["wins"] == "4/4"
+    against = entry["against_anchor"]["task_p50_ms"]
+    assert against["parent"]["median"] == 2.0 and against["change"]["median"] == 2.2
+    assert against["wins"] == "0/4" and against["worse_by"] == pytest.approx(0.1)
+    assert against["within_bound"] and against["bound"] == 0.15
+
+    run, _ = stub_runs(tmp_path, [2.2] * 4)
+    plain = bench_record.record(str(tmp_path / "parent"), ["custom_povm"], 4, 1.0, 100,
+                                str(runs_dir), run=run)
+    assert "against_anchor" not in plain["workloads"]["custom_povm"]
+    assert set(plain["commits"]) == {"parent", "change"}
+
+
+def test_main_names_the_anchor_commit_and_prints_both_comparisons(tmp_path, monkeypatch, capsys):
+    anchor = str(tmp_path / "anchor")
+    run, _ = stub_runs(tmp_path, [2.2] * 2, anchor=anchor)
+    record = bench_record.record
+    monkeypatch.setattr(bench_record, "record", lambda *a, **k: record(*a, **k, run=run))
+    path = tmp_path / "BENCH.json"
+    assert bench_record.main([
+        "--parent", str(tmp_path / "parent"), "--anchor", anchor, "--anchor-commit", "abc123",
+        "--workload", "custom_povm", "--pairs", "2", "--seed", "100", "--out", str(path),
+        "--runs-dir", str(tmp_path / "runs"),
+    ]) == 0
+    assert json.loads(path.read_text())["commits"]["anchor"] == "abc123"
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * len(METRICS)
+    assert lines[len(METRICS)].startswith("custom_povm     setup_s       anchor ")
 
 
 def test_eight_wins_in_ten_make_no_gain(tmp_path):

@@ -277,6 +277,22 @@ def test_out_gives_a_new_file_the_mode_of_a_plain_open(tmp_path, capsys, umask_0
     assert stat.S_IMODE(os.stat(target).st_mode) == 0o644
 
 
+def test_out_gives_a_new_file_its_mode_without_setting_the_umask(
+    tmp_path, capsys, umask_022, monkeypatch
+):
+    # Setting the umask, even to read it, is process-wide: a thread creating a
+    # file meanwhile would get the wrong mode. The kernel applies it instead.
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    target = tmp_path / "verify.txt"
+    code, _, err = run_cli(capsys, "verify", "--case", "I", "--grid", "3", "--out", str(target))
+    assert (code, err) == (0, "")
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o666 & ~0o022
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["verify.txt"]
+
+
 def test_out_keeps_the_mode_of_the_file_it_replaces(tmp_path, capsys, umask_022):
     target = tmp_path / "verify.txt"
     target.write_text("old\n")

@@ -27,7 +27,11 @@ from entswap import (
 from entswap import measures
 from entswap.measures import negativity_signed, report_stack
 from entswap.states import check_density_matrix
-from helpers import random_density_matrix, random_povm, random_unitary, rng
+from entswap.povm import asymmetric_effects, werner_bell_effects
+from entswap.swap import swap_stack
+from helpers import (
+    correlation_stack_einsum, random_density_matrix, random_povm, random_unitary, rng,
+)
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -309,3 +313,39 @@ def test_signed_rows_equal_the_columns_of_the_signed_stack_bit_for_bit(seed):
         values, ok_rows = measures._signed_rows(states, columns)
         assert ok_rows.tolist() == ok.tolist()
         assert values.tobytes() == np.stack([neg, n, s3, n])[columns, rows].tobytes()
+
+
+def _with_negative_zeros(states: np.ndarray, seed: int) -> np.ndarray:
+    """``states`` with a random third of the real and of the imaginary parts
+    of their entries set to -0.0, and one matrix of -0.0 alone."""
+    gen = np.random.default_rng(seed)
+    m = states.copy()
+    m.real[gen.random(m.shape) < 1 / 3] = -0.0
+    m.imag[gen.random(m.shape) < 1 / 3] = -0.0
+    return np.concatenate([m, np.full((1, 4, 4), complex(-0.0, -0.0))])
+
+
+def _preset_states() -> np.ndarray:
+    """The swap_stack pair states of the four presets, 101 lambdas each,
+    shape (4, 101, 4, 3, 4, 4)."""
+    lams = np.linspace(0.0, 1.0, 101)
+    effects = [werner_bell_effects(lams)] + [asymmetric_effects(x, lams) for x in (0.3, 0.725, 0.8)]
+    return np.array([swap_stack(e)[2] for e in effects])
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _random_states(7), id="random"),
+    pytest.param(lambda: rng(11).standard_normal((2, 50, 4, 4, 2)).view(complex)[..., 0],
+                 id="random-complex"),
+    pytest.param(_preset_states, id="presets"),
+    pytest.param(lambda: _with_negative_zeros(_random_states(8), 8), id="negative-zeros"),
+    pytest.param(lambda: _with_negative_zeros(_random_states(9).real + 0j, 9),
+                 id="real-negative-zeros"),
+    pytest.param(lambda: random_density_matrix(rng(10)), id="one-state"),
+    pytest.param(lambda: np.full((4, 4), complex(-0.0, -0.0)), id="one-negative-zero"),
+])
+def test_correlation_matrix_product_is_bitwise_the_einsum(make):
+    states = make()
+    got, want = measures._correlation_stack(states), correlation_stack_einsum(states)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()

@@ -11,17 +11,24 @@ index; even pairs run the change first, odd pairs the parent. Each run's
 full record, ``perfbench/_out/W-trace0.json``, is copied to ``--runs-dir``
 before the next run of that tree overwrites it.
 
+``--anchor DIR`` adds a third tree to every pair, a fixed older commit: even
+pairs run the change, the parent, then the anchor, odd pairs the reverse.
+A drift that every change of a series makes too small to see still shows
+against a tree that does not move.
+
 The output holds, per workload and end-to-end metric of ``BENCHMARK.json``:
 every pair's values, each side's median and quartiles, the parent's
 interquartile range, the change's wins out of the pairs (ties count for
 neither side), the gain rule (wins in at least nine tenths of the pairs and
 medians apart by more than the parent's IQR) and the relative worsening
-against the metric's bound. It also holds each run's ``correct`` and
-``failed``, and the two values that tell a program change from a change of
-the benchmark's speed scaling: the median of the run's reference kernel
-(``reference_kernel_ms``) and its unscaled ``wall.task_p50_ms``. Last come
-the commits, the versions, nproc, each side's BLAS thread settings (the
-``*_NUM_THREADS`` variables of its runs), the seeds and the seconds.
+against the metric's bound; with an anchor, ``against_anchor`` holds the
+same comparison with the anchor in the parent's place. It also holds each
+run's ``correct`` and ``failed``, and the two values that tell a program
+change from a change of the benchmark's speed scaling: the median of the
+run's reference kernel (``reference_kernel_ms``) and its unscaled
+``wall.task_p50_ms``. Last come the commits, the versions, nproc, each
+side's BLAS thread settings (the ``*_NUM_THREADS`` variables of its runs),
+the seeds and the seconds.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SIDES = ("parent", "change")
 # Lines of a failed run's stderr that its error quotes.
 STDERR_LINES = 20
 
@@ -96,13 +102,15 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
 
 
 def record(parent_dir: str, workloads: list[str], pairs: int, seconds: float, seed: int,
-           runs_dir: str, run=run_once) -> dict:
+           runs_dir: str, run=run_once, anchor_dir: str | None = None) -> dict:
     """Run the pairs of every workload and return the comparison record; the
     commits are those each side's runs report (the parent's is None or a
-    placeholder outside a git checkout)."""
+    placeholder outside a git checkout). ``anchor_dir`` adds the anchor's runs."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
-    trees = {"parent": parent_dir, "change": ROOT}
+    trees = {"anchor": anchor_dir} if anchor_dir else {}
+    trees |= {"parent": parent_dir, "change": ROOT}
+    sides = tuple(trees)
     os.makedirs(runs_dir, exist_ok=True)
     out = {"workloads": {}, "seconds": seconds, "seeds": [seed + i for i in range(pairs)]}
     meta = {}
@@ -110,7 +118,7 @@ def record(parent_dir: str, workloads: list[str], pairs: int, seconds: float, se
         runs = []
         for i in range(pairs):
             pair = {}
-            for side in SIDES[::-1] if i % 2 == 0 else SIDES:
+            for side in sides[::-1] if i % 2 == 0 else sides:
                 result, path = run(trees[side], workload, seed + i, seconds)
                 kept = os.path.join(runs_dir, f"{workload}-{side}-{i:02d}.json")
                 shutil.copyfile(path, kept)
@@ -123,20 +131,22 @@ def record(parent_dir: str, workloads: list[str], pairs: int, seconds: float, se
                               "wall_task_p50_ms": full["wall"]["task_p50_ms"],
                               "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
             runs.append(pair)
-        out["workloads"][workload] = {
-            "runs": [{s: {k: v for k, v in pair[s].items() if k != "metrics"} for s in SIDES}
+        entry = out["workloads"][workload] = {
+            "runs": [{s: {k: v for k, v in pair[s].items() if k != "metrics"} for s in sides}
                      for pair in runs],
-            "metrics": {
-                m["name"]: summarize(m, *([pair[s]["metrics"][m["name"]] for pair in runs]
-                                          for s in SIDES))
-                for m in metrics
-            },
         }
-    out["commits"] = {s: meta[s].get("git_commit") for s in SIDES}
+        for key, base in (("metrics", "parent"), ("against_anchor", "anchor")):
+            if base in trees:
+                entry[key] = {
+                    m["name"]: summarize(m, *([pair[s]["metrics"][m["name"]] for pair in runs]
+                                              for s in (base, "change")))
+                    for m in metrics
+                }
+    out["commits"] = {s: meta[s].get("git_commit") for s in sides}
     out["change_uncommitted"] = bool(_git("status", "--porcelain", "--untracked-files=no"))
     out["versions"] = {k: meta["change"].get(k) for k in ("python", "numpy", "scipy", "entswap")}
     out["nproc"] = meta["change"].get("nproc")
-    out["blas_threads"] = {s: meta[s].get("blas_threads") for s in SIDES}
+    out["blas_threads"] = {s: meta[s].get("blas_threads") for s in sides}
     return out
 
 
@@ -144,6 +154,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="extracted parent tree")
     parser.add_argument("--parent-commit", help="the parent's commit, if its tree has no .git")
+    parser.add_argument("--anchor", help="extracted tree of a fixed older commit, run each pair")
+    parser.add_argument("--anchor-commit", help="the anchor's commit, if its tree has no .git")
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -151,17 +163,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="BENCH.json")
     parser.add_argument("--runs-dir", default="bench_runs", help="where run records are kept")
     args = parser.parse_args(argv)
+    anchor = args.anchor and os.path.abspath(args.anchor)
     result = record(os.path.abspath(args.parent), args.workload, args.pairs, args.seconds,
-                    args.seed, args.runs_dir)
-    if args.parent_commit:
-        result["commits"]["parent"] = args.parent_commit
+                    args.seed, args.runs_dir, anchor_dir=anchor)
+    for side in ("parent", "anchor"):
+        if getattr(args, f"{side}_commit"):
+            result["commits"][side] = getattr(args, f"{side}_commit")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
     for workload, entry in result["workloads"].items():
-        for name, m in entry["metrics"].items():
-            print(f"{workload:<15} {name:<13} parent {m['parent']['median']:.4g} "
-                  f"change {m['change']['median']:.4g} wins {m['wins']} "
-                  f"iqr {m['parent_iqr']:.3g} worse_by {m['worse_by']:+.2%}")
+        for base, key in (("parent", "metrics"), ("anchor", "against_anchor")):
+            for name, m in entry.get(key, {}).items():
+                print(f"{workload:<15} {name:<13} {base} {m['parent']['median']:.4g} "
+                      f"change {m['change']['median']:.4g} wins {m['wins']} "
+                      f"iqr {m['parent_iqr']:.3g} worse_by {m['worse_by']:+.2%}")
     return 0
 
 
